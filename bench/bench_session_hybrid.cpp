@@ -43,27 +43,6 @@ void BM_HybridMacPerMessage(benchmark::State& state) {
 }
 BENCHMARK(BM_HybridMacPerMessage)->Arg(64)->Arg(512)->Arg(1500);
 
-void BM_HybridAesGcmPerMessage(benchmark::State& state) {
-  // Suite ablation: AES-128-GCM (bitwise GHASH, portable) vs the default
-  // ChaCha20-Poly1305 path above.
-  curve::Bn254::init();
-  crypto::Drbg rng = crypto::Drbg::from_string("e6-gcm");
-  const auto shared = curve::Bn254::get().g1_gen * curve::random_fr(rng);
-  proto::Session session =
-      proto::Session::establish(shared, as_bytes("bench-session"),
-                                proto::Session::Role::kInitiator,
-                                proto::Session::CipherSuite::kAes128Gcm);
-  const Bytes payload(static_cast<std::size_t>(state.range(0)), 0x5a);
-  std::size_t bytes = 0;
-  for (auto _ : state) {
-    auto frame = session.seal(payload);
-    benchmark::DoNotOptimize(frame);
-    bytes += payload.size();
-  }
-  state.SetBytesProcessed(static_cast<std::int64_t>(bytes));
-}
-BENCHMARK(BM_HybridAesGcmPerMessage)->Arg(64)->Arg(1500);
-
 void BM_GroupSigPerMessage(benchmark::State& state) {
   // The design PEACE avoids: a group signature on every data message.
   World& w = World::instance();

@@ -31,6 +31,7 @@
 #include "crypto/drbg.hpp"
 #include "curve/hash_to_curve.hpp"
 #include "curve/pairing.hpp"
+#include "obs/fields.hpp"
 
 namespace peace::groupsig {
 
@@ -54,14 +55,24 @@ struct OpCounters {
   void reset() { *this = OpCounters{}; }
   /// Accumulates another counter set (used to fold per-worker counters from
   /// parallel verification back into one aggregate).
-  void merge(const OpCounters& o) {
-    g1_exp += o.g1_exp;
-    g2_exp += o.g2_exp;
-    gt_exp += o.gt_exp;
-    pairings += o.pairings;
-    hash_to_group += o.hash_to_group;
-  }
+  void merge(const OpCounters& o);
 };
+
+/// The registry counter each field is exported as (obs/fields.hpp): the
+/// routers' aggregated verification op counts.
+constexpr auto field_table(const OpCounters*) {
+  return std::to_array<obs::Field<OpCounters>>({
+      {&OpCounters::g1_exp, "groupsig.verify.g1_exp"},
+      {&OpCounters::g2_exp, "groupsig.verify.g2_exp"},
+      {&OpCounters::gt_exp, "groupsig.verify.gt_exp"},
+      {&OpCounters::pairings, "groupsig.verify.pairings"},
+      {&OpCounters::hash_to_group, "groupsig.verify.hash_to_group"},
+  });
+}
+
+inline void OpCounters::merge(const OpCounters& o) {
+  *this = obs::sum(*this, o);
+}
 
 struct GroupPublicKey {
   G2 w;  // g2^gamma (g1, g2 are the fixed BN254 generators)

@@ -5,7 +5,6 @@
 #include "obs/health.hpp"
 #include "obs/metrics.hpp"
 #include "obs/sec_event.hpp"
-#include "peace/metrics_export.hpp"
 
 namespace peace::mesh {
 
@@ -327,7 +326,7 @@ std::optional<ShardId> MetroSimulation::next_hop_to_ap(ShardId from) const {
 
 NetworkStats MetroSimulation::network_stats_total() const {
   NetworkStats totals;
-  for (const auto& s : shards_) totals = sum(totals, s->net().stats());
+  for (const auto& s : shards_) totals = obs::sum(totals, s->net().stats());
   return totals;
 }
 
@@ -348,18 +347,18 @@ void MetroSimulation::publish_metrics() const {
   revoke::SharedRevocationStats revocation;
   bool any_revocation = false;
   for (const auto& s : shards_) {
-    routers = proto::sum(routers, s->net().router_stats_total());
-    users = proto::sum(users, s->net().user_stats_total());
-    ops.merge(s->net().verify_ops_total());
+    routers = obs::sum(routers, s->net().router_stats_total());
+    users = obs::sum(users, s->net().user_stats_total());
+    ops = obs::sum(ops, s->net().verify_ops_total());
     if (s->net().revocation() != nullptr) {
-      revocation = revoke::sum(revocation, s->net().revocation()->stats());
+      revocation = obs::sum(revocation, s->net().revocation()->stats());
       any_revocation = true;
     }
   }
-  proto::absorb_router_stats(routers);
-  proto::absorb_user_stats(users);
-  proto::absorb_verify_ops(ops);
-  if (any_revocation) proto::absorb_revocation_stats(revocation);
+  obs::absorb(routers);
+  obs::absorb(users);
+  obs::absorb(ops);
+  if (any_revocation) obs::absorb(revocation);
   absorb_network_stats(network_stats_total(), sim_events_total());
 
   ShardStats shard_totals;
@@ -384,15 +383,7 @@ void MetroSimulation::publish_metrics() const {
   reg.gauge("metro.users").set(static_cast<std::int64_t>(users_.size()));
   reg.gauge("metro.handoffs_pending")
       .set(static_cast<std::int64_t>(parked_.size()));
-  reg.counter("metro.barriers").set(stats_.barriers);
-  reg.counter("metro.msgs_routed").set(stats_.msgs_routed);
-  reg.counter("metro.frames_posted").set(stats_.frames_posted);
-  reg.counter("metro.frames_shed").set(stats_.frames_shed);
-  reg.counter("metro.frames_dropped").set(stats_.frames_dropped);
-  reg.counter("metro.relay_delivered").set(stats_.relay_delivered);
-  reg.counter("metro.relay_dropped").set(stats_.relay_dropped);
-  reg.counter("metro.handoffs_parked").set(stats_.handoffs_parked);
-  reg.counter("metro.handoffs_dropped").set(stats_.handoffs_dropped);
+  obs::absorb(stats_);
   reg.counter("metro.handoffs_completed").set(shard_totals.handoffs_in);
   reg.counter("metro.inbox_dropped").set(shard_totals.inbox_dropped);
   reg.counter("metro.arena.acquired").set(arena_totals.acquired);

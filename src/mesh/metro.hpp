@@ -41,6 +41,7 @@
 #include <set>
 
 #include "mesh/shard.hpp"
+#include "obs/fields.hpp"
 
 namespace peace::obs {
 class HealthMonitor;
@@ -75,6 +76,21 @@ struct MetroStats {
   std::uint64_t handoffs_parked = 0;   // handoffs waiting out a partition
   std::uint64_t handoffs_dropped = 0;  // parked users lost to the FIFO cap
 };
+
+/// The registry counter each field is exported as (obs/fields.hpp).
+constexpr auto field_table(const MetroStats*) {
+  return std::to_array<obs::Field<MetroStats>>({
+      {&MetroStats::barriers, "metro.barriers"},
+      {&MetroStats::msgs_routed, "metro.msgs_routed"},
+      {&MetroStats::frames_posted, "metro.frames_posted"},
+      {&MetroStats::frames_shed, "metro.frames_shed"},
+      {&MetroStats::frames_dropped, "metro.frames_dropped"},
+      {&MetroStats::relay_delivered, "metro.relay_delivered"},
+      {&MetroStats::relay_dropped, "metro.relay_dropped"},
+      {&MetroStats::handoffs_parked, "metro.handoffs_parked"},
+      {&MetroStats::handoffs_dropped, "metro.handoffs_dropped"},
+  });
+}
 
 class MetroSimulation {
  public:

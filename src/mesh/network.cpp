@@ -6,7 +6,6 @@
 #include "crypto/aead.hpp"
 #include "obs/sec_event.hpp"
 #include "obs/trace.hpp"
-#include "peace/metrics_export.hpp"
 
 namespace peace::mesh {
 
@@ -991,56 +990,12 @@ std::vector<NodeId> MeshNetwork::user_ids() const {
   return out;
 }
 
-NetworkStats sum(const NetworkStats& a, const NetworkStats& b) {
-  // Counter audit (the PR 5 convention): every field must be a uint64_t
-  // event count so this merge is commutative — a field that is not a plain
-  // sum (a high-water mark, a ratio) must NOT be added to NetworkStats but
-  // to a dedicated struct with its own merge rule.
-  static_assert(sizeof(NetworkStats) == 17 * sizeof(std::uint64_t),
-                "NetworkStats gained a field: add it to sum() and confirm "
-                "it is an order-independent uint64_t event count");
-  NetworkStats out = a;
-  out.frames_transmitted += b.frames_transmitted;
-  out.users_removed += b.users_removed;
-  out.frames_lost += b.frames_lost;
-  out.data_delivered += b.data_delivered;
-  out.data_undeliverable += b.data_undeliverable;
-  out.relay_hops_total += b.relay_hops_total;
-  out.internet_delivered += b.internet_delivered;
-  out.backbone_hops_total += b.backbone_hops_total;
-  out.backbone_mac_failures += b.backbone_mac_failures;
-  out.retransmissions += b.retransmissions;
-  out.handshake_timeouts += b.handshake_timeouts;
-  out.rekeys += b.rekeys;
-  out.failovers += b.failovers;
-  out.corrupted_rejected += b.corrupted_rejected;
-  out.frames_duplicated += b.frames_duplicated;
-  out.frames_delayed += b.frames_delayed;
-  out.frames_partitioned += b.frames_partitioned;
-  return out;
-}
-
 void absorb_network_stats(const NetworkStats& totals,
                           std::uint64_t sim_events_processed) {
-  auto& reg = obs::Registry::global();
-  reg.counter("mesh.frames_transmitted").set(totals.frames_transmitted);
-  reg.counter("mesh.users_removed").set(totals.users_removed);
-  reg.counter("mesh.frames_lost").set(totals.frames_lost);
-  reg.counter("mesh.data_delivered").set(totals.data_delivered);
-  reg.counter("mesh.data_undeliverable").set(totals.data_undeliverable);
-  reg.counter("mesh.relay_hops_total").set(totals.relay_hops_total);
-  reg.counter("mesh.internet_delivered").set(totals.internet_delivered);
-  reg.counter("mesh.backbone_hops_total").set(totals.backbone_hops_total);
-  reg.counter("mesh.backbone_mac_failures").set(totals.backbone_mac_failures);
-  reg.counter("mesh.retransmissions").set(totals.retransmissions);
-  reg.counter("mesh.handshake_timeouts").set(totals.handshake_timeouts);
-  reg.counter("mesh.rekeys").set(totals.rekeys);
-  reg.counter("mesh.failovers").set(totals.failovers);
-  reg.counter("mesh.corrupted_rejected").set(totals.corrupted_rejected);
-  reg.counter("mesh.frames_duplicated").set(totals.frames_duplicated);
-  reg.counter("mesh.frames_delayed").set(totals.frames_delayed);
-  reg.counter("mesh.frames_partitioned").set(totals.frames_partitioned);
-  reg.counter("sim.events_processed").set(sim_events_processed);
+  obs::absorb(totals);
+  obs::Registry::global()
+      .counter("sim.events_processed")
+      .set(sim_events_processed);
 }
 
 proto::RouterStats MeshNetwork::router_stats_total() const {
@@ -1049,7 +1004,7 @@ proto::RouterStats MeshNetwork::router_stats_total() const {
   proto::RouterStats totals;
   for (const auto& [id, node] : routers_) {
     if (node.router == nullptr) continue;
-    totals = proto::sum(totals, node.router->stats());
+    totals = obs::sum(totals, node.router->stats());
   }
   return totals;
 }
@@ -1057,7 +1012,7 @@ proto::RouterStats MeshNetwork::router_stats_total() const {
 proto::UserStats MeshNetwork::user_stats_total() const {
   proto::UserStats totals;
   for (const auto& [id, node] : users_)
-    totals = proto::sum(totals, node.user->stats());
+    totals = obs::sum(totals, node.user->stats());
   return totals;
 }
 
@@ -1072,12 +1027,11 @@ groupsig::OpCounters MeshNetwork::verify_ops_total() const {
 
 void MeshNetwork::publish_metrics() const {
   // Mirror the deterministic stats structs into the registry (idempotent —
-  // Counter::set of totals; see metrics_export.hpp).
-  proto::absorb_router_stats(router_stats_total());
-  proto::absorb_user_stats(user_stats_total());
-  proto::absorb_verify_ops(verify_ops_total());
-  if (revocation_ != nullptr)
-    proto::absorb_revocation_stats(revocation_->stats());
+  // Counter::set of totals; see obs/fields.hpp).
+  obs::absorb(router_stats_total());
+  obs::absorb(user_stats_total());
+  obs::absorb(verify_ops_total());
+  if (revocation_ != nullptr) obs::absorb(revocation_->stats());
   absorb_network_stats(stats_, sim_.events_processed());
   // Flush any buffered security events to the trace sink alongside the
   // counter snapshot (single-network drivers; the metro barrier drains for

@@ -15,6 +15,7 @@
 #include "crypto/drbg.hpp"
 #include "mesh/faults.hpp"
 #include "mesh/simulator.hpp"
+#include "obs/fields.hpp"
 #include "peace/router.hpp"
 #include "peace/user.hpp"
 
@@ -102,16 +103,32 @@ struct NetworkStats {
   std::uint64_t frames_partitioned = 0;   // dropped on a blocked/dead link
 };
 
-/// Field-wise sum. Every field is a uint64_t event count, so the merge is
-/// commutative and associative — cross-shard aggregation is input-order
-/// independent whatever order the metro layer visits its shards in
-/// (asserted, with a field-count audit, by tests/metro_test.cpp).
-NetworkStats sum(const NetworkStats& a, const NetworkStats& b);
+/// The registry counter each field is exported as (obs/fields.hpp).
+constexpr auto field_table(const NetworkStats*) {
+  return std::to_array<obs::Field<NetworkStats>>({
+      {&NetworkStats::frames_transmitted, "mesh.frames_transmitted"},
+      {&NetworkStats::users_removed, "mesh.users_removed"},
+      {&NetworkStats::frames_lost, "mesh.frames_lost"},
+      {&NetworkStats::data_delivered, "mesh.data_delivered"},
+      {&NetworkStats::data_undeliverable, "mesh.data_undeliverable"},
+      {&NetworkStats::relay_hops_total, "mesh.relay_hops_total"},
+      {&NetworkStats::internet_delivered, "mesh.internet_delivered"},
+      {&NetworkStats::backbone_hops_total, "mesh.backbone_hops_total"},
+      {&NetworkStats::backbone_mac_failures, "mesh.backbone_mac_failures"},
+      {&NetworkStats::retransmissions, "mesh.retransmissions"},
+      {&NetworkStats::handshake_timeouts, "mesh.handshake_timeouts"},
+      {&NetworkStats::rekeys, "mesh.rekeys"},
+      {&NetworkStats::failovers, "mesh.failovers"},
+      {&NetworkStats::corrupted_rejected, "mesh.corrupted_rejected"},
+      {&NetworkStats::frames_duplicated, "mesh.frames_duplicated"},
+      {&NetworkStats::frames_delayed, "mesh.frames_delayed"},
+      {&NetworkStats::frames_partitioned, "mesh.frames_partitioned"},
+  });
+}
 
 /// Mirrors a (possibly multi-shard) NetworkStats total plus the summed
-/// simulator event count into the obs registry (mesh.* / sim.*), exactly as
-/// MeshNetwork::publish_metrics always did for a single network. Idempotent
-/// (Counter::set).
+/// simulator event count into the obs registry (mesh.* / sim.*).
+/// Idempotent (Counter::set).
 void absorb_network_stats(const NetworkStats& totals,
                           std::uint64_t sim_events_processed);
 

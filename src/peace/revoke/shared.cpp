@@ -191,19 +191,4 @@ SharedRevocationStats SharedRevocationState::stats() const {
   return stats_;
 }
 
-SharedRevocationStats sum(const SharedRevocationStats& a,
-                          const SharedRevocationStats& b) {
-  static_assert(sizeof(SharedRevocationStats) == 7 * sizeof(std::uint64_t),
-                "SharedRevocationStats gained a field: add it to sum()");
-  SharedRevocationStats out = a;
-  out.full_installs += b.full_installs;
-  out.deltas_applied += b.deltas_applied;
-  out.deltas_stale += b.deltas_stale;
-  out.deltas_gap += b.deltas_gap;
-  out.deltas_rejected += b.deltas_rejected;
-  out.snapshots_published += b.snapshots_published;
-  out.tokens_retagged += b.tokens_retagged;
-  return out;
-}
-
 }  // namespace peace::revoke

@@ -19,6 +19,7 @@
 #include <memory>
 #include <mutex>
 
+#include "obs/fields.hpp"
 #include "peace/revoke/store.hpp"
 
 namespace peace::revoke {
@@ -50,10 +51,19 @@ struct SharedRevocationStats {
   std::uint64_t tokens_retagged = 0;  // pairings spent updating the index
 };
 
-/// Field-wise sum, for aggregating per-segment states across metro shards
-/// (every field is a uint64_t event count, so merges commute).
-SharedRevocationStats sum(const SharedRevocationStats& a,
-                          const SharedRevocationStats& b);
+/// The registry counter each field is exported as (obs/fields.hpp).
+constexpr auto field_table(const SharedRevocationStats*) {
+  return std::to_array<obs::Field<SharedRevocationStats>>({
+      {&SharedRevocationStats::full_installs, "revocation.full_installs"},
+      {&SharedRevocationStats::deltas_applied, "revocation.deltas_applied"},
+      {&SharedRevocationStats::deltas_stale, "revocation.deltas_stale"},
+      {&SharedRevocationStats::deltas_gap, "revocation.deltas_gap"},
+      {&SharedRevocationStats::deltas_rejected, "revocation.deltas_rejected"},
+      {&SharedRevocationStats::snapshots_published,
+       "revocation.snapshots_published"},
+      {&SharedRevocationStats::tokens_retagged, "revocation.tokens_retagged"},
+  });
+}
 
 class SharedRevocationState {
  public:

@@ -9,6 +9,7 @@
 #include <unordered_map>
 #include <unordered_set>
 
+#include "obs/fields.hpp"
 #include "peace/entities.hpp"
 #include "peace/revoke/shared.hpp"
 #include "peace/session.hpp"
@@ -40,6 +41,30 @@ struct RouterStats {
   // Reliability layer (PROTOCOL.md §10):
   std::uint64_t confirms_resent = 0;  // duplicate M.2 answered with cached M.3
 };
+
+/// The registry counter each field is exported as (obs/fields.hpp).
+constexpr auto field_table(const RouterStats*) {
+  return std::to_array<obs::Field<RouterStats>>({
+      {&RouterStats::beacons_sent, "router.beacons_sent"},
+      {&RouterStats::requests_received, "router.requests_received"},
+      {&RouterStats::accepted, "router.accepted"},
+      {&RouterStats::rejected_unknown_beacon, "router.rejected_unknown_beacon"},
+      {&RouterStats::rejected_stale, "router.rejected_stale"},
+      {&RouterStats::rejected_replay, "router.rejected_replay"},
+      {&RouterStats::rejected_puzzle, "router.rejected_puzzle"},
+      {&RouterStats::rejected_bad_signature, "router.rejected_bad_signature"},
+      {&RouterStats::rejected_revoked, "router.rejected_revoked"},
+      {&RouterStats::signature_verifications, "router.signature_verifications"},
+      {&RouterStats::verify_batches, "router.verify_batches"},
+      {&RouterStats::batched_requests, "router.batched_requests"},
+      {&RouterStats::rl_deltas_applied, "router.rl_deltas_applied"},
+      {&RouterStats::rl_deltas_ignored, "router.rl_deltas_ignored"},
+      {&RouterStats::rl_deltas_rejected, "router.rl_deltas_rejected"},
+      {&RouterStats::rl_resyncs_requested, "router.rl_resyncs_requested"},
+      {&RouterStats::rl_resyncs_completed, "router.rl_resyncs_completed"},
+      {&RouterStats::confirms_resent, "router.confirms_resent"},
+  });
+}
 
 class MeshRouter {
  public:

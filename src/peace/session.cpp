@@ -2,7 +2,6 @@
 
 #include "common/serde.hpp"
 #include "crypto/aead.hpp"
-#include "crypto/gcm.hpp"
 #include "crypto/hmac.hpp"
 
 namespace peace::proto {
@@ -26,20 +25,11 @@ Bytes seq_nonce(std::uint64_t seq) {
 }  // namespace
 
 Session Session::establish(const G1& shared_dh, BytesView session_id,
-                           Role role, CipherSuite suite) {
+                           Role role) {
   Session s;
   s.id_.assign(session_id.begin(), session_id.end());
-  s.suite_ = suite;
-  // Suite-specific key length and HKDF labels, so switching suites can
-  // never reuse key material.
-  const bool aes = suite == CipherSuite::kAes128Gcm;
-  const std::size_t klen = aes ? crypto::kGcmKeySize : 32;
-  const char* init_label =
-      aes ? "peace/session/aes/initiator" : "peace/session/initiator";
-  const char* resp_label =
-      aes ? "peace/session/aes/responder" : "peace/session/responder";
-  const Bytes ki = derive(shared_dh, session_id, init_label, klen);
-  const Bytes kr = derive(shared_dh, session_id, resp_label, klen);
+  const Bytes ki = derive(shared_dh, session_id, "peace/session/initiator", 32);
+  const Bytes kr = derive(shared_dh, session_id, "peace/session/responder", 32);
   s.mac_key_ = derive(shared_dh, session_id, "peace/session/mac", 32);
   if (role == Role::kInitiator) {
     s.send_key_ = ki;
@@ -53,8 +43,8 @@ Session Session::establish(const G1& shared_dh, BytesView session_id,
 
 std::optional<DataFrame> Session::try_seal(BytesView payload) {
   // The AEAD nonce is a function of the sequence number alone; wrapping the
-  // counter would repeat a nonce under the same key, which breaks both
-  // suites catastrophically. Refuse rather than wrap.
+  // counter would repeat a nonce under the same key, which breaks the AEAD
+  // catastrophically. Refuse rather than wrap.
   if (send_seq_ == kSeqExhausted) return std::nullopt;
   DataFrame frame;
   frame.session_id = id_;
@@ -65,11 +55,7 @@ std::optional<DataFrame> Session::try_seal(BytesView payload) {
   aad.bytes(id_);
   aad.u64(frame.seq);
   frame.ciphertext =
-      suite_ == CipherSuite::kAes128Gcm
-          ? crypto::aes_gcm_seal(send_key_, seq_nonce(frame.seq), aad.data(),
-                                 payload)
-          : crypto::aead_seal(send_key_, seq_nonce(frame.seq), aad.data(),
-                              payload);
+      crypto::aead_seal(send_key_, seq_nonce(frame.seq), aad.data(), payload);
   return frame;
 }
 
@@ -86,11 +72,8 @@ std::optional<Bytes> Session::open(const DataFrame& frame) {
   Writer aad;
   aad.bytes(id_);
   aad.u64(frame.seq);
-  auto plain = suite_ == CipherSuite::kAes128Gcm
-                   ? crypto::aes_gcm_open(recv_key_, seq_nonce(frame.seq),
-                                          aad.data(), frame.ciphertext)
-                   : crypto::aead_open(recv_key_, seq_nonce(frame.seq),
-                                       aad.data(), frame.ciphertext);
+  auto plain = crypto::aead_open(recv_key_, seq_nonce(frame.seq), aad.data(),
+                                frame.ciphertext);
   if (plain.has_value()) next_recv_seq_ = frame.seq + 1;
   return plain;
 }

@@ -16,17 +16,10 @@ class Session {
  public:
   enum class Role { kInitiator, kResponder };
 
-  /// The symmetric suite protecting data frames. Both endpoints must pick
-  /// the same one at establishment (a mismatch simply fails to decrypt).
-  enum class CipherSuite { kChaCha20Poly1305, kAes128Gcm };
-
-  /// Derives directional encryption keys and the MAC key from the DH shared
-  /// point and the public session id.
+  /// Derives directional ChaCha20-Poly1305 keys and the MAC key from the DH
+  /// shared point and the public session id.
   static Session establish(const G1& shared_dh, BytesView session_id,
-                           Role role,
-                           CipherSuite suite = CipherSuite::kChaCha20Poly1305);
-
-  CipherSuite suite() const { return suite_; }
+                           Role role);
 
   const Bytes& id() const { return id_; }
   std::uint64_t frames_sent() const { return send_seq_; }
@@ -70,8 +63,7 @@ class Session {
 
  private:
   Bytes id_;
-  CipherSuite suite_ = CipherSuite::kChaCha20Poly1305;
-  Bytes send_key_;  // 32 bytes (ChaCha) or 16 (AES-128)
+  Bytes send_key_;  // 32 bytes
   Bytes recv_key_;
   Bytes mac_key_;   // 32 bytes
   std::uint64_t send_seq_ = 0;

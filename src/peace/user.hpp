@@ -8,6 +8,7 @@
 #include <span>
 #include <unordered_map>
 
+#include "obs/fields.hpp"
 #include "peace/entities.hpp"
 #include "peace/session.hpp"
 #include "peace/verify_pool.hpp"
@@ -28,6 +29,23 @@ struct UserStats {
   std::uint64_t duplicate_hellos = 0;  // M~.1 answered from the reply cache
   std::uint64_t duplicate_replies = 0; // M~.2 answered from the confirm cache
 };
+
+/// The registry counter each field is exported as (obs/fields.hpp).
+constexpr auto field_table(const UserStats*) {
+  return std::to_array<obs::Field<UserStats>>({
+      {&UserStats::beacons_seen, "user.beacons_seen"},
+      {&UserStats::beacons_rejected, "user.beacons_rejected"},
+      {&UserStats::sessions_established, "user.sessions_established"},
+      {&UserStats::peer_sessions_established, "user.peer_sessions_established"},
+      {&UserStats::puzzle_hashes, "user.puzzle_hashes"},
+      {&UserStats::peer_verify_batches, "user.peer_verify_batches"},
+      {&UserStats::peer_batched_hellos, "user.peer_batched_hellos"},
+      {&UserStats::pending_expired, "user.pending_expired"},
+      {&UserStats::pending_evicted, "user.pending_evicted"},
+      {&UserStats::duplicate_hellos, "user.duplicate_hellos"},
+      {&UserStats::duplicate_replies, "user.duplicate_replies"},
+  });
+}
 
 class User {
  public:

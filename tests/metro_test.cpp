@@ -11,7 +11,6 @@
 
 #include "mesh/metro.hpp"
 #include "obs/metrics.hpp"
-#include "peace/metrics_export.hpp"
 
 namespace peace::mesh {
 namespace {
@@ -370,42 +369,51 @@ TEST_F(MetroTest, StatsMergeOrderIndependence) {
         .start_beaconing(100, 500, 4000);
   metro.run_until(5000);
 
-  // NetworkStats: field-wise uint64 sums, so the fold commutes. The size
-  // check keeps this audit honest when fields are added.
-  static_assert(sizeof(NetworkStats) % sizeof(std::uint64_t) == 0);
+  // Every tabled stats struct folds through the generic field-wise sum.
   NetworkStats fwd, rev;
-  for (std::size_t i = 0; i < metro.shard_count(); ++i)
-    fwd = sum(fwd, metro.shard(static_cast<ShardId>(i)).net().stats());
-  for (std::size_t i = metro.shard_count(); i-- > 0;)
-    rev = sum(rev, metro.shard(static_cast<ShardId>(i)).net().stats());
-  EXPECT_EQ(std::memcmp(&fwd, &rev, sizeof(NetworkStats)), 0);
-  EXPECT_GT(fwd.frames_transmitted, 0u);
-
   proto::RouterStats rf, rr;
   proto::UserStats uf, ur;
+  groupsig::OpCounters of, orev;
+  revoke::SharedRevocationStats sf, sr;
   for (std::size_t i = 0; i < metro.shard_count(); ++i) {
     const auto& net = metro.shard(static_cast<ShardId>(i)).net();
-    rf = proto::sum(rf, net.router_stats_total());
-    uf = proto::sum(uf, net.user_stats_total());
+    fwd = obs::sum(fwd, net.stats());
+    rf = obs::sum(rf, net.router_stats_total());
+    uf = obs::sum(uf, net.user_stats_total());
+    of = obs::sum(of, net.verify_ops_total());
+    sf = obs::sum(sf, net.revocation()->stats());
   }
   for (std::size_t i = metro.shard_count(); i-- > 0;) {
     const auto& net = metro.shard(static_cast<ShardId>(i)).net();
-    rr = proto::sum(rr, net.router_stats_total());
-    ur = proto::sum(ur, net.user_stats_total());
+    rev = obs::sum(rev, net.stats());
+    rr = obs::sum(rr, net.router_stats_total());
+    ur = obs::sum(ur, net.user_stats_total());
+    orev = obs::sum(orev, net.verify_ops_total());
+    sr = obs::sum(sr, net.revocation()->stats());
   }
+  EXPECT_EQ(std::memcmp(&fwd, &rev, sizeof(NetworkStats)), 0);
   EXPECT_EQ(std::memcmp(&rf, &rr, sizeof(proto::RouterStats)), 0);
   EXPECT_EQ(std::memcmp(&uf, &ur, sizeof(proto::UserStats)), 0);
+  EXPECT_EQ(std::memcmp(&of, &orev, sizeof(groupsig::OpCounters)), 0);
+  EXPECT_EQ(std::memcmp(&sf, &sr, sizeof(revoke::SharedRevocationStats)), 0);
+  EXPECT_GT(fwd.frames_transmitted, 0u);
+  EXPECT_GT(of.pairings, 0u);
+  EXPECT_GT(sf.snapshots_published, 0u);
 
   // Registry snapshots built from the two folds agree bit for bit.
   auto& reg = obs::Registry::global();
   reg.reset();
-  proto::absorb_router_stats(rf);
-  proto::absorb_user_stats(uf);
+  obs::absorb(rf);
+  obs::absorb(uf);
+  obs::absorb(of);
+  obs::absorb(sf);
   absorb_network_stats(fwd, metro.sim_events_total());
   const std::string snap_fwd = reg.to_json();
   reg.reset();
-  proto::absorb_router_stats(rr);
-  proto::absorb_user_stats(ur);
+  obs::absorb(rr);
+  obs::absorb(ur);
+  obs::absorb(orev);
+  obs::absorb(sr);
   absorb_network_stats(rev, metro.sim_events_total());
   const std::string snap_rev = reg.to_json();
   EXPECT_EQ(snap_fwd, snap_rev);

@@ -6,14 +6,18 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <fstream>
+#include <iterator>
+#include <map>
 
 #include "curve/bn254.hpp"
 #include "curve/pairing.hpp"
+#include "mesh/metro.hpp"
+#include "obs/fields.hpp"
 #include "obs/metrics.hpp"
 #include "obs/sec_event.hpp"
 #include "obs/trace.hpp"
 #include "peace/entities.hpp"
-#include "peace/metrics_export.hpp"
 #include "peace/router.hpp"
 #include "peace/user.hpp"
 
@@ -273,18 +277,130 @@ TEST_F(ObsTest, StreamSinkRotatesAtFlushBoundaries) {
 #endif  // PEACE_OBS_DISABLED
 
 TEST_F(ObsTest, StatsAbsorptionIsIdempotent) {
-  proto::RouterStats stats;
-  stats.accepted = 3;
-  stats.requests_received = 5;
-  proto::absorb_router_stats(stats);
-  proto::absorb_router_stats(stats);  // set(), not add(): publish twice
-  EXPECT_EQ(Registry::global().counter("router.accepted").value(), 3u);
-  EXPECT_EQ(Registry::global().counter("router.requests_received").value(),
-            5u);
-  proto::RouterStats more = proto::sum(stats, stats);
-  EXPECT_EQ(more.accepted, 6u);
-  proto::absorb_router_stats(more);
-  EXPECT_EQ(Registry::global().counter("router.accepted").value(), 6u);
+  // Every field of every tabled stats struct gets a distinct value, set by
+  // field name rather than through its table, so a swapped or misnamed
+  // table row exports a wrong value under some name below.
+  std::map<std::string, std::uint64_t> want;
+  auto put = [&want](std::uint64_t& field, const char* name) {
+    field = 1000 + want.size();
+    want[name] = field;
+  };
+  proto::RouterStats r;
+  put(r.beacons_sent, "router.beacons_sent");
+  put(r.requests_received, "router.requests_received");
+  put(r.accepted, "router.accepted");
+  put(r.rejected_unknown_beacon, "router.rejected_unknown_beacon");
+  put(r.rejected_stale, "router.rejected_stale");
+  put(r.rejected_replay, "router.rejected_replay");
+  put(r.rejected_puzzle, "router.rejected_puzzle");
+  put(r.rejected_bad_signature, "router.rejected_bad_signature");
+  put(r.rejected_revoked, "router.rejected_revoked");
+  put(r.signature_verifications, "router.signature_verifications");
+  put(r.verify_batches, "router.verify_batches");
+  put(r.batched_requests, "router.batched_requests");
+  put(r.rl_deltas_applied, "router.rl_deltas_applied");
+  put(r.rl_deltas_ignored, "router.rl_deltas_ignored");
+  put(r.rl_deltas_rejected, "router.rl_deltas_rejected");
+  put(r.rl_resyncs_requested, "router.rl_resyncs_requested");
+  put(r.rl_resyncs_completed, "router.rl_resyncs_completed");
+  put(r.confirms_resent, "router.confirms_resent");
+  proto::UserStats u;
+  put(u.beacons_seen, "user.beacons_seen");
+  put(u.beacons_rejected, "user.beacons_rejected");
+  put(u.sessions_established, "user.sessions_established");
+  put(u.peer_sessions_established, "user.peer_sessions_established");
+  put(u.puzzle_hashes, "user.puzzle_hashes");
+  put(u.peer_verify_batches, "user.peer_verify_batches");
+  put(u.peer_batched_hellos, "user.peer_batched_hellos");
+  put(u.pending_expired, "user.pending_expired");
+  put(u.pending_evicted, "user.pending_evicted");
+  put(u.duplicate_hellos, "user.duplicate_hellos");
+  put(u.duplicate_replies, "user.duplicate_replies");
+  groupsig::OpCounters ops;
+  put(ops.g1_exp, "groupsig.verify.g1_exp");
+  put(ops.g2_exp, "groupsig.verify.g2_exp");
+  put(ops.gt_exp, "groupsig.verify.gt_exp");
+  put(ops.pairings, "groupsig.verify.pairings");
+  put(ops.hash_to_group, "groupsig.verify.hash_to_group");
+  revoke::SharedRevocationStats rv;
+  put(rv.full_installs, "revocation.full_installs");
+  put(rv.deltas_applied, "revocation.deltas_applied");
+  put(rv.deltas_stale, "revocation.deltas_stale");
+  put(rv.deltas_gap, "revocation.deltas_gap");
+  put(rv.deltas_rejected, "revocation.deltas_rejected");
+  put(rv.snapshots_published, "revocation.snapshots_published");
+  put(rv.tokens_retagged, "revocation.tokens_retagged");
+  mesh::NetworkStats net;
+  put(net.frames_transmitted, "mesh.frames_transmitted");
+  put(net.users_removed, "mesh.users_removed");
+  put(net.frames_lost, "mesh.frames_lost");
+  put(net.data_delivered, "mesh.data_delivered");
+  put(net.data_undeliverable, "mesh.data_undeliverable");
+  put(net.relay_hops_total, "mesh.relay_hops_total");
+  put(net.internet_delivered, "mesh.internet_delivered");
+  put(net.backbone_hops_total, "mesh.backbone_hops_total");
+  put(net.backbone_mac_failures, "mesh.backbone_mac_failures");
+  put(net.retransmissions, "mesh.retransmissions");
+  put(net.handshake_timeouts, "mesh.handshake_timeouts");
+  put(net.rekeys, "mesh.rekeys");
+  put(net.failovers, "mesh.failovers");
+  put(net.corrupted_rejected, "mesh.corrupted_rejected");
+  put(net.frames_duplicated, "mesh.frames_duplicated");
+  put(net.frames_delayed, "mesh.frames_delayed");
+  put(net.frames_partitioned, "mesh.frames_partitioned");
+  mesh::MetroStats metro;
+  put(metro.barriers, "metro.barriers");
+  put(metro.msgs_routed, "metro.msgs_routed");
+  put(metro.frames_posted, "metro.frames_posted");
+  put(metro.frames_shed, "metro.frames_shed");
+  put(metro.frames_dropped, "metro.frames_dropped");
+  put(metro.relay_delivered, "metro.relay_delivered");
+  put(metro.relay_dropped, "metro.relay_dropped");
+  put(metro.handoffs_parked, "metro.handoffs_parked");
+  put(metro.handoffs_dropped, "metro.handoffs_dropped");
+  ASSERT_EQ(want.size(),
+            obs::kFields<proto::RouterStats>.size() +
+                obs::kFields<proto::UserStats>.size() +
+                obs::kFields<groupsig::OpCounters>.size() +
+                obs::kFields<revoke::SharedRevocationStats>.size() +
+                obs::kFields<mesh::NetworkStats>.size() +
+                obs::kFields<mesh::MetroStats>.size());
+
+  for (int publish = 0; publish < 2; ++publish) {  // set(), not add()
+    obs::absorb(r);
+    obs::absorb(u);
+    obs::absorb(ops);
+    obs::absorb(rv);
+    obs::absorb(net);
+    obs::absorb(metro);
+  }
+  for (const auto& [name, value] : want)
+    EXPECT_EQ(Registry::global().counter(name).value(), value) << name;
+
+  const proto::RouterStats more = obs::sum(r, r);
+  EXPECT_EQ(more.accepted, 2 * r.accepted);
+  obs::absorb(more);
+  EXPECT_EQ(Registry::global().counter("router.accepted").value(),
+            2 * r.accepted);
+}
+
+TEST_F(ObsTest, FieldTablesAreCatalogued) {
+  // Every counter a field table exports has its backticked name in the
+  // docs/OBSERVABILITY.md catalogue.
+  std::ifstream in(PEACE_OBSERVABILITY_MD);
+  ASSERT_TRUE(in) << PEACE_OBSERVABILITY_MD;
+  const std::string doc{std::istreambuf_iterator<char>(in), {}};
+  auto check = [&doc](const auto& table) {
+    for (const auto& f : table)
+      EXPECT_NE(doc.find('`' + std::string(f.name) + '`'), std::string::npos)
+          << f.name << " is missing from the catalogue";
+  };
+  check(obs::kFields<proto::RouterStats>);
+  check(obs::kFields<proto::UserStats>);
+  check(obs::kFields<groupsig::OpCounters>);
+  check(obs::kFields<revoke::SharedRevocationStats>);
+  check(obs::kFields<mesh::NetworkStats>);
+  check(obs::kFields<mesh::MetroStats>);
 }
 
 TEST_F(ObsTest, PooledAndSequentialCountersMatch) {

@@ -158,32 +158,6 @@ TEST_F(SessionTest, ConfirmSealOpenRoundTrip) {
   EXPECT_FALSE(confirm_open(other, sid_, ct).has_value());
 }
 
-TEST_F(SessionTest, Aes128GcmSuiteRoundTrip) {
-  auto a = Session::establish(shared_, sid_, Session::Role::kInitiator,
-                              Session::CipherSuite::kAes128Gcm);
-  auto b = Session::establish(shared_, sid_, Session::Role::kResponder,
-                              Session::CipherSuite::kAes128Gcm);
-  EXPECT_EQ(a.suite(), Session::CipherSuite::kAes128Gcm);
-  auto f = a.seal(as_bytes("via aes-gcm"));
-  auto got = b.open(f);
-  ASSERT_TRUE(got.has_value());
-  EXPECT_EQ(*got, to_bytes("via aes-gcm"));
-  // Replay and tamper protections hold identically.
-  EXPECT_FALSE(b.open(f).has_value());
-  auto f2 = a.seal(as_bytes("x"));
-  f2.ciphertext[0] ^= 1;
-  EXPECT_FALSE(b.open(f2).has_value());
-}
-
-TEST_F(SessionTest, SuitesDoNotInterop) {
-  // Same DH share, different suites: key material and framing differ, so
-  // nothing decrypts across the mismatch.
-  auto chacha = Session::establish(shared_, sid_, Session::Role::kInitiator);
-  auto gcm = Session::establish(shared_, sid_, Session::Role::kResponder,
-                                Session::CipherSuite::kAes128Gcm);
-  EXPECT_FALSE(gcm.open(chacha.seal(as_bytes("m"))).has_value());
-}
-
 TEST_F(SessionTest, ManyFramesThroughput) {
   for (int i = 0; i < 500; ++i) {
     auto f = a_.seal(as_bytes("frame payload with some body to it"));
