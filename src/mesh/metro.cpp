@@ -10,8 +10,7 @@ namespace peace::mesh {
 
 ShardId MetroSimulation::add_shard(std::string name, const std::string& seed,
                                    RadioConfig radio,
-                                   proto::ProtocolConfig proto_config,
-                                   ReliabilityConfig reliability) {
+                                   proto::ProtocolConfig proto_config) {
   const ShardId id = static_cast<ShardId>(shards_.size());
   ShardConfig sc;
   sc.inbox_cap = config_.shard_inbox_cap;
@@ -24,7 +23,7 @@ ShardId MetroSimulation::add_shard(std::string name, const std::string& seed,
   // seed (e.g. "metro/shard-3").
   shards_.push_back(std::make_unique<Shard>(id, std::move(name), sc,
                                             crypto::Drbg::from_string(seed),
-                                            radio, proto_config, reliability));
+                                            radio, proto_config));
   shard_links_.emplace_back();
   return id;
 }

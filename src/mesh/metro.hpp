@@ -104,8 +104,7 @@ class MetroSimulation {
   /// of shard count and visit order.
   ShardId add_shard(std::string name, const std::string& seed,
                     RadioConfig radio = {},
-                    proto::ProtocolConfig proto_config = {},
-                    ReliabilityConfig reliability = {});
+                    proto::ProtocolConfig proto_config = {});
   /// Declares a wired inter-shard backbone edge (roaming + relay route).
   void connect_shards(ShardId a, ShardId b);
   /// Partitions (or heals) an inter-shard link. Handoffs across a blocked

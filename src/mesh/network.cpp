@@ -17,6 +17,22 @@ namespace {
 /// Simulator milliseconds → the µs timestamps of the sim-time trace track.
 std::uint64_t sim_us(SimTime now_ms) { return now_ms * 1000; }
 
+// Handshake reliability timers (PROTOCOL.md §10.3): retransmissions
+// allowed per attempt after the first transmission, the initial
+// retransmission timeout and its per-retry growth, and how long a user
+// avoids a router whose attempt exhausted the budget.
+constexpr unsigned kRetryBudget = 4;
+constexpr SimTime kRtoMs = 400;
+constexpr double kRtoBackoff = 2.0;
+constexpr SimTime kFailoverBackoffMs = 5000;
+
+/// The retransmission timeout armed after the `tries`-th transmission.
+SimTime rto_for(unsigned tries) {
+  double rto = static_cast<double>(kRtoMs);
+  for (unsigned i = 1; i < tries; ++i) rto *= kRtoBackoff;
+  return static_cast<SimTime>(rto);
+}
+
 /// Async-span correlation id for the (initiator, responder) peer pair.
 std::uint64_t peer_span_id(NodeId a, NodeId b) {
   return (static_cast<std::uint64_t>(a) << 32) | b;
@@ -338,8 +354,7 @@ void MeshNetwork::user_hears_beacon(NodeId user_node, NodeId router_node,
   const auto uit = users_.find(user_node);
   if (uit == users_.end()) return;  // roamed away while the beacon flew
   UserNode& unode = uit->second;
-  if (!auto_connect_ || unode.uplink.has_value() || unode.attempt.has_value())
-    return;
+  if (unode.uplink.has_value() || unode.attempt.has_value()) return;
   // Failover: a router whose handshake budget ran out recently is skipped,
   // so the user attaches to the next-best router it hears instead.
   if (const auto bo = unode.router_backoff_until.find(router_node);
@@ -361,12 +376,6 @@ void MeshNetwork::user_hears_beacon(NodeId user_node, NodeId router_node,
                                     sim_us(sim_.now()),
                                     {{"router", router_node}});
   send_m2(user_node);
-}
-
-SimTime MeshNetwork::rto_for(unsigned tries) const {
-  double rto = static_cast<double>(reliability_.rto_ms);
-  for (unsigned i = 1; i < tries; ++i) rto *= reliability_.rto_backoff;
-  return static_cast<SimTime>(rto);
 }
 
 void MeshNetwork::send_m2(NodeId user_node) {
@@ -425,9 +434,8 @@ void MeshNetwork::on_m2_timeout(NodeId user_node, std::uint64_t generation) {
   // idempotent-resend cache (PROTOCOL.md §10.1): a strict-mode router
   // rejects the duplicate as a replay, so there the RTO degrades to a
   // watchdog that frees the attempt for a fresh M.2 at the next beacon.
-  const bool retransmit =
-      reliability_.handshake_retransmit && proto_config_.idempotent_resend;
-  const unsigned budget = retransmit ? reliability_.retry_budget : 0;
+  const bool retransmit = proto_config_.idempotent_resend;
+  const unsigned budget = retransmit ? kRetryBudget : 0;
   if (unode.attempt->tries > budget) {
     ++stats_.handshake_timeouts;
     obs::sec_emit(obs::SecEventKind::kHandshakeTimeout, sim_.now(), user_node,
@@ -442,8 +450,7 @@ void MeshNetwork::on_m2_timeout(NodeId user_node, std::uint64_t generation) {
     // Failover backoff only once retries actually probed the router — a
     // single unanswered strict-mode attempt says nothing about its health.
     if (retransmit)
-      unode.router_backoff_until[failed] =
-          sim_.now() + reliability_.failover_backoff_ms;
+      unode.router_backoff_until[failed] = sim_.now() + kFailoverBackoffMs;
     unode.last_failed_router = failed;
     unode.attempt.reset();
     return;
@@ -464,7 +471,6 @@ void MeshNetwork::on_m3(NodeId user_node, NodeId router_node,
   if (!session.has_value()) return;
   unode.uplink_session_id = session->id();
   unode.uplink = std::move(*session);
-  unode.uplink_established_at = sim_.now();
   unode.serving = static_cast<proto::RouterId>(router_node);
   unode.serving_node = router_node;
   unode.rekey_pending = false;
@@ -580,9 +586,7 @@ void MeshNetwork::on_peer_timeout(NodeId from, NodeId to,
     peer_attempts_.erase(it);
     return;
   }
-  const unsigned budget =
-      reliability_.handshake_retransmit ? reliability_.retry_budget : 0;
-  if (it->second.tries > budget) {
+  if (it->second.tries > kRetryBudget) {
     ++stats_.handshake_timeouts;
     obs::sec_emit(obs::SecEventKind::kHandshakeTimeout, sim_.now(), from, to);
     obs::Tracer::global().instant_at("mesh.handshake_timeout", "reliability",
@@ -726,10 +730,7 @@ void MeshNetwork::maybe_rekey(NodeId user_id, UserNode& node) {
   const bool frames_spent =
       reliability_.rekey_after_frames > 0 &&
       node.uplink->frames_sent() >= reliability_.rekey_after_frames;
-  const bool too_old =
-      reliability_.rekey_max_session_ms > 0 &&
-      sim_.now() - node.uplink_established_at >= reliability_.rekey_max_session_ms;
-  if (exhausted || frames_spent || too_old) start_rekey(user_id);
+  if (exhausted || frames_spent) start_rekey(user_id);
 }
 
 bool MeshNetwork::send_data(NodeId user_id, BytesView payload) {

@@ -44,31 +44,13 @@ struct RadioConfig {
 /// The handshake reliability layer (PROTOCOL.md §10): retransmission with
 /// exponential backoff and a bounded retry budget for M.2 and the peer
 /// handshake, failover away from unresponsive routers, and automatic
-/// session rekey. Defaults are conservative enough that a loss-free radio
-/// behaves exactly as before the layer existed.
+/// session rekey. The retransmission and failover timers are fixed
+/// constants (network.cpp); these are the knobs a deployment tunes.
 struct ReliabilityConfig {
-  /// Retransmit unanswered handshake frames (M.2, M~.1, M~.2) on RTO
-  /// timers. When off, one timeout abandons the attempt outright — the
-  /// pre-reliability behaviour, recovered by the next beacon. M.2
-  /// retransmission additionally requires ProtocolConfig::idempotent_resend
-  /// on the routers: a strict-mode router rejects the byte-identical copy
-  /// as a replay, so there the RTO acts only as a watchdog freeing the
-  /// attempt for the next beacon.
-  bool handshake_retransmit = true;
-  /// Retransmissions allowed per attempt after the first transmission.
-  unsigned retry_budget = 4;
-  /// Initial retransmission timeout; doubles (rto_backoff) per retry.
-  SimTime rto_ms = 400;
-  double rto_backoff = 2.0;
-  /// After an attempt exhausts its budget, the user avoids that router for
-  /// this long — failing over to the next-best router it hears beacon.
-  SimTime failover_backoff_ms = 5000;
   /// Rekey the uplink (a fresh anonymous handshake; the paper's privacy
   /// model forbids resumption) once it has sealed this many frames.
   /// 0 = only at hard sequence exhaustion.
   std::uint64_t rekey_after_frames = 0;
-  /// Age-based rekey: retire an uplink session older than this. 0 = never.
-  SimTime rekey_max_session_ms = 0;
   /// In-flight frames keep draining on a retired session for this long
   /// before the router closes it.
   SimTime drain_window_ms = 2000;
@@ -188,12 +170,9 @@ class MeshNetwork {
   }
 
   // --- behaviour ---------------------------------------------------------
-  /// Schedules periodic beacons from every router starting at `start`.
+  /// Schedules periodic beacons from every router starting at `start`. A
+  /// user without a session authenticates to the first router it hears.
   void start_beaconing(SimTime start, SimTime period, SimTime until);
-
-  /// Users react to beacons by authenticating to the strongest (nearest)
-  /// router they hear when they have no session yet.
-  void enable_auto_connect(bool on) { auto_connect_ = on; }
 
   /// Runs the user-user handshake between every pair of users within
   /// user_range of each other (scheduled through the radio).
@@ -306,7 +285,6 @@ class MeshNetwork {
     /// Retired uplink draining in-flight frames after a rekey.
     std::optional<proto::Session> old_uplink;
     Bytes old_uplink_session_id;
-    SimTime uplink_established_at = 0;
     bool rekey_pending = false;
     /// Routers to avoid until the deadline (failed attempts → failover).
     std::map<NodeId, SimTime> router_backoff_until;
@@ -357,7 +335,6 @@ class MeshNetwork {
   void drain_auth_batch(NodeId router_node);
 
   // --- access-handshake reliability --------------------------------------
-  SimTime rto_for(unsigned tries) const;
   void send_m2(NodeId user_node);
   void on_m2_timeout(NodeId user_node, std::uint64_t generation);
   void on_m3(NodeId user_node, NodeId router_node, const Bytes& wire);
@@ -404,7 +381,6 @@ class MeshNetwork {
   std::set<std::pair<NodeId, NodeId>> blocked_links_;
   std::uint64_t attempt_seq_ = 0;  // generation source for stale timers
   NodeId next_id_ = 1;
-  bool auto_connect_ = true;
   std::vector<std::function<void(const WireObservation&)>> taps_;
   NetworkStats stats_;
 };

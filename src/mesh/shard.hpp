@@ -93,13 +93,12 @@ class Shard {
  public:
   Shard(ShardId id, std::string name, const ShardConfig& config,
         crypto::Drbg rng, RadioConfig radio = {},
-        proto::ProtocolConfig proto_config = {},
-        ReliabilityConfig reliability = {})
+        proto::ProtocolConfig proto_config = {})
       : id_(id),
         name_(std::move(name)),
         config_(config),
         arena_(config.frame_cap),
-        net_(sim_, std::move(rng), radio, proto_config, reliability) {
+        net_(sim_, std::move(rng), radio, proto_config) {
     sim_.set_name(name_);
     sim_.set_event_budget(config.event_budget);
   }

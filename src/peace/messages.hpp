@@ -34,19 +34,11 @@ struct ProtocolConfig {
   Timestamp replay_window_ms = 5000;
   /// How many recent beacon periods a router honours access requests for.
   std::size_t beacon_history = 8;
-  /// Worker threads for the router's batch verification path
-  /// (MeshRouter::handle_access_requests). 0 or 1 verifies inline on the
-  /// calling thread; results are bit-identical either way.
+  /// Worker threads for the batch verification path
+  /// (MeshRouter::handle_access_requests, User::process_peer_hellos). 0 or
+  /// 1 verifies inline on the calling thread; results are bit-identical
+  /// either way.
   unsigned verify_threads = 0;
-  /// Randomized batch verification (groupsig::BatchVerifier) for
-  /// multi-request batches: one shared final exponentiation per batch plus
-  /// bisection on failure, accept/reject bit-identical to per-signature
-  /// verification (docs/CRYPTO.md §4). Applies to the router's M.2
-  /// pipeline and the user's peer-hello batches, with or without a
-  /// VerifyPool. Off = strict per-signature mode (the differential
-  /// reference, and the mode to pick when auditing a single request's
-  /// operation counts).
-  bool batch_verify = true;
 
   // --- reliability layer (PROTOCOL.md §10) -------------------------------
   /// Idempotent resend handling: when a duplicate of an *accepted* M.2

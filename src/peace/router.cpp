@@ -158,11 +158,7 @@ struct MeshRouter::PendingVerify {
   /// processing, it is skipped when the earlier entry was accepted and
   /// performed when it was not.
   bool deferred = false;
-  bool sig_ok = false;
-  /// Rejected by the pooled batch check and pinpointed by bisection — the
-  /// attribution behind the batch_forgery_attributed event.
-  bool batch_attributed = false;
-  bool revoked = false;
+  SigVerdict verdict = SigVerdict::kBadProof;
   groupsig::OpCounters ops;
 };
 
@@ -299,71 +295,9 @@ MeshRouter::handle_access_requests(std::span<const AccessRequest> batch,
     }
   }
 
-  const auto verify_one = [this, &revocation](PendingVerify& pv,
-                                              VerifyPool* scan_pool =
-                                                  nullptr) {
-    const Bytes payload = pv.m2->signed_payload();
-    pv.sig_ok =
-        groupsig::verify_proof(pgpk_, payload, pv.m2->signature, &pv.ops);
-    if (!pv.sig_ok) return;
-    revocation_check(pv, *revocation, scan_pool);
-  };
-  const auto run_jobs = [this](std::size_t count, auto&& body) {
-    if (pool_ != nullptr && count > 1) {
-      pool_->run(count, body);
-    } else {
-      for (std::size_t i = 0; i < count; ++i) body(i);
-    }
-  };
-  if (config_.batch_verify && jobs.size() > 1) {
-    // Randomized batch verification: phase A prepares every request (base
-    // hashing, challenge, Eq.2 combinations) — independent per item, so it
-    // fans out over the pool; phase B runs the combined checks plus
-    // bisection sequentially on this thread (one final exponentiation for
-    // the whole batch when all signatures are good); phase C scans the URL
-    // only for requests whose proof held, still one scan per signature.
-    // Accept/reject is bit-identical to the per-signature path
-    // (groupsig::BatchVerifier contract), so stats and sessions match the
-    // sequential pipeline exactly.
-    stats_.verify_batches += 1;
-    stats_.batched_requests += jobs.size();
-    std::vector<Bytes> payloads(jobs.size());
-    std::vector<groupsig::BatchItem> items(jobs.size());
-    for (std::size_t i = 0; i < jobs.size(); ++i) {
-      payloads[i] = jobs[i]->m2->signed_payload();
-      items[i] = {payloads[i], &jobs[i]->m2->signature};
-    }
-    groupsig::BatchVerifier verifier(pgpk_, items, batch_salt_);
-    run_jobs(jobs.size(),
-             [&](std::size_t i) { verifier.prepare(i, &jobs[i]->ops); });
-    // The combined-check / bisection costs are batch-global, not
-    // attributable to one request: merge them straight into the aggregate
-    // (still deterministic — bisection depends only on the batch content).
-    groupsig::OpCounters finalize_ops;
-    const std::vector<char>& ok = verifier.finalize(&finalize_ops);
-    verify_ops_.merge(finalize_ops);
-    std::vector<PendingVerify*> rev_jobs;
-    rev_jobs.reserve(jobs.size());
-    for (std::size_t i = 0; i < jobs.size(); ++i) {
-      jobs[i]->sig_ok = static_cast<bool>(ok[i]);
-      jobs[i]->batch_attributed = !jobs[i]->sig_ok;
-      if (jobs[i]->sig_ok) rev_jobs.push_back(jobs[i]);
-    }
-    // A single surviving scan job leaves the pool idle on this (sequential)
-    // thread — shard its URL scan instead of running one-core.
-    VerifyPool* scan_pool = rev_jobs.size() <= 1 ? pool_.get() : nullptr;
-    run_jobs(rev_jobs.size(), [&](std::size_t i) {
-      revocation_check(*rev_jobs[i], *revocation, scan_pool);
-    });
-  } else if (pool_ != nullptr && jobs.size() > 1) {
-    stats_.verify_batches += 1;
-    stats_.batched_requests += jobs.size();
-    pool_->run(jobs.size(), [&](std::size_t i) { verify_one(*jobs[i]); });
-  } else {
-    // Sequential path (batch of one, or no pool): the pool — when present —
-    // is idle, so a large-URL scan may fan out over it.
-    for (PendingVerify* pv : jobs) verify_one(*pv, pool_.get());
-  }
+  // A bad proof in a folded batch was pinpointed by bisection — the
+  // attribution behind the batch_forgery_attributed event.
+  const bool folded = verify_batch(jobs, *revocation);
 
   // Pass 3 (sequential, input order): apply verdicts, re-checking the
   // replay cache against acceptances made earlier in this very batch. The
@@ -383,21 +317,23 @@ MeshRouter::handle_access_requests(std::span<const AccessRequest> batch,
                     kReplayInBatch);
       continue;
     }
-    // Earlier same-sid entry was rejected: verify now (sequential context,
-    // pool idle, so the URL scan may shard).
-    if (pv.deferred) verify_one(pv, pool_.get());
+    // Earlier same-sid entry was rejected: verify now, as a batch of one.
+    if (pv.deferred) {
+      PendingVerify* self = &pv;
+      verify_batch({&self, 1}, *revocation);
+    }
     ++stats_.signature_verifications;
     verify_ops_.merge(pv.ops);
-    if (!pv.sig_ok) {
+    if (pv.verdict == SigVerdict::kBadProof) {
       ++stats_.rejected_bad_signature;
       obs::sec_emit(obs::SecEventKind::kAuthReject, now, id_,
                     kRejectBadSignature);
-      if (pv.batch_attributed)
+      if (folded && !pv.deferred)
         obs::sec_emit(obs::SecEventKind::kBatchForgeryAttributed, now, id_,
                       pv.index);
       continue;
     }
-    if (pv.revoked) {
+    if (pv.verdict == SigVerdict::kRevoked) {
       ++stats_.rejected_revoked;
       obs::sec_emit(obs::SecEventKind::kRevocationHit, now, id_,
                     pv.m2->signature.epoch);
@@ -418,20 +354,44 @@ MeshRouter::handle_access_requests(std::span<const AccessRequest> batch,
   return results;
 }
 
-void MeshRouter::revocation_check(PendingVerify& pv,
-                                  const revoke::RevocationSnapshot& snapshot,
-                                  VerifyPool* scan_pool) {
+bool MeshRouter::verify_batch(std::span<PendingVerify* const> jobs,
+                              const revoke::RevocationSnapshot& snapshot) {
+  std::vector<Bytes> payloads(jobs.size());
+  std::vector<groupsig::BatchItem> items(jobs.size());
+  std::vector<groupsig::OpCounters*> item_ops(jobs.size());
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    payloads[i] = jobs[i]->m2->signed_payload();
+    items[i] = {payloads[i], &jobs[i]->m2->signature};
+    item_ops[i] = &jobs[i]->ops;
+  }
+  // The fold's combined-check / bisection costs are not attributable to
+  // one request: they go straight into the (still deterministic) aggregate.
+  const SigBatch checked = verify_group_signatures(
+      pgpk_, batch_salt_, items, pool_.get(), item_ops, &verify_ops_,
+      [&](std::size_t i, VerifyPool* scan_pool) {
+        return revoked(*jobs[i], snapshot, scan_pool);
+      });
+  for (std::size_t i = 0; i < jobs.size(); ++i)
+    jobs[i]->verdict = checked.verdicts[i];
+  if (checked.folded) {
+    stats_.verify_batches += 1;
+    stats_.batched_requests += jobs.size();
+  }
+  return checked.folded;
+}
+
+bool MeshRouter::revoked(PendingVerify& pv,
+                         const revoke::RevocationSnapshot& snapshot,
+                         VerifyPool* scan_pool) {
   // Step 3.3: the revocation check. Epoch mode answers from the shared
   // index in O(1) against its epoch-lived prepared v_hat. An epoch
   // mismatch — an in-flight M.2 signed before a roll the snapshot already
   // reflects — falls through to the scan rather than misclassifying
   // against the wrong epoch's tags (is_revoked would throw).
   if (snapshot.index != nullptr &&
-      pv.m2->signature.epoch == snapshot.index->epoch()) {
-    pv.revoked = snapshot.index->is_revoked(pv.m2->signature, &pv.ops);
-    return;
-  }
-  if (snapshot.url_tokens.empty()) return;
+      pv.m2->signature.epoch == snapshot.index->epoch())
+    return snapshot.index->is_revoked(pv.m2->signature, &pv.ops);
+  if (snapshot.url_tokens.empty()) return false;
   // Scan path: epoch-mode signatures share the per-epoch bases the
   // sequential precheck phase cached (read-only here — workers run this
   // concurrently); epoch-0 signatures derive their per-message bases now.
@@ -450,8 +410,8 @@ void MeshRouter::revocation_check(PendingVerify& pv,
                                     &pv.ops);
     prepared = &local;
   }
-  pv.revoked = url_scan_revoked(*prepared, pv.m2->signature,
-                                snapshot.url_tokens, scan_pool, &pv.ops);
+  return url_scan_revoked(*prepared, pv.m2->signature, snapshot.url_tokens,
+                          scan_pool, &pv.ops);
 }
 
 MeshRouter::AccessOutcome MeshRouter::accept_request(const AccessRequest& m2,

@@ -171,13 +171,15 @@ class MeshRouter {
   AccessOutcome accept_request(const AccessRequest& m2,
                                const BeaconState& beacon, const Bytes& sid,
                                const std::string& sid_hex);
-  /// Step 3.3 for one verified request, against a batch-wide snapshot.
-  /// `scan_pool` non-null shards a large-URL scan over the pool and must
-  /// only be passed from a sequential context (pool batches do not nest);
-  /// pooled callers pass nullptr and scan on their own worker.
-  void revocation_check(PendingVerify& pv,
-                        const revoke::RevocationSnapshot& snapshot,
-                        VerifyPool* scan_pool = nullptr);
+  /// Steps 3.2 + 3.3 for `jobs` as one verify_group_signatures batch
+  /// against a batch-wide snapshot: sets each entry's verdict. Returns
+  /// whether the check folded (and then bumps the batch counters).
+  bool verify_batch(std::span<PendingVerify* const> jobs,
+                    const revoke::RevocationSnapshot& snapshot);
+  /// Step 3.3 for one verified request (the RevokedCheck of verify_batch).
+  /// `scan_pool` non-null shards a large-URL scan over the pool.
+  bool revoked(PendingVerify& pv, const revoke::RevocationSnapshot& snapshot,
+               VerifyPool* scan_pool);
 
   RouterId id_;
   curve::EcdsaKeyPair keypair_;

@@ -15,8 +15,8 @@
 // Sharding must only be requested from a SEQUENTIAL context: VerifyPool
 // batches do not nest, so a revocation check already running on a pool
 // worker passes pool == nullptr and falls back to the sequential batched
-// scan. The router enforces this by wiring the pool through only on its
-// batch-of-one / inline paths.
+// scan. verify_group_signatures enforces this by handing the pool only to
+// a revocation check that runs on the calling thread.
 #pragma once
 
 #include <span>

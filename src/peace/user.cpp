@@ -4,6 +4,7 @@
 #include "crypto/sha256.hpp"
 #include "curve/hash_to_curve.hpp"
 #include "obs/trace.hpp"
+#include "peace/url_scan.hpp"
 
 namespace peace::proto {
 
@@ -213,23 +214,16 @@ std::optional<Session> User::process_access_confirm(const AccessConfirm& m3) {
   return session;
 }
 
-bool User::peer_signature_ok(BytesView payload,
-                             const groupsig::Signature& sig) {
-  if (!groupsig::verify_proof(pgpk_, payload, sig)) return false;
-  return peer_not_revoked(payload, sig);
-}
-
-bool User::peer_not_revoked(BytesView payload,
-                            const groupsig::Signature& sig) {
-  if (url_tokens_.empty()) return true;
+bool User::peer_revoked(BytesView payload, const groupsig::Signature& sig,
+                        VerifyPool* scan_pool) const {
+  if (url_tokens_.empty()) return false;
   // One base derivation (and one v_hat preparation) amortised over the
   // whole URL scan, and the batched TokenScan underneath: one Miller loop
   // per token, one shared e(-v, T_hat) factor, one easy-part inversion for
   // the whole hello check.
   const groupsig::PreparedBases prepared =
       groupsig::prepare_bases(params_.gpk, payload, sig);
-  return groupsig::scan_tokens(prepared, sig, url_tokens_) ==
-         groupsig::TokenScan::npos;
+  return url_scan_revoked(prepared, sig, url_tokens_, scan_pool);
 }
 
 PeerHello User::make_peer_hello(const G1& g, Timestamp now,
@@ -247,49 +241,10 @@ PeerHello User::make_peer_hello(const G1& g, Timestamp now,
   return hello;
 }
 
-PeerReply User::reply_to_hello(const PeerHello& hello, Timestamp now,
-                               GroupId via_group) {
-  const Fr r_l = random_fr(rng_);
-  PeerReply reply;
-  reply.g_rj = hello.g_rj;
-  reply.g_rl = hello.g * r_l;
-  reply.ts2 = now;
-  reply.signature = groupsig::sign(params_.gpk, pick_credential(via_group),
-                                   reply.signed_payload(), rng_);
-
-  const Bytes sid = session_id_from(reply.g_rj, reply.g_rl);
-  admit_pending(pending_peer_resp_, now);
-  pending_peer_resp_[to_hex(sid)] =
-      PendingPeerResponder{hello.g_rj * r_l, hello.ts1, now, now};
-  if (config_.idempotent_resend) {
-    admit_pending(hello_replies_, now);
-    hello_replies_[wire_key(hello.to_bytes())] =
-        CachedWire{reply.to_bytes(), now};
-  }
-  return reply;
-}
-
 std::optional<PeerReply> User::process_peer_hello(const PeerHello& hello,
                                                   Timestamp now,
                                                   GroupId via_group) {
-  static obs::Histogram& hello_hist =
-      obs::Registry::global().histogram("user.peer_hello_us");
-  obs::Span span("user.peer_hello", "handshake", &hello_hist);
-  const Timestamp age = now >= hello.ts1 ? now - hello.ts1 : hello.ts1 - now;
-  if (age > config_.replay_window_ms) return std::nullopt;
-  // Idempotent resend: a byte-identical duplicate (radio duplication or an
-  // initiator retransmission after a lost M~.2) gets the cached reply back
-  // — no new r_l, no new pending state, no pairing work, no rng draw.
-  if (config_.idempotent_resend) {
-    if (const auto it = hello_replies_.find(wire_key(hello.to_bytes()));
-        it != hello_replies_.end()) {
-      ++stats_.duplicate_hellos;
-      return PeerReply::from_bytes(it->second.wire);
-    }
-  }
-  if (!peer_signature_ok(hello.signed_payload(), hello.signature))
-    return std::nullopt;
-  return reply_to_hello(hello, now, via_group);
+  return std::move(process_peer_hellos({&hello, 1}, now, via_group).front());
 }
 
 std::vector<std::optional<PeerReply>> User::process_peer_hellos(
@@ -302,18 +257,14 @@ std::vector<std::optional<PeerReply>> User::process_peer_hellos(
   span.arg("batch_size", hellos.size());
 
   // Pass 1 (sequential): the cheap freshness gate, in input order.
-  struct Pending {
-    std::size_t index;
-    bool ok = false;
-  };
-  std::vector<Pending> pending;
+  std::vector<std::size_t> pending;
   pending.reserve(hellos.size());
   for (std::size_t i = 0; i < hellos.size(); ++i) {
     const Timestamp age =
         now >= hellos[i].ts1 ? now - hellos[i].ts1 : hellos[i].ts1 - now;
     if (age > config_.replay_window_ms) continue;
-    // Duplicates of already-answered hellos are served from the cache here,
-    // before any verification work — same as the one-at-a-time path.
+    // Idempotent resend: a byte-identical duplicate of an answered hello
+    // gets the cached reply back — no new r_l, no pairing work.
     if (config_.idempotent_resend) {
       if (const auto it = hello_replies_.find(wire_key(hellos[i].to_bytes()));
           it != hello_replies_.end()) {
@@ -322,76 +273,64 @@ std::vector<std::optional<PeerReply>> User::process_peer_hellos(
         continue;
       }
     }
-    pending.push_back({i});
+    pending.push_back(i);
   }
 
-  // Pass 2 (parallel): the pairing-heavy group-signature verification plus
-  // URL scan. peer_signature_ok touches only immutable state (pgpk_,
-  // url_tokens_), so jobs need no synchronization beyond the pool's own.
-  const auto verify_one = [&](Pending& p) {
-    const PeerHello& hello = hellos[p.index];
-    p.ok = peer_signature_ok(hello.signed_payload(), hello.signature);
-  };
+  // Pass 2 (parallel): group-signature verification plus URL scan, as the
+  // router's M.2 batch check. The revocation checks touch only immutable
+  // state (params_, url_tokens_), so pooled jobs need no synchronization.
   if (pool_ == nullptr && config_.verify_threads > 1)
     pool_ = std::make_unique<VerifyPool>(config_.verify_threads);
-  const auto run_jobs = [this](std::size_t count, auto&& body) {
-    if (pool_ != nullptr && count > 1) {
-      pool_->run(count, body);
-    } else {
-      for (std::size_t i = 0; i < count; ++i) body(i);
-    }
-  };
-  if (config_.batch_verify && pending.size() > 1) {
-    // Randomized batch verification, mirroring the router's M.2 pipeline:
-    // pooled prepare, sequential combined-check + bisection (one final
-    // exponentiation when every proof holds), then a per-signature URL
-    // scan for the survivors. Bit-identical to peer_signature_ok per hello.
+  std::vector<Bytes> payloads(pending.size());
+  std::vector<groupsig::BatchItem> items(pending.size());
+  for (std::size_t i = 0; i < pending.size(); ++i) {
+    payloads[i] = hellos[pending[i]].signed_payload();
+    items[i] = {payloads[i], &hellos[pending[i]].signature};
+  }
+  const SigBatch checked = verify_group_signatures(
+      pgpk_, batch_salt_, items, pool_.get(), {}, nullptr,
+      [&](std::size_t i, VerifyPool* scan_pool) {
+        return peer_revoked(payloads[i], *items[i].sig, scan_pool);
+      });
+  if (checked.folded) {
     ++stats_.peer_verify_batches;
     stats_.peer_batched_hellos += pending.size();
-    std::vector<Bytes> payloads(pending.size());
-    std::vector<groupsig::BatchItem> items(pending.size());
-    for (std::size_t i = 0; i < pending.size(); ++i) {
-      payloads[i] = hellos[pending[i].index].signed_payload();
-      items[i] = {payloads[i], &hellos[pending[i].index].signature};
-    }
-    groupsig::BatchVerifier verifier(pgpk_, items, batch_salt_);
-    run_jobs(pending.size(), [&](std::size_t i) { verifier.prepare(i); });
-    const std::vector<char>& ok = verifier.finalize();
-    std::vector<std::size_t> survivors;
-    survivors.reserve(pending.size());
-    for (std::size_t i = 0; i < pending.size(); ++i)
-      if (ok[i]) survivors.push_back(i);
-    run_jobs(survivors.size(), [&](std::size_t i) {
-      const std::size_t j = survivors[i];
-      pending[j].ok = peer_not_revoked(payloads[j],
-                                       hellos[pending[j].index].signature);
-    });
-  } else if (pool_ != nullptr && pending.size() > 1) {
-    ++stats_.peer_verify_batches;
-    stats_.peer_batched_hellos += pending.size();
-    pool_->run(pending.size(), [&](std::size_t i) { verify_one(pending[i]); });
-  } else {
-    for (Pending& p : pending) verify_one(p);
   }
 
   // Pass 3 (sequential, input order): every rng draw (r_l, signing nonces)
-  // happens here, exactly as the one-at-a-time path would perform them.
-  for (const Pending& p : pending) {
-    if (!p.ok) continue;
+  // happens here, exactly as processing the hellos one at a time would.
+  for (std::size_t k = 0; k < pending.size(); ++k) {
+    if (checked.verdicts[k] != SigVerdict::kOk) continue;
+    const PeerHello& hello = hellos[pending[k]];
+    std::optional<PeerReply>& result = results[pending[k]];
     // An in-batch byte-identical duplicate misses the cache in pass 1 (the
     // first copy's reply doesn't exist yet) but must still be served from
-    // it: reply_to_hello on the first copy populated the cache during this
-    // pass, so re-check before minting a second r_l.
+    // it: the first copy populated the cache earlier in this pass, so
+    // re-check before minting a second r_l.
     if (config_.idempotent_resend) {
-      if (const auto it =
-              hello_replies_.find(wire_key(hellos[p.index].to_bytes()));
+      if (const auto it = hello_replies_.find(wire_key(hello.to_bytes()));
           it != hello_replies_.end()) {
         ++stats_.duplicate_hellos;
-        results[p.index] = PeerReply::from_bytes(it->second.wire);
+        result = PeerReply::from_bytes(it->second.wire);
         continue;
       }
     }
-    results[p.index] = reply_to_hello(hellos[p.index], now, via_group);
+    const Fr r_l = random_fr(rng_);
+    PeerReply& reply = result.emplace();
+    reply.g_rj = hello.g_rj;
+    reply.g_rl = hello.g * r_l;
+    reply.ts2 = now;
+    reply.signature = groupsig::sign(params_.gpk, pick_credential(via_group),
+                                     reply.signed_payload(), rng_);
+    const Bytes sid = session_id_from(reply.g_rj, reply.g_rl);
+    admit_pending(pending_peer_resp_, now);
+    pending_peer_resp_[to_hex(sid)] =
+        PendingPeerResponder{hello.g_rj * r_l, hello.ts1, now, now};
+    if (config_.idempotent_resend) {
+      admit_pending(hello_replies_, now);
+      hello_replies_[wire_key(hello.to_bytes())] =
+          CachedWire{reply.to_bytes(), now};
+    }
   }
 
   if (span.active() && !hellos.empty()) {
@@ -418,7 +357,9 @@ std::optional<User::PeerEstablished> User::process_peer_reply(
     return std::nullopt;
   const Timestamp age = now >= reply.ts2 ? now - reply.ts2 : reply.ts2 - now;
   if (age > config_.replay_window_ms) return std::nullopt;
-  if (!peer_signature_ok(reply.signed_payload(), reply.signature))
+  const Bytes reply_payload = reply.signed_payload();
+  if (!groupsig::verify_proof(pgpk_, reply_payload, reply.signature) ||
+      peer_revoked(reply_payload, reply.signature, nullptr))
     return std::nullopt;
 
   const G1 shared = reply.g_rl * pending.r_j;

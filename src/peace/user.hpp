@@ -1,7 +1,9 @@
 // Network-user protocol endpoint: beacon validation, the anonymous access
 // handshake (M.2/M.3), and the user-user mutual authentication protocol
 // (M~.1 - M~.3). A user may hold credentials from several user groups
-// (paper Sec. III.C) and chooses which role to present per session.
+// (paper Sec. III.C) and chooses which role to present per session. M~.1
+// verification is the router's M.2 batch check (verify_group_signatures);
+// a single hello is a batch of one.
 #pragma once
 
 #include <memory>
@@ -106,15 +108,17 @@ class User {
   PeerHello make_peer_hello(const G1& g, Timestamp now, GroupId via_group = 0);
 
   /// Responder side: validate M~.1 and answer with M~.2 (key not yet
-  /// confirmed; completed by process_peer_confirm).
+  /// confirmed; completed by process_peer_confirm). Equivalent to a batch
+  /// of one.
   std::optional<PeerReply> process_peer_hello(const PeerHello& hello,
                                               Timestamp now,
                                               GroupId via_group = 0);
 
   /// Batch form of process_peer_hello: results, pending-session state, rng
   /// consumption, and stats are identical to calling it on each element in
-  /// order. The pairing-heavy M~.1 verifications run on a VerifyPool sized
-  /// by config.verify_threads between a sequential precheck pass and a
+  /// order. The pairing-heavy M~.1 verifications run as one
+  /// verify_group_signatures batch on a VerifyPool sized by
+  /// config.verify_threads, between a sequential precheck pass and a
   /// sequential in-order reply pass (signing draws randomness, so replies
   /// are produced strictly in input order).
   std::vector<std::optional<PeerReply>> process_peer_hellos(
@@ -161,15 +165,11 @@ class User {
 
  private:
   bool beacon_trustworthy(const BeaconMessage& beacon, Timestamp now);
-  bool peer_signature_ok(BytesView payload, const groupsig::Signature& sig);
-  /// The URL half of peer_signature_ok: true when `sig` matches no token.
-  /// Always per-signature, even on the batch path (per-token attribution).
-  bool peer_not_revoked(BytesView payload, const groupsig::Signature& sig);
+  /// The URL scan of a peer's group signature: true when `sig` matches a
+  /// token. `scan_pool` non-null shards a large URL over the pool.
+  bool peer_revoked(BytesView payload, const groupsig::Signature& sig,
+                    VerifyPool* scan_pool) const;
   const MemberKey& pick_credential(GroupId via_group) const;
-  /// Builds M~.2 for an already-verified hello (the sequential tail of both
-  /// the single and the batch path — all rng draws happen here).
-  PeerReply reply_to_hello(const PeerHello& hello, Timestamp now,
-                           GroupId via_group);
 
   std::string uid_;
   SystemParams params_;

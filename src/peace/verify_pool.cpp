@@ -106,4 +106,54 @@ void VerifyPool::run(std::size_t count,
   if (batch->error != nullptr) std::rethrow_exception(batch->error);
 }
 
+namespace {
+
+/// body(i) for i in [0, count): pooled for more than one job, else inline.
+void run_jobs(VerifyPool* pool, std::size_t count,
+              const std::function<void(std::size_t)>& body) {
+  if (pool != nullptr && count > 1) {
+    pool->run(count, body);
+  } else {
+    for (std::size_t i = 0; i < count; ++i) body(i);
+  }
+}
+
+}  // namespace
+
+SigBatch verify_group_signatures(
+    const groupsig::PreparedGroupPublicKey& pgpk, BytesView salt,
+    std::span<const groupsig::BatchItem> items, VerifyPool* pool,
+    std::span<groupsig::OpCounters* const> item_ops,
+    groupsig::OpCounters* batch_ops, const RevokedCheck& revoked) {
+  const auto ops = [&](std::size_t i) {
+    return item_ops.empty() ? nullptr : item_ops[i];
+  };
+  SigBatch out;
+  out.verdicts.assign(items.size(), SigVerdict::kBadProof);
+  std::vector<std::size_t> survivors;
+  if (items.size() == 1) {
+    if (groupsig::verify_proof(pgpk, items[0].message, *items[0].sig, ops(0)))
+      survivors.push_back(0);
+  } else if (items.size() > 1) {
+    // Per-item preparation fans out; the combined checks plus bisection
+    // run here (one final exponentiation when every proof holds).
+    out.folded = true;
+    groupsig::BatchVerifier verifier(pgpk, items, salt);
+    run_jobs(pool, items.size(),
+             [&](std::size_t i) { verifier.prepare(i, ops(i)); });
+    const std::vector<char>& ok = verifier.finalize(batch_ops);
+    for (std::size_t i = 0; i < items.size(); ++i)
+      if (ok[i]) survivors.push_back(i);
+  }
+  // A single survivor leaves the pool idle on this thread — shard its URL
+  // scan instead of running one-core.
+  VerifyPool* scan_pool = survivors.size() == 1 ? pool : nullptr;
+  run_jobs(pool, survivors.size(), [&](std::size_t k) {
+    const std::size_t i = survivors[k];
+    out.verdicts[i] =
+        revoked(i, scan_pool) ? SigVerdict::kRevoked : SigVerdict::kOk;
+  });
+  return out;
+}
+
 }  // namespace peace::proto

@@ -1,17 +1,16 @@
-// Fixed worker pool for pairing-heavy batch work. Shared by the router's
-// M.2 pipeline and the user's peer-handshake (M~.1/M~.2) batch path; its
-// batches are designed so pooled results stay bit-identical to sequential
-// execution regardless of thread count.
+// Fixed worker pool for pairing-heavy batch work, and the one group-
+// signature batch check both handshake responders run on it: the router's
+// M.2 pipeline and the user's M~.1 pipeline. Pooled results stay
+// bit-identical to sequential execution regardless of thread count.
 //
-// The pool composes with randomized batch verification
-// (groupsig::BatchVerifier, ProtocolConfig::batch_verify): the
-// embarrassingly-parallel BatchVerifier::prepare(i) calls fan out here,
-// while the order-sensitive combined checks and bisection stay on the
-// calling thread (BatchVerifier::finalize is sequential by contract).
-// Threading model of both callers: a sequential precheck pass feeds the
-// pool, and a sequential in-order apply pass consumes its results — all
-// rng draws and state mutation happen in the sequential passes, which is
-// what keeps results independent of the worker count.
+// verify_group_signatures decides how a batch is verified: the
+// embarrassingly-parallel groupsig::BatchVerifier::prepare(i) calls fan
+// out here, while the order-sensitive combined checks and bisection stay
+// on the calling thread (BatchVerifier::finalize is sequential by
+// contract). Threading model of both callers: a sequential precheck pass
+// feeds the check, and a sequential in-order apply pass consumes its
+// verdicts — all rng draws and state mutation happen in the sequential
+// passes, which is what keeps results independent of the worker count.
 #pragma once
 
 #include <atomic>
@@ -23,6 +22,8 @@
 #include <mutex>
 #include <thread>
 #include <vector>
+
+#include "groupsig/groupsig.hpp"
 
 namespace peace::proto {
 
@@ -81,5 +82,31 @@ class VerifyPool {
   std::shared_ptr<Batch> current_batch_;  // guarded by mutex_
   std::vector<std::jthread> workers_;
 };
+
+/// Outcome of one group signature under verify_group_signatures.
+enum class SigVerdict : std::uint8_t { kOk, kBadProof, kRevoked };
+
+struct SigBatch {
+  std::vector<SigVerdict> verdicts;  // one per item, positionally
+  bool folded = false;  // n > 1: bad proofs were attributed by bisection
+};
+
+/// Step 3.3 for item `i` once its proof holds: true when the signer is
+/// revoked. `scan_pool` is non-null only on the calling thread with the
+/// pool idle (pool batches do not nest), so a large URL scan may shard.
+using RevokedCheck = std::function<bool(std::size_t i, VerifyPool* scan_pool)>;
+
+/// Paper steps 3.2 + 3.3 for a batch of group signatures, verdicts
+/// bit-identical to checking each item on its own. One item runs
+/// verify_proof; more fold into a BatchVerifier whose prepare() fans out
+/// over `pool` (null: inline). The survivors' revocation checks fan out
+/// too; a lone survivor's runs here with the pool as its `scan_pool`.
+/// `item_ops` (empty, or one per item) gets per-item proof costs,
+/// `batch_ops` the fold's batch-global costs.
+SigBatch verify_group_signatures(
+    const groupsig::PreparedGroupPublicKey& pgpk, BytesView salt,
+    std::span<const groupsig::BatchItem> items, VerifyPool* pool,
+    std::span<groupsig::OpCounters* const> item_ops,
+    groupsig::OpCounters* batch_ops, const RevokedCheck& revoked);
 
 }  // namespace peace::proto

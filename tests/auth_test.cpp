@@ -323,8 +323,8 @@ TEST_F(AuthTest, PooledBatchMatchesSequential) {
   EXPECT_EQ(seq.stats().rejected_bad_signature,
             pooled.stats().rejected_bad_signature);
   EXPECT_EQ(seq.stats().rejected_bad_signature, 1u);
-  // Randomized batch verification (on by default) runs with or without a
-  // pool, so the inline router counts a batch too.
+  // Randomized batch verification runs with or without a pool, so the
+  // inline router counts a batch too.
   EXPECT_EQ(seq.stats().verify_batches, 1u);
   EXPECT_GE(pooled.stats().verify_batches, 1u);
   // Five jobs entered the batch; the within-batch duplicate is deferred to

@@ -2,9 +2,9 @@
 // accept/reject vector must be bit-identical to sequential verify_proof on
 // every batch — empty, singleton, all-good, all-bad, mixed, duplicated, and
 // adversarial batches crafted so the forgeries would cancel in an
-// UNrandomized combined check. Also the protocol-level contract: routers
-// and users running with batch_verify on behave exactly like strict
-// per-signature endpoints.
+// UNrandomized combined check. Also the protocol-level contract: a router
+// fed a batch behaves exactly like its twin fed the same requests one at a
+// time.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -266,6 +266,27 @@ class BatchProtocolTest : public ::testing::Test {
     return router;
   }
 
+  using Outcomes = std::vector<std::optional<proto::MeshRouter::AccessOutcome>>;
+
+  /// Each outcome's M.3 wire bytes; nullopt for a rejected request.
+  static std::vector<std::optional<Bytes>> wires(const Outcomes& outcomes) {
+    std::vector<std::optional<Bytes>> out;
+    for (const auto& o : outcomes)
+      out.push_back(o ? std::optional(o->confirm.to_bytes()) : std::nullopt);
+    return out;
+  }
+
+  /// The reference a batch is held to (router.hpp): the same requests
+  /// handed to `router` one at a time.
+  static Outcomes one_at_a_time(proto::MeshRouter& router,
+                                std::span<const proto::AccessRequest> batch,
+                                proto::Timestamp now) {
+    Outcomes out;
+    for (const proto::AccessRequest& m2 : batch)
+      out.push_back(router.handle_access_request(m2, now));
+    return out;
+  }
+
   std::unique_ptr<proto::User> make_user(const std::string& uid) {
     auto user = std::make_unique<proto::User>(
         uid, no_.params(), crypto::Drbg::from_string(uid));
@@ -285,19 +306,17 @@ class BatchProtocolTest : public ::testing::Test {
 TEST_F(BatchProtocolTest, RouterBatchMatchesStrictModeWithRevokedSigner) {
   // A revoked signer hiding inside an otherwise-good batch: the batched
   // proof accepts its (valid) signature, and the per-signature URL scan
-  // must still catch it — outcome identical to strict mode.
+  // must still catch it — outcome identical to one-at-a-time processing.
   auto alice = make_user("alice");
   auto bob = make_user("bob");
   auto mallory = make_user("mallory");
   no_.revoke_user_key(enrollments_.at("mallory").index, 900);
 
-  proto::ProtocolConfig strict_cfg;
-  strict_cfg.batch_verify = false;
-  auto batched = make_router({});  // batch_verify defaults to on
-  auto strict = make_router(strict_cfg);
+  auto batched = make_router({});
+  auto single = make_router({});  // twin fed one request at a time
 
   const proto::BeaconMessage beacon = batched->make_beacon(1000);
-  ASSERT_EQ(beacon.to_bytes(), strict->make_beacon(1000).to_bytes());
+  ASSERT_EQ(beacon.to_bytes(), single->make_beacon(1000).to_bytes());
 
   std::vector<proto::AccessRequest> batch;
   for (proto::User* u : {alice.get(), mallory.get(), bob.get()}) {
@@ -306,7 +325,7 @@ TEST_F(BatchProtocolTest, RouterBatchMatchesStrictModeWithRevokedSigner) {
     batch.push_back(*m2);
   }
   // A tampered request (its own session id, so it truly enters the batch)
-  // rides along: rejected by the proof in both modes.
+  // rides along: rejected by the proof on both routers.
   auto trent = make_user("trent");
   auto forged = trent->process_beacon(beacon, 1001);
   ASSERT_TRUE(forged.has_value());
@@ -314,42 +333,34 @@ TEST_F(BatchProtocolTest, RouterBatchMatchesStrictModeWithRevokedSigner) {
   batch.push_back(*forged);
 
   const auto got = batched->handle_access_requests(batch, 1002);
-  const auto expect = strict->handle_access_requests(batch, 1002);
-  ASSERT_EQ(got.size(), expect.size());
-  for (std::size_t i = 0; i < got.size(); ++i) {
-    ASSERT_EQ(got[i].has_value(), expect[i].has_value()) << i;
-    if (got[i].has_value())
-      EXPECT_EQ(got[i]->confirm.to_bytes(), expect[i]->confirm.to_bytes()) << i;
-  }
+  EXPECT_EQ(wires(got), wires(one_at_a_time(*single, batch, 1002)));
   ASSERT_TRUE(got[0].has_value());
   EXPECT_FALSE(got[1].has_value());  // mallory: valid proof, revoked token
   ASSERT_TRUE(got[2].has_value());
   EXPECT_FALSE(got[3].has_value());  // tampered payload
   EXPECT_EQ(batched->stats().rejected_revoked, 1u);
   EXPECT_EQ(batched->stats().rejected_bad_signature, 1u);
-  EXPECT_EQ(strict->stats().rejected_revoked, 1u);
+  EXPECT_EQ(single->stats().rejected_revoked, 1u);
   EXPECT_EQ(batched->stats().verify_batches, 1u);
   EXPECT_EQ(batched->stats().batched_requests, batch.size());
-  EXPECT_EQ(strict->stats().verify_batches, 0u);
+  EXPECT_EQ(single->stats().verify_batches, 0u);
 }
 
 TEST_F(BatchProtocolTest, PooledBatchedRouterMatchesStrictUnderDuplicates) {
   // Pool + batch verification + fault-injected duplicate frames: the
-  // combined pipeline must still be bit-identical to the strict sequential
-  // router (duplicates of one M.2 are deferred to the in-order apply pass,
+  // combined pipeline must still be bit-identical to the one-at-a-time
+  // twin (duplicates of one M.2 are deferred to the in-order apply pass,
   // where only the first copy establishes the session).
   auto alice = make_user("alice");
   auto bob = make_user("bob");
 
   proto::ProtocolConfig pooled_cfg;
-  pooled_cfg.verify_threads = 4;  // batch_verify stays default-on
-  proto::ProtocolConfig strict_cfg;
-  strict_cfg.batch_verify = false;
+  pooled_cfg.verify_threads = 4;
   auto pooled = make_router(pooled_cfg);
-  auto strict = make_router(strict_cfg);
+  auto single = make_router({});
 
   const proto::BeaconMessage beacon = pooled->make_beacon(1000);
-  ASSERT_EQ(beacon.to_bytes(), strict->make_beacon(1000).to_bytes());
+  ASSERT_EQ(beacon.to_bytes(), single->make_beacon(1000).to_bytes());
 
   std::vector<proto::AccessRequest> batch;
   auto a2 = alice->process_beacon(beacon, 1001);
@@ -363,19 +374,60 @@ TEST_F(BatchProtocolTest, PooledBatchedRouterMatchesStrictUnderDuplicates) {
   batch.push_back(*a2);
 
   const auto got = pooled->handle_access_requests(batch, 1002);
-  const auto expect = strict->handle_access_requests(batch, 1002);
-  ASSERT_EQ(got.size(), expect.size());
-  for (std::size_t i = 0; i < got.size(); ++i) {
-    ASSERT_EQ(got[i].has_value(), expect[i].has_value()) << i;
-    if (got[i].has_value())
-      EXPECT_EQ(got[i]->confirm.to_bytes(), expect[i]->confirm.to_bytes()) << i;
-  }
+  EXPECT_EQ(wires(got), wires(one_at_a_time(*single, batch, 1002)));
   ASSERT_TRUE(got[0].has_value());
   ASSERT_TRUE(got[1].has_value());
   EXPECT_FALSE(got[2].has_value());  // replayed duplicates
   EXPECT_FALSE(got[3].has_value());
-  EXPECT_EQ(pooled->session_count(), strict->session_count());
-  EXPECT_EQ(pooled->stats().rejected_replay, strict->stats().rejected_replay);
+  EXPECT_EQ(pooled->session_count(), single->session_count());
+  EXPECT_EQ(pooled->stats().rejected_replay, single->stats().rejected_replay);
+}
+
+TEST_F(BatchProtocolTest, TamperedCopyAheadOfGenuineDefersGenuineVerify) {
+  // A tampered copy sharing a genuine M.2's session id arrives first, in a
+  // batch with two other honest M.2s: the tampered copy enters the folded
+  // batch check and is pinpointed by bisection, while the genuine request
+  // — same sid — is deferred to the apply pass and verified there on its
+  // own. Pooled, unpooled and one-at-a-time routers must agree.
+  proto::ProtocolConfig pooled_cfg;
+  pooled_cfg.verify_threads = 4;
+  auto pooled = make_router(pooled_cfg);
+  auto unpooled = make_router({});
+  auto single = make_router({});
+
+  const proto::BeaconMessage beacon = pooled->make_beacon(1000);
+  for (proto::MeshRouter* r : {unpooled.get(), single.get()})
+    ASSERT_EQ(beacon.to_bytes(), r->make_beacon(1000).to_bytes());
+
+  std::vector<proto::AccessRequest> batch(1);  // [0]: the tampered copy
+  for (const char* uid : {"alice", "bob", "carol"}) {
+    auto m2 = make_user(uid)->process_beacon(beacon, 1001);
+    ASSERT_TRUE(m2.has_value()) << uid;
+    batch.push_back(*m2);
+  }
+  batch[0] = batch[1];  // alice's M.2: same g_rj, g_rr => same sid
+  batch[0].signature.s_x = batch[0].signature.s_x + Fr::one();
+
+  const auto got = pooled->handle_access_requests(batch, 1002);
+  EXPECT_EQ(wires(got), wires(unpooled->handle_access_requests(batch, 1002)));
+  EXPECT_EQ(wires(got), wires(one_at_a_time(*single, batch, 1002)));
+  EXPECT_FALSE(got[0].has_value());  // tampered copy
+  ASSERT_TRUE(got[1].has_value());   // genuine, verified in the apply pass
+  ASSERT_TRUE(got[2].has_value());
+  ASSERT_TRUE(got[3].has_value());
+  for (const proto::MeshRouter* r :
+       {pooled.get(), unpooled.get(), single.get()}) {
+    EXPECT_EQ(r->stats().accepted, 3u);
+    EXPECT_EQ(r->stats().rejected_bad_signature, 1u);
+    EXPECT_EQ(r->stats().signature_verifications, 4u);
+    EXPECT_EQ(r->session_count(), 3u);
+  }
+  // The tampered copy, bob and carol fold into one batch; the deferred
+  // genuine request is a batch of one.
+  EXPECT_EQ(pooled->stats().verify_batches, 1u);
+  EXPECT_EQ(pooled->stats().batched_requests, 3u);
+  EXPECT_EQ(unpooled->stats().verify_batches, 1u);
+  EXPECT_EQ(single->stats().verify_batches, 0u);
 }
 
 }  // namespace
