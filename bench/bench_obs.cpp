@@ -47,7 +47,7 @@ BENCHMARK(BM_HandshakeObs)
 /// thread-local tally bump when on.
 void BM_OpHook(benchmark::State& state) {
   obs::enable(state.range(0) != 0);
-  for (auto _ : state) obs::note_pairing();
+  for (auto _ : state) obs::note(obs::Op::kPairing);
   obs::enable(false);
 }
 BENCHMARK(BM_OpHook)->Arg(0)->Arg(1)->Name("BM_OpHook/obs");

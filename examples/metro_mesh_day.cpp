@@ -24,6 +24,7 @@
 #include <vector>
 
 #include "mesh/adversary.hpp"
+#include "obs/sec_event.hpp"
 #include "obs/trace.hpp"
 
 using namespace peace;
@@ -130,8 +131,38 @@ struct ChaosSegment {
   std::vector<mesh::NodeId> users;
 };
 
-bool chaos_phase(const char* name, const std::string& seed,
-                 const mesh::FaultPlan& plan, double delivery_floor) {
+/// The chaos day's telemetry: every disposable segment's stats, folded as
+/// its phase ends and published once for the whole day.
+struct ChaosTotals {
+  mesh::NetworkStats net;
+  proto::RouterStats routers;
+  proto::UserStats users;
+  groupsig::OpCounters ops;
+  revoke::SharedRevocationStats revocation;
+  std::uint64_t sim_events = 0;
+
+  void fold(const ChaosSegment& seg) {
+    net = obs::sum(net, seg.net.stats());
+    routers = obs::sum(routers, seg.net.router_stats_total());
+    users = obs::sum(users, seg.net.user_stats_total());
+    ops = obs::sum(ops, seg.net.verify_ops_total());
+    revocation = obs::sum(revocation, seg.net.revocation()->stats());
+    sim_events += seg.sim.events_processed();
+  }
+
+  void publish() const {
+    obs::absorb(routers);
+    obs::absorb(users);
+    obs::absorb(ops);
+    obs::absorb(revocation);
+    mesh::absorb_network_stats(net, sim_events);
+    obs::drain_sec_events();
+  }
+};
+
+bool chaos_phase(ChaosTotals& totals, const char* name,
+                 const std::string& seed, const mesh::FaultPlan& plan,
+                 double delivery_floor) {
   ChaosSegment seg(seed);
   seg.net.set_fault_plan(plan);
   seg.net.start_beaconing(100, 1000, 60'000);
@@ -157,10 +188,11 @@ bool chaos_phase(const char* name, const std::string& seed,
       static_cast<unsigned long long>(s.frames_duplicated),
       static_cast<unsigned long long>(s.frames_delayed),
       static_cast<unsigned long long>(s.frames_lost), ok ? "ok" : "FAIL");
+  totals.fold(seg);
   return ok;
 }
 
-bool chaos_crash_phase() {
+bool chaos_crash_phase(ChaosTotals& totals) {
   ChaosSegment seg("chaos-day-crash");
   seg.net.start_beaconing(100, 1000, 120'000);
   seg.sim.run_until(5'000);
@@ -190,10 +222,11 @@ bool chaos_crash_phase() {
       before, seg.users.size(), during, after,
       static_cast<unsigned long long>(s.failovers),
       static_cast<unsigned long long>(s.frames_partitioned), ok ? "ok" : "FAIL");
+  totals.fold(seg);
   return ok;
 }
 
-bool chaos_partition_phase() {
+bool chaos_partition_phase(ChaosTotals& totals) {
   ChaosSegment seg("chaos-day-part");
   seg.net.start_beaconing(100, 1000, 30'000);
   seg.sim.run_until(5'000);
@@ -220,10 +253,11 @@ bool chaos_partition_phase() {
       seg.connected(), seg.users.size(), 100 * rate_blocked, 100 * rate_healed,
       static_cast<unsigned long long>(seg.net.stats().frames_partitioned),
       ok ? "ok" : "FAIL");
+  totals.fold(seg);
   return ok;
 }
 
-int run_chaos_day() {
+int run_chaos_day(ChaosTotals& totals) {
   std::printf("a chaotic day in the metro mesh — every phase rides the "
               "reliability layer (PROTOCOL.md 10)\n\n");
   mesh::FaultPlan burst;
@@ -241,12 +275,13 @@ int run_chaos_day() {
   bool ok = true;
   // Floors reflect the physics: probes ride relay chains of up to four
   // radio hops, so ~30% per-hop loss compounds to ~0.7^4 for the far users.
-  ok &= chaos_phase("burst-loss", "chaos-day-burst", burst, 0.35);
-  ok &= chaos_phase("duplication", "chaos-day-dup", duplication, 0.9);
-  ok &= chaos_phase("reordering", "chaos-day-reorder", reorder, 0.9);
-  ok &= chaos_phase("corruption", "chaos-day-corrupt", corruption, 0.4);
-  ok &= chaos_partition_phase();
-  ok &= chaos_crash_phase();
+  ok &= chaos_phase(totals, "burst-loss", "chaos-day-burst", burst, 0.35);
+  ok &= chaos_phase(totals, "duplication", "chaos-day-dup", duplication, 0.9);
+  ok &= chaos_phase(totals, "reordering", "chaos-day-reorder", reorder, 0.9);
+  ok &= chaos_phase(totals, "corruption", "chaos-day-corrupt", corruption,
+                    0.4);
+  ok &= chaos_partition_phase(totals);
+  ok &= chaos_crash_phase(totals);
   std::printf("\nchaos day: %s\n", ok ? "every phase converged" : "FAILED");
   return ok ? 0 : 1;
 }
@@ -276,8 +311,13 @@ int main(int argc, char** argv) {
   }
   if (obs_opts.any()) obs::enable(true);
   if (chaos) {
-    const int rc = run_chaos_day();
-    const int obs_rc = obs_opts.any() ? write_obs_outputs(obs_opts) : 0;
+    ChaosTotals totals;
+    const int rc = run_chaos_day(totals);
+    int obs_rc = 0;
+    if (obs_opts.any()) {
+      totals.publish();
+      obs_rc = write_obs_outputs(obs_opts);
+    }
     return rc != 0 ? rc : obs_rc;
   }
   constexpr proto::Timestamp kYear = kYearMs;

@@ -125,7 +125,7 @@ G2 g2_psi_impl(const EndoCtx& ctx, const G2& q) {
 }
 
 GlvSplit glv_decompose_impl(const EndoCtx& ctx, const U256& k) {
-  obs::note_glv_decomposition();
+  obs::note(obs::Op::kGlvDecomposition);
   BigInt kb = BigInt::from_u256(k);
   if (!(BigInt::cmp(kb, ctx.r_big) < 0)) kb = kb % ctx.r_big;
   const SignedBig sk = sb_make(false, kb);
@@ -146,7 +146,7 @@ GlvSplit glv_decompose_impl(const EndoCtx& ctx, const U256& k) {
 }
 
 GlsSplit gls_decompose_impl(const EndoCtx& ctx, const U256& k) {
-  obs::note_gls_decomposition();
+  obs::note(obs::Op::kGlsDecomposition);
   BigInt kb = BigInt::from_u256(k);
   if (!(BigInt::cmp(kb, ctx.r_big) < 0)) kb = kb % ctx.r_big;
   const SignedBig sk = sb_make(false, kb);
@@ -605,7 +605,8 @@ G2 g2_mul_gls(const G2& q, const U256& k) {
 
 G1 g1_msm(std::span<const G1> points, std::span<const U256> scalars) {
   if (points.size() != scalars.size()) throw Error("g1_msm: size mismatch");
-  obs::note_msm(points.size());
+  obs::note(obs::Op::kMsmCall);
+  obs::note(obs::Op::kMsmTerm, points.size());
   if (points.empty()) return G1::infinity();
   if (!g_endo.ready) throw Error("bn254: not initialized");
   return g1_msm_endo(g_endo, points, scalars);
@@ -613,7 +614,8 @@ G1 g1_msm(std::span<const G1> points, std::span<const U256> scalars) {
 
 G2 g2_msm(std::span<const G2> points, std::span<const U256> scalars) {
   if (points.size() != scalars.size()) throw Error("g2_msm: size mismatch");
-  obs::note_msm(points.size());
+  obs::note(obs::Op::kMsmCall);
+  obs::note(obs::Op::kMsmTerm, points.size());
   if (points.empty()) return G2::infinity();
   if (!g_endo.ready) throw Error("bn254: not initialized");
   return g2_msm_endo(g_endo, points, scalars);

@@ -255,7 +255,7 @@ void untwist(const G2& q, Fp12& x_out, Fp12& y_out) {
 }
 
 Fp12 miller_loop(const G1& p, const G2& q) {
-  obs::note_miller_loop();
+  obs::note(obs::Op::kMillerLoop);
   if (p.is_infinity() || q.is_infinity()) return Fp12::one();
 
   Fp xp, yp;
@@ -270,7 +270,7 @@ Fp12 miller_loop(const G1& p, const G2& q) {
 
 G2Prepared::G2Prepared(const G2& q) {
   if (q.is_infinity()) return;
-  obs::note_g2_prepared();
+  obs::note(obs::Op::kG2Prepared);
   // 64-bit u: the ate loop has ~65 doublings plus the additions its set bits
   // trigger, plus the two correction lines.
   lines_.reserve(2 * 64 + 8);
@@ -279,7 +279,7 @@ G2Prepared::G2Prepared(const G2& q) {
 }
 
 Fp12 miller_loop(const G1& p, const G2Prepared& prepared) {
-  obs::note_miller_loop();
+  obs::note(obs::Op::kMillerLoop);
   if (p.is_infinity() || prepared.is_infinity()) return Fp12::one();
 
   Fp xp, yp;
@@ -300,7 +300,7 @@ namespace {
 /// hard-part chain exploits (inverse == conjugate). Every caller pays one
 /// Fp12 inversion here — the op the batched variant shares across elements.
 Fp12 easy_part(const Fp12& f) {
-  obs::note_fp12_inverse();
+  obs::note(obs::Op::kFp12Inverse);
   Fp12 t = f.conjugate() * f.inverse();  // f^(p^6 - 1)
   return frobenius12(frobenius12(t)) * t;  // ^(p^2 + 1)
 }
@@ -314,7 +314,7 @@ GT hard_part(const Fp12& t) {
 }  // namespace
 
 GT final_exponentiation(const Fp12& f) {
-  obs::note_final_exp();
+  obs::note(obs::Op::kFinalExp);
   return hard_part(easy_part(f));
 }
 
@@ -331,7 +331,7 @@ std::vector<Fp12> final_exp_easy_batch(std::span<const Fp12> fs) {
   for (std::size_t i = 1; i < fs.size(); ++i) prefix[i] = prefix[i - 1] * fs[i];
   if (prefix.back().is_zero())
     throw Error("final_exp_easy_batch: zero element has no inverse");
-  obs::note_fp12_inverse();
+  obs::note(obs::Op::kFp12Inverse);
   Fp12 suffix_inv = prefix.back().inverse();
   std::vector<Fp12> inv(fs.size());
   for (std::size_t i = fs.size() - 1; i > 0; --i) {
@@ -348,13 +348,13 @@ std::vector<Fp12> final_exp_easy_batch(std::span<const Fp12> fs) {
 }
 
 GT final_exp_hard(const Fp12& t) {
-  obs::note_final_exp();
+  obs::note(obs::Op::kFinalExp);
   return hard_part(t);
 }
 
 GT final_exponentiation_generic(const Fp12& f) {
-  obs::note_final_exp();
-  obs::note_fp12_inverse();
+  obs::note(obs::Op::kFinalExp);
+  obs::note(obs::Op::kFp12Inverse);
   const auto& bn = Bn254::get();
   Fp12 t = f.conjugate() * f.inverse();
   t = frobenius12(frobenius12(t)) * t;
@@ -362,19 +362,19 @@ GT final_exponentiation_generic(const Fp12& f) {
 }
 
 GT pairing(const G1& p, const G2& q) {
-  obs::note_pairing();
+  obs::note(obs::Op::kPairing);
   return final_exponentiation(miller_loop(p, q));
 }
 
 GT pairing(const G1& p, const G2Prepared& prepared) {
-  obs::note_pairing();
+  obs::note(obs::Op::kPairing);
   return final_exponentiation(miller_loop(p, prepared));
 }
 
 GT multi_pairing(const std::vector<std::pair<G1, G2>>& pairs) {
   Fp12 f = Fp12::one();
   for (const auto& [p, q] : pairs) {
-    obs::note_pairing();
+    obs::note(obs::Op::kPairing);
     f *= miller_loop(p, q);
   }
   return final_exponentiation(f);
@@ -408,8 +408,8 @@ GT multi_pairing(std::span<const std::pair<G1, const G2Prepared*>> prepared,
   std::vector<G1> g1s;
   g1s.reserve(prepared.size() + unprepared.size());
   for (const auto& [p, q] : prepared) {
-    obs::note_pairing();
-    obs::note_miller_loop();
+    obs::note(obs::Op::kPairing);
+    obs::note(obs::Op::kMillerLoop);
     if (p.is_infinity() || q->is_infinity()) continue;
     ActiveP a;
     a.lines = &q->lines();
@@ -419,8 +419,8 @@ GT multi_pairing(std::span<const std::pair<G1, const G2Prepared*>> prepared,
   std::vector<ActiveU> au;
   au.reserve(unprepared.size());
   for (const auto& [p, q] : unprepared) {
-    obs::note_pairing();
-    obs::note_miller_loop();
+    obs::note(obs::Op::kPairing);
+    obs::note(obs::Op::kMillerLoop);
     if (p.is_infinity() || q.is_infinity()) continue;
     ActiveU a;
     a.q = to_affine2(q);
@@ -492,7 +492,7 @@ bool gt_in_cyclotomic_subgroup(const Fp12& x) {
 }
 
 GT gt_pow_unitary(const GT& x, std::uint64_t e) {
-  obs::note_gt_pow();
+  obs::note(obs::Op::kGtPow);
   Fp12 acc = Fp12::one();
   bool started = false;
   for (int i = 63; i >= 0; --i) {
@@ -509,7 +509,7 @@ GT gt_multi_pow_unitary(std::span<const GT> xs,
                         std::span<const std::uint64_t> es) {
   if (xs.size() != es.size())
     throw Error("gt_multi_pow: bases/exponents size mismatch");
-  obs::note_gt_pow(xs.size());
+  obs::note(obs::Op::kGtPow, xs.size());
   unsigned nbits = 0;
   for (const std::uint64_t e : es)
     nbits = std::max(nbits, static_cast<unsigned>(std::bit_width(e)));
@@ -587,10 +587,16 @@ const GT& gt_generator() {
   return g;
 }
 
-std::uint64_t pairing_op_count() { return obs::pairing_count(); }
+std::uint64_t pairing_op_count() {
+  return obs::op_count(obs::Op::kPairing);
+}
 
-std::uint64_t g2_prepared_count() { return obs::g2_prepared_build_count(); }
+std::uint64_t g2_prepared_count() {
+  return obs::op_count(obs::Op::kG2Prepared);
+}
 
-std::uint64_t fp12_inverse_count() { return obs::fp12_inverse_op_count(); }
+std::uint64_t fp12_inverse_count() {
+  return obs::op_count(obs::Op::kFp12Inverse);
+}
 
 }  // namespace peace::curve

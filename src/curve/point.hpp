@@ -57,7 +57,7 @@ struct CurvePoint {
   /// callers should prefer batch_normalize (one inversion for any count).
   void to_affine(F& ax, F& ay) const {
     if (is_infinity()) throw Error("CurvePoint: affine of infinity");
-    obs::note_field_inversion();
+    obs::note(obs::Op::kFieldInversion);
     const F zinv = z.inverse();
     const F zinv2 = zinv.square();
     ax = x * zinv2;
@@ -248,7 +248,7 @@ void batch_normalize(std::span<const CurvePoint<Traits>> in,
     running *= in[i].z;
   }
   if (!any) return;
-  obs::note_field_inversion();
+  obs::note(obs::Op::kFieldInversion);
   F inv = running.inverse();
   for (std::size_t i = n; i-- > 0;) {
     if (in[i].is_infinity()) continue;
@@ -328,9 +328,9 @@ inline unsigned msm_window_width(unsigned bits, std::size_t terms) {
 /// coordinates, ONE batched inversion normalizing every table entry to
 /// affine, then a single wNAF digit loop of shared doublings and mixed
 /// additions. Returns exactly the group element the individual
-/// multiplications would sum to (docs/CRYPTO.md §6.4); callers count
-/// obs::note_msm themselves (the endomorphism wrappers report paper-level
-/// term counts, not split counts).
+/// multiplications would sum to (docs/CRYPTO.md §6.4); callers note the
+/// kMsmCall / kMsmTerm ops themselves (the endomorphism wrappers report
+/// paper-level term counts, not split counts).
 /// Digit-loop half of the wNAF MSM, over caller-supplied affine tables:
 /// table[t * 2^(w-2) + j] must be the odd multiple (2j+1) * P_t in affine
 /// coordinates. Split out so the endomorphism wrappers (curve::g1_msm /
@@ -412,7 +412,8 @@ template <class Traits, std::size_t N>
 CurvePoint<Traits> multi_scalar_mul(
     const std::array<CurvePoint<Traits>, N>& points,
     const std::array<U256, N>& scalars) {
-  obs::note_msm(N);
+  obs::note(obs::Op::kMsmCall);
+  obs::note(obs::Op::kMsmTerm, N);
   unsigned nbits = 0;
   for (const U256& s : scalars) nbits = std::max(nbits, s.bit_length());
   return msm_wnaf(std::span<const CurvePoint<Traits>>(points),
@@ -429,7 +430,8 @@ CurvePoint<Traits> multi_scalar_mul(std::span<const CurvePoint<Traits>> points,
   if (points.size() != scalars.size())
     throw Error("multi_scalar_mul: points/scalars size mismatch");
   if (points.empty()) return CurvePoint<Traits>::infinity();
-  obs::note_msm(points.size());
+  obs::note(obs::Op::kMsmCall);
+  obs::note(obs::Op::kMsmTerm, points.size());
   unsigned nbits = 0;
   for (const U256& s : scalars) nbits = std::max(nbits, s.bit_length());
   return msm_wnaf(points, scalars, msm_window_width(nbits, points.size()));

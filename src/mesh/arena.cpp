@@ -24,7 +24,7 @@ void PooledFrame::release() {
 FrameArena::~FrameArena() = default;
 
 std::optional<PooledFrame> FrameArena::acquire(std::size_t reserve) {
-  if (cap_ != 0 && stats_.outstanding >= cap_) {
+  if (cap_ != 0 && outstanding_ >= cap_) {
     ++stats_.cap_rejections;
     return std::nullopt;
   }
@@ -39,9 +39,7 @@ std::optional<PooledFrame> FrameArena::acquire(std::size_t reserve) {
   buf.clear();
   if (reserve > 0) buf.reserve(reserve);
   ++stats_.acquired;
-  ++stats_.outstanding;
-  if (stats_.outstanding > stats_.peak_outstanding)
-    stats_.peak_outstanding = stats_.outstanding;
+  ++outstanding_;
   return PooledFrame(this, std::move(buf));
 }
 
@@ -55,7 +53,7 @@ std::optional<PooledFrame> FrameArena::acquire_copy(BytesView payload) {
 void FrameArena::give_back(Bytes buf) {
   // outstanding can hit 0 only via arena misuse; guard anyway so a stray
   // double-release in a test cannot underflow the gauge.
-  if (stats_.outstanding > 0) --stats_.outstanding;
+  if (outstanding_ > 0) --outstanding_;
   if (buf.capacity() <= max_pooled_capacity_) free_.push_back(std::move(buf));
 }
 

@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "common/bytes.hpp"
+#include "obs/fields.hpp"
 
 namespace peace::mesh {
 
@@ -53,9 +54,17 @@ struct FrameArenaStats {
   std::uint64_t reused = 0;          // served from the freelist
   std::uint64_t allocated = 0;       // served by a fresh heap allocation
   std::uint64_t cap_rejections = 0;  // refused at the outstanding cap
-  std::uint64_t outstanding = 0;     // currently live PooledFrames
-  std::uint64_t peak_outstanding = 0;
 };
+
+/// The registry counter each field is exported as (obs/fields.hpp).
+constexpr auto field_table(const FrameArenaStats*) {
+  return std::to_array<obs::Field<FrameArenaStats>>({
+      {&FrameArenaStats::acquired, "metro.arena.acquired"},
+      {&FrameArenaStats::reused, "metro.arena.reused"},
+      {&FrameArenaStats::allocated, "metro.arena.allocated"},
+      {&FrameArenaStats::cap_rejections, "metro.arena.cap_rejections"},
+  });
+}
 
 class FrameArena {
  public:
@@ -79,6 +88,8 @@ class FrameArena {
 
   std::size_t cap() const { return cap_; }
   std::size_t free_frames() const { return free_.size(); }
+  /// Live PooledFrames right now.
+  std::size_t outstanding() const { return outstanding_; }
   const FrameArenaStats& stats() const { return stats_; }
 
  private:
@@ -88,6 +99,7 @@ class FrameArena {
   std::size_t cap_;
   std::size_t max_pooled_capacity_;
   std::vector<Bytes> free_;
+  std::size_t outstanding_ = 0;
   FrameArenaStats stats_;
 };
 

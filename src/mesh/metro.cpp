@@ -249,13 +249,13 @@ void MetroSimulation::route(CrossShardMsg msg) {
       ++stats_.frames_dropped;
     return;
   }
-  shard(msg.to).enqueue(std::move(msg));
+  if (!shard(msg.to).enqueue(std::move(msg))) ++stats_.inbox_dropped;
 }
 
 void MetroSimulation::apply(Shard& dest, CrossShardMsg msg) {
-  dest.count_applied(msg);
   switch (msg.kind) {
     case CrossShardMsg::Kind::kUserHandoff: {
+      ++stats_.handoffs_completed;
       const NodeId node = dest.net().add_user(msg.pos, std::move(msg.carried));
       auto it = users_.find(msg.user);
       if (it != users_.end()) it->second = UserRecord{dest.id(), node, false};
@@ -360,21 +360,11 @@ void MetroSimulation::publish_metrics() const {
   if (any_revocation) obs::absorb(revocation);
   absorb_network_stats(network_stats_total(), sim_events_total());
 
-  ShardStats shard_totals;
-  FrameArenaStats arena_totals;
+  FrameArenaStats arena;
+  std::size_t outstanding = 0;
   for (const auto& s : shards_) {
-    const ShardStats& st = s->stats();
-    shard_totals.msgs_out += st.msgs_out;
-    shard_totals.msgs_in += st.msgs_in;
-    shard_totals.inbox_dropped += st.inbox_dropped;
-    shard_totals.handoffs_in += st.handoffs_in;
-    shard_totals.handoffs_out += st.handoffs_out;
-    const FrameArenaStats& ar = s->arena().stats();
-    arena_totals.acquired += ar.acquired;
-    arena_totals.reused += ar.reused;
-    arena_totals.allocated += ar.allocated;
-    arena_totals.cap_rejections += ar.cap_rejections;
-    arena_totals.outstanding += ar.outstanding;
+    arena = obs::sum(arena, s->arena().stats());
+    outstanding += s->arena().outstanding();
   }
 
   auto& reg = obs::Registry::global();
@@ -382,15 +372,10 @@ void MetroSimulation::publish_metrics() const {
   reg.gauge("metro.users").set(static_cast<std::int64_t>(users_.size()));
   reg.gauge("metro.handoffs_pending")
       .set(static_cast<std::int64_t>(parked_.size()));
-  obs::absorb(stats_);
-  reg.counter("metro.handoffs_completed").set(shard_totals.handoffs_in);
-  reg.counter("metro.inbox_dropped").set(shard_totals.inbox_dropped);
-  reg.counter("metro.arena.acquired").set(arena_totals.acquired);
-  reg.counter("metro.arena.reused").set(arena_totals.reused);
-  reg.counter("metro.arena.allocated").set(arena_totals.allocated);
-  reg.counter("metro.arena.cap_rejections").set(arena_totals.cap_rejections);
   reg.gauge("metro.arena.outstanding")
-      .set(static_cast<std::int64_t>(arena_totals.outstanding));
+      .set(static_cast<std::int64_t>(outstanding));
+  obs::absorb(stats_);
+  obs::absorb(arena);
 
   // Flush any security events buffered since the last barrier, and refresh
   // the health.* gauges when a monitor is attached.

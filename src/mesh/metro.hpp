@@ -75,6 +75,8 @@ struct MetroStats {
   std::uint64_t relay_dropped = 0;     // relays dropped: no path to any AP
   std::uint64_t handoffs_parked = 0;   // handoffs waiting out a partition
   std::uint64_t handoffs_dropped = 0;  // parked users lost to the FIFO cap
+  std::uint64_t handoffs_completed = 0;  // handoffs applied at a destination
+  std::uint64_t inbox_dropped = 0;       // messages refused at an inbox cap
 };
 
 /// The registry counter each field is exported as (obs/fields.hpp).
@@ -89,6 +91,8 @@ constexpr auto field_table(const MetroStats*) {
       {&MetroStats::relay_dropped, "metro.relay_dropped"},
       {&MetroStats::handoffs_parked, "metro.handoffs_parked"},
       {&MetroStats::handoffs_dropped, "metro.handoffs_dropped"},
+      {&MetroStats::handoffs_completed, "metro.handoffs_completed"},
+      {&MetroStats::inbox_dropped, "metro.inbox_dropped"},
   });
 }
 

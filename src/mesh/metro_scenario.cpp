@@ -145,7 +145,6 @@ struct City {
   /// the end of the day.
   void synthetic_step(ShardId i) {
     SyntheticSegment& seg = synthetic[i];
-    ++seg.stats.steps;
     if (seg.population > 0) {
       // Modeled per-step activity, DRBG-jittered around population-scaled
       // means: a slice associates, a larger slice pushes data, a slice
@@ -431,24 +430,13 @@ MetroCityReport run_metro_city(const MetroCityConfig& config) {
     report.health_alerts = config.health->alerts_total();
   report.metro = city.metro.stats();
   report.net = city.metro.network_stats_total();
-  for (const SyntheticSegment& seg : city.synthetic) {
-    report.synthetic.associations += seg.stats.associations;
-    report.synthetic.data_frames += seg.stats.data_frames;
-    report.synthetic.internet_frames += seg.stats.internet_frames;
-    report.synthetic.moved += seg.stats.moved;
-    report.synthetic.steps += seg.stats.steps;
-  }
+  for (const SyntheticSegment& seg : city.synthetic)
+    report.synthetic = obs::sum(report.synthetic, seg.stats);
 
   // Mirror the metro into the obs registry for --metrics/CI smoke checks.
   city.metro.publish_metrics();
+  obs::absorb(report.synthetic);
   auto& reg = obs::Registry::global();
-  reg.counter("metro_city.synthetic.associations")
-      .set(report.synthetic.associations);
-  reg.counter("metro_city.synthetic.data_frames")
-      .set(report.synthetic.data_frames);
-  reg.counter("metro_city.synthetic.internet_frames")
-      .set(report.synthetic.internet_frames);
-  reg.counter("metro_city.synthetic.moved").set(report.synthetic.moved);
   reg.counter("metro_city.cohort.roams").set(report.cohort_roams);
   reg.counter("metro_city.cohort.connected").set(report.cohort_connected);
   return report;

@@ -73,8 +73,18 @@ struct SyntheticStats {
   std::uint64_t data_frames = 0;     // modeled in-segment data traffic
   std::uint64_t internet_frames = 0; // modeled internet-bound traffic
   std::uint64_t moved = 0;           // users moved between shards
-  std::uint64_t steps = 0;           // activity steps executed
 };
+
+/// The registry counter each field is exported as (obs/fields.hpp).
+constexpr auto field_table(const SyntheticStats*) {
+  return std::to_array<obs::Field<SyntheticStats>>({
+      {&SyntheticStats::associations, "metro_city.synthetic.associations"},
+      {&SyntheticStats::data_frames, "metro_city.synthetic.data_frames"},
+      {&SyntheticStats::internet_frames,
+       "metro_city.synthetic.internet_frames"},
+      {&SyntheticStats::moved, "metro_city.synthetic.moved"},
+  });
+}
 
 struct MetroCityReport {
   std::size_t shards = 0;

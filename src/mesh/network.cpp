@@ -1,6 +1,7 @@
 #include "mesh/network.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 
 #include "crypto/aead.hpp"
@@ -32,6 +33,22 @@ SimTime rto_for(unsigned tries) {
   for (unsigned i = 1; i < tries; ++i) rto *= kRtoBackoff;
   return static_cast<SimTime>(rto);
 }
+
+/// The one definition of each MeshEvent, indexed by it.
+struct EventRow {
+  std::uint64_t NetworkStats::*counter;
+  const char* instant;     // sim-time trace instant, category "reliability"
+  const char* detail_key;  // instant argument carrying the detail, if any
+  std::optional<obs::SecEventKind> sec;
+};
+constexpr std::array<EventRow, 4> kEvents{{
+    {&NetworkStats::retransmissions, "mesh.retransmit", "tries", {}},
+    {&NetworkStats::handshake_timeouts, "mesh.handshake_timeout", nullptr,
+     obs::SecEventKind::kHandshakeTimeout},
+    {&NetworkStats::rekeys, "mesh.rekey", nullptr,
+     obs::SecEventKind::kSessionRekey},
+    {&NetworkStats::failovers, "mesh.failover", "router", {}},
+}};
 
 /// Async-span correlation id for the (initiator, responder) peer pair.
 std::uint64_t peer_span_id(NodeId a, NodeId b) {
@@ -257,6 +274,20 @@ void MeshNetwork::announce_rl_deltas(const proto::RLDeltaAnnounce& announce,
   });
 }
 
+void MeshNetwork::record_event(MeshEvent event, NodeId user,
+                               std::uint64_t detail) {
+  const EventRow& row = kEvents[static_cast<std::size_t>(event)];
+  ++(stats_.*row.counter);
+  if (row.sec.has_value()) obs::sec_emit(*row.sec, sim_.now(), user, detail);
+  auto& tracer = obs::Tracer::global();
+  if (row.detail_key != nullptr && detail != 0)
+    tracer.instant_at(row.instant, "reliability", sim_us(sim_.now()),
+                      {{"user", user}, {row.detail_key, detail}});
+  else
+    tracer.instant_at(row.instant, "reliability", sim_us(sim_.now()),
+                      {{"user", user}});
+}
+
 bool MeshNetwork::radio_delivers() {
   if (radio_.loss_probability <= 0.0) return true;
   return rng_.uniform_real() >= radio_.loss_probability;
@@ -385,12 +416,8 @@ void MeshNetwork::send_m2(NodeId user_node) {
   if (!unode.attempt.has_value()) return;
   UserNode::Attempt& attempt = *unode.attempt;
   ++attempt.tries;
-  if (attempt.tries > 1) {
-    ++stats_.retransmissions;
-    obs::Tracer::global().instant_at(
-        "mesh.retransmit", "reliability", sim_us(sim_.now()),
-        {{"user", user_node}, {"tries", attempt.tries}});
-  }
+  if (attempt.tries > 1)
+    record_event(MeshEvent::kRetransmit, user_node, attempt.tries);
   const NodeId router_node = attempt.router_node;
 
   // Power-boosted uplink (paper footnote 3): direct to the router.
@@ -437,12 +464,8 @@ void MeshNetwork::on_m2_timeout(NodeId user_node, std::uint64_t generation) {
   const bool retransmit = proto_config_.idempotent_resend;
   const unsigned budget = retransmit ? kRetryBudget : 0;
   if (unode.attempt->tries > budget) {
-    ++stats_.handshake_timeouts;
-    obs::sec_emit(obs::SecEventKind::kHandshakeTimeout, sim_.now(), user_node,
-                  unode.attempt->router_node);
-    obs::Tracer::global().instant_at("mesh.handshake_timeout", "reliability",
-                                     sim_us(sim_.now()),
-                                     {{"user", user_node}});
+    record_event(MeshEvent::kHandshakeTimeout, user_node,
+                 unode.attempt->router_node);
     obs::Tracer::global().async_end("access_handshake", "handshake",
                                     user_node, sim_us(sim_.now()),
                                     {{"timed_out", 1}});
@@ -479,12 +502,8 @@ void MeshNetwork::on_m3(NodeId user_node, NodeId router_node,
                                   sim_us(sim_.now()),
                                   {{"router", router_node}});
   if (unode.last_failed_router.has_value() &&
-      *unode.last_failed_router != router_node) {
-    ++stats_.failovers;
-    obs::Tracer::global().instant_at(
-        "mesh.failover", "reliability", sim_us(sim_.now()),
-        {{"user", user_node}, {"router", router_node}});
-  }
+      *unode.last_failed_router != router_node)
+    record_event(MeshEvent::kFailover, user_node, router_node);
   unode.last_failed_router.reset();
 }
 
@@ -551,12 +570,8 @@ void MeshNetwork::send_peer_frame(NodeId from, NodeId to) {
   if (it == peer_attempts_.end()) return;
   PeerAttempt& attempt = it->second;
   ++attempt.tries;
-  if (attempt.tries > 1) {
-    ++stats_.retransmissions;
-    obs::Tracer::global().instant_at(
-        "mesh.retransmit", "reliability", sim_us(sim_.now()),
-        {{"user", from}, {"tries", attempt.tries}});
-  }
+  if (attempt.tries > 1)
+    record_event(MeshEvent::kRetransmit, from, attempt.tries);
   if (attempt.kind[4] == '1') {  // "peer1"
     transmit(attempt.kind, attempt.wire, from, to,
              [this, from, to](const Bytes& w) { on_peer_hello(to, from, w); });
@@ -587,10 +602,7 @@ void MeshNetwork::on_peer_timeout(NodeId from, NodeId to,
     return;
   }
   if (it->second.tries > kRetryBudget) {
-    ++stats_.handshake_timeouts;
-    obs::sec_emit(obs::SecEventKind::kHandshakeTimeout, sim_.now(), from, to);
-    obs::Tracer::global().instant_at("mesh.handshake_timeout", "reliability",
-                                     sim_us(sim_.now()), {{"user", from}});
+    record_event(MeshEvent::kHandshakeTimeout, from, to);
     // Only the initiator's "peer1" attempt owns the handshake span — the
     // responder's "peer2" attempt shares this timer but opened no span.
     if (it->second.kind[4] == '1')
@@ -653,7 +665,8 @@ void MeshNetwork::on_peer_reply(NodeId me, NodeId from, const Bytes& wire) {
   // The idempotent-resend cache returns the byte-identical confirmation.
   if (auto confirm = na.user->cached_peer_confirm(*reply);
       confirm.has_value()) {
-    ++stats_.retransmissions;
+    // No try count: M~.3 has no timer of its own.
+    record_event(MeshEvent::kRetransmit, me);
     transmit("peer3", confirm->to_bytes(), me, from,
              [this, me, from](const Bytes& w) { on_peer_confirm(from, me, w); });
   }
@@ -692,10 +705,7 @@ std::optional<NodeId> MeshNetwork::next_relay_hop(NodeId from,
 void MeshNetwork::start_rekey(NodeId user_id) {
   UserNode& node = users_.at(user_id);
   if (!node.uplink.has_value() || node.rekey_pending) return;
-  ++stats_.rekeys;
-  obs::sec_emit(obs::SecEventKind::kSessionRekey, sim_.now(), user_id);
-  obs::Tracer::global().instant_at("mesh.rekey", "reliability",
-                                   sim_us(sim_.now()), {{"user", user_id}});
+  record_event(MeshEvent::kRekey, user_id);
   node.rekey_pending = true;
   // The retired session keeps draining in-flight frames; the next beacon
   // starts a fresh anonymous handshake (never a resumption).
@@ -872,26 +882,34 @@ std::vector<NodeId> MeshNetwork::backbone_neighbors(NodeId node) const {
   return out;
 }
 
-std::optional<std::size_t> MeshNetwork::backbone_hops_to_ap(
+std::vector<NodeId> MeshNetwork::backbone_path_to_ap(
     NodeId router_node) const {
-  if (!routers_.contains(router_node)) throw Error("mesh: not a router");
-  // BFS over the backbone graph toward any access point.
-  std::map<NodeId, std::size_t> dist{{router_node, 0}};
+  std::map<NodeId, NodeId> parent{{router_node, router_node}};
   std::vector<NodeId> frontier{router_node};
   while (!frontier.empty()) {
     std::vector<NodeId> next;
     for (const NodeId node : frontier) {
-      if (access_points_.contains(node)) return dist[node];
-      for (const NodeId nb : backbone_neighbors(node)) {
-        if (!dist.contains(nb)) {
-          dist[nb] = dist[node] + 1;
-          next.push_back(nb);
-        }
+      if (access_points_.contains(node)) {
+        std::vector<NodeId> path{node};
+        while (path.back() != router_node)
+          path.push_back(parent.at(path.back()));
+        std::reverse(path.begin(), path.end());
+        return path;
       }
+      for (const NodeId nb : backbone_neighbors(node))
+        if (parent.emplace(nb, node).second) next.push_back(nb);
     }
     frontier = std::move(next);
   }
-  return std::nullopt;
+  return {};
+}
+
+std::optional<std::size_t> MeshNetwork::backbone_hops_to_ap(
+    NodeId router_node) const {
+  if (!routers_.contains(router_node)) throw Error("mesh: not a router");
+  const std::vector<NodeId> path = backbone_path_to_ap(router_node);
+  if (path.empty()) return std::nullopt;
+  return path.size() - 1;
 }
 
 bool MeshNetwork::send_to_internet(NodeId user_id, BytesView payload) {
@@ -899,38 +917,14 @@ bool MeshNetwork::send_to_internet(NodeId user_id, BytesView payload) {
   if (!send_data(user_id, payload)) return false;
   const NodeId router_node = *users_.at(user_id).serving_node;
 
-  // Second leg: BFS path across the backbone to the nearest AP; every hop
+  // Second leg: the shortest backbone path to the nearest AP; every hop
   // carries the (already session-encrypted) frame under the link's secure
-  // channel, modelled as an HMAC the next hop verifies.
-  std::map<NodeId, NodeId> parent;
-  std::map<NodeId, std::size_t> dist{{router_node, 0}};
-  std::vector<NodeId> frontier{router_node};
-  std::optional<NodeId> reached_ap;
-  while (!frontier.empty() && !reached_ap.has_value()) {
-    std::vector<NodeId> next;
-    for (const NodeId node : frontier) {
-      if (access_points_.contains(node)) {
-        reached_ap = node;
-        break;
-      }
-      for (const NodeId nb : backbone_neighbors(node)) {
-        if (!dist.contains(nb)) {
-          dist[nb] = dist[node] + 1;
-          parent[nb] = node;
-          next.push_back(nb);
-        }
-      }
-    }
-    frontier = std::move(next);
-  }
-  if (!reached_ap.has_value()) {
+  // channel.
+  const std::vector<NodeId> path = backbone_path_to_ap(router_node);
+  if (path.empty()) {
     ++stats_.data_undeliverable;
     return false;
   }
-  // Reconstruct the path and walk it hop by hop.
-  std::vector<NodeId> path{*reached_ap};
-  while (path.back() != router_node) path.push_back(parent.at(path.back()));
-  std::reverse(path.begin(), path.end());
 
   // Each hop re-encrypts under the link's secure-channel key, so the air
   // interface carries only AEAD ciphertext even on the backbone.

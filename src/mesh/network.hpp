@@ -108,6 +108,17 @@ constexpr auto field_table(const NetworkStats*) {
   });
 }
 
+/// The discrete reliability events (PROTOCOL.md §10). Each is defined once,
+/// in network.cpp's event table: the NetworkStats counter it bumps, the
+/// sim-time trace instant it records and, where one exists, the SecEvent it
+/// emits.
+enum class MeshEvent : std::uint8_t {
+  kRetransmit,
+  kHandshakeTimeout,
+  kRekey,
+  kFailover,
+};
+
 /// Mirrors a (possibly multi-shard) NetworkStats total plus the summed
 /// simulator event count into the obs registry (mesh.* / sim.*).
 /// Idempotent (Counter::set).
@@ -189,8 +200,8 @@ class MeshNetwork {
   /// channel — to the nearest wired access point.
   bool send_to_internet(NodeId user_id, BytesView payload);
 
-  /// Backbone hop count from a router to the nearest AP (BFS), or nullopt
-  /// when no AP is reachable.
+  /// Backbone hop count from a router to the nearest AP, or nullopt when
+  /// no AP is reachable.
   std::optional<std::size_t> backbone_hops_to_ap(NodeId router_node) const;
 
   /// True once `user_id` holds an authenticated router session.
@@ -309,6 +320,11 @@ class MeshNetwork {
     std::uint64_t generation = 0;
   };
 
+  /// One occurrence of `event` concerning `user`: bumps its counter,
+  /// records its instant ({"user", user}, plus the row's detail argument
+  /// when the row names one and `detail` is nonzero) and emits its
+  /// SecEvent (origin `user`, detail `detail`).
+  void record_event(MeshEvent event, NodeId user, std::uint64_t detail = 0);
   bool radio_delivers();
   void observe(const char* kind, BytesView payload);
   /// One observed radio transmission: partition/outage checks, the fault
@@ -360,6 +376,9 @@ class MeshNetwork {
   const Bytes& backbone_key(NodeId a, NodeId b);
   /// Backbone adjacency (router/AP nodes within backbone_range).
   std::vector<NodeId> backbone_neighbors(NodeId node) const;
+  /// BFS shortest backbone path from `router_node` to the nearest access
+  /// point, both ends included; empty when no AP is reachable.
+  std::vector<NodeId> backbone_path_to_ap(NodeId router_node) const;
 
   Simulator& sim_;
   crypto::Drbg rng_;

@@ -81,14 +81,6 @@ struct CrossShardMsg {
   PooledFrame frame;
 };
 
-struct ShardStats {
-  std::uint64_t msgs_out = 0;       // messages this shard emitted
-  std::uint64_t msgs_in = 0;        // messages applied to this shard
-  std::uint64_t inbox_dropped = 0;  // overflow at the inbox cap
-  std::uint64_t handoffs_in = 0;    // users that roamed into this segment
-  std::uint64_t handoffs_out = 0;   // users that roamed out
-};
-
 class Shard {
  public:
   Shard(ShardId id, std::string name, const ShardConfig& config,
@@ -114,21 +106,15 @@ class Shard {
   MeshNetwork& net() { return net_; }
   const MeshNetwork& net() const { return net_; }
   FrameArena& arena() { return arena_; }
-  const ShardStats& stats() const { return stats_; }
 
   /// Appends to the outbox (called through MetroSimulation emission APIs,
   /// which stamp the global sequence number).
-  void emit(CrossShardMsg msg) {
-    ++stats_.msgs_out;
-    if (msg.kind == CrossShardMsg::Kind::kUserHandoff) ++stats_.handoffs_out;
-    outbox_.push_back(std::move(msg));
-  }
+  void emit(CrossShardMsg msg) { outbox_.push_back(std::move(msg)); }
 
   /// Enqueues an arriving message, enforcing the inbox cap. Returns false
-  /// (dropping the message) on overflow.
+  /// (dropping the message; the caller counts the drop) on overflow.
   bool enqueue(CrossShardMsg msg) {
     if (inbox_.size() >= config_.inbox_cap) {
-      ++stats_.inbox_dropped;
       obs::sec_emit_for_shard(obs::SecEventKind::kInboxShed, id_, sim_.now(),
                               id_, inbox_.size());
       return false;
@@ -138,13 +124,6 @@ class Shard {
   }
 
   bool inbox_full() const { return inbox_.size() >= config_.inbox_cap; }
-  /// Counts an overflow drop without consuming anything (the metro layer
-  /// checks inbox_full() first for messages it would rather park than lose).
-  void count_inbox_drop() {
-    ++stats_.inbox_dropped;
-    obs::sec_emit_for_shard(obs::SecEventKind::kInboxShed, id_, sim_.now(),
-                            id_, inbox_.size());
-  }
 
   std::vector<CrossShardMsg> take_outbox() {
     std::vector<CrossShardMsg> out = std::move(outbox_);
@@ -152,10 +131,6 @@ class Shard {
     return out;
   }
   std::deque<CrossShardMsg>& inbox() { return inbox_; }
-  void count_applied(const CrossShardMsg& msg) {
-    ++stats_.msgs_in;
-    if (msg.kind == CrossShardMsg::Kind::kUserHandoff) ++stats_.handoffs_in;
-  }
 
  private:
   ShardId id_;
@@ -166,7 +141,6 @@ class Shard {
   MeshNetwork net_;
   std::vector<CrossShardMsg> outbox_;
   std::deque<CrossShardMsg> inbox_;
-  ShardStats stats_;
 };
 
 }  // namespace peace::mesh

@@ -10,34 +10,29 @@ namespace peace::obs {
 
 namespace {
 
-/// The always-on op counters, resolved once. References stay valid across
-/// Registry::reset(), so caching them here is safe for the process lifetime.
-struct CoreCounters {
-  Counter& pairings = Registry::global().counter("curve.pairings");
-  Counter& miller_loops = Registry::global().counter("curve.miller_loops");
-  Counter& final_exps = Registry::global().counter("curve.final_exps");
-  Counter& g2_prepared =
-      Registry::global().counter("curve.g2_prepared_builds");
-  Counter& msm_calls = Registry::global().counter("curve.msm_calls");
-  Counter& msm_terms = Registry::global().counter("curve.msm_terms");
-  Counter& gt_pows = Registry::global().counter("curve.gt_pows");
-  Counter& fp12_inverses = Registry::global().counter("curve.fp12_inverses");
-  Counter& field_inversions =
-      Registry::global().counter("curve.field_inversions");
-  Counter& glv_decompositions =
-      Registry::global().counter("curve.glv_decompositions");
-  Counter& gls_decompositions =
-      Registry::global().counter("curve.gls_decompositions");
-};
+constexpr bool ops_in_enum_order() {
+  for (std::size_t i = 0; i < kOpCount; ++i)
+    if (static_cast<std::size_t>(kOps[i].op) != i) return false;
+  return true;
+}
+static_assert(ops_in_enum_order(), "kOps rows must follow the Op order");
 
-CoreCounters& core() {
-  static CoreCounters counters;
+/// The always-on op counters, resolved once and indexed by Op. References
+/// stay valid across Registry::reset(), so caching them here is safe for
+/// the process lifetime.
+const std::array<Counter*, kOpCount>& op_counters() {
+  static const auto counters = [] {
+    std::array<Counter*, kOpCount> out{};
+    for (std::size_t i = 0; i < kOpCount; ++i)
+      out[i] = &Registry::global().counter(kOps[i].metric);
+    return out;
+  }();
   return counters;
 }
 
 #ifndef PEACE_OBS_DISABLED
 std::atomic<bool> g_enabled{false};
-thread_local CryptoTally t_tally;
+thread_local CryptoTally t_tally{};
 #endif
 
 std::chrono::steady_clock::time_point process_epoch() {
@@ -53,7 +48,6 @@ void enable(bool on) {
   (void)process_epoch();  // pin the epoch no later than first enable
   g_enabled.store(on, std::memory_order_relaxed);
 }
-const CryptoTally& thread_tally() { return t_tally; }
 #endif
 
 std::uint64_t now_us() {
@@ -63,78 +57,19 @@ std::uint64_t now_us() {
           .count());
 }
 
-// The tally updates ride behind the runtime toggle: with tracing off the
-// hooks are exactly the relaxed atomic add the pre-registry bare globals
+// The tally update rides behind the runtime toggle: with tracing off a
+// hook is exactly the relaxed atomic add the pre-registry bare globals
 // performed. With PEACE_OBS_DISABLED the branch itself folds away.
-#ifdef PEACE_OBS_DISABLED
-#define PEACE_OBS_TALLY(field, n)
-#else
-#define PEACE_OBS_TALLY(field, n) \
-  if (enabled()) t_tally.field += (n)
-#endif
-
-void note_pairing(std::uint64_t n) {
-  core().pairings.add(n);
-  PEACE_OBS_TALLY(pairings, n);
-}
-
-void note_miller_loop(std::uint64_t n) {
-  core().miller_loops.add(n);
-  PEACE_OBS_TALLY(miller_loops, n);
-}
-
-void note_final_exp(std::uint64_t n) {
-  core().final_exps.add(n);
-  PEACE_OBS_TALLY(final_exps, n);
-}
-
-void note_g2_prepared(std::uint64_t n) {
-  core().g2_prepared.add(n);
-  PEACE_OBS_TALLY(g2_prepared, n);
-}
-
-void note_msm(std::uint64_t terms) {
-  core().msm_calls.add(1);
-  core().msm_terms.add(terms);
+void note(Op op, std::uint64_t n) {
+  const auto i = static_cast<std::size_t>(op);
+  op_counters()[i]->add(n);
 #ifndef PEACE_OBS_DISABLED
-  if (enabled()) {
-    t_tally.msm_calls += 1;
-    t_tally.msm_terms += terms;
-  }
+  if (enabled()) t_tally[i] += n;
 #endif
 }
 
-void note_gt_pow(std::uint64_t n) {
-  core().gt_pows.add(n);
-  PEACE_OBS_TALLY(gt_pows, n);
-}
-
-void note_fp12_inverse(std::uint64_t n) {
-  core().fp12_inverses.add(n);
-  PEACE_OBS_TALLY(fp12_inverses, n);
-}
-
-void note_field_inversion(std::uint64_t n) {
-  core().field_inversions.add(n);
-  PEACE_OBS_TALLY(field_inversions, n);
-}
-
-void note_glv_decomposition(std::uint64_t n) {
-  core().glv_decompositions.add(n);
-  PEACE_OBS_TALLY(glv_decompositions, n);
-}
-
-void note_gls_decomposition(std::uint64_t n) {
-  core().gls_decompositions.add(n);
-  PEACE_OBS_TALLY(gls_decompositions, n);
-}
-
-#undef PEACE_OBS_TALLY
-
-std::uint64_t pairing_count() { return core().pairings.value(); }
-std::uint64_t g2_prepared_build_count() { return core().g2_prepared.value(); }
-std::uint64_t fp12_inverse_op_count() {
-  return core().fp12_inverses.value();
+std::uint64_t op_count(Op op) {
+  return op_counters()[static_cast<std::size_t>(op)]->value();
 }
 
 // --- Tracer ---------------------------------------------------------------
@@ -363,25 +298,9 @@ std::uint64_t Span::close() {
   event_.ph = 'X';
   event_.ts_us = start_us_;
   event_.dur_us = dur;
-  const CryptoTally& t = t_tally;
-  const auto attribute = [&](const char* key, std::uint64_t now,
-                             std::uint64_t then) {
-    if (now > then) event_.add_arg(key, now - then);
-  };
-  attribute("pairings", t.pairings, start_tally_.pairings);
-  attribute("miller_loops", t.miller_loops, start_tally_.miller_loops);
-  attribute("final_exps", t.final_exps, start_tally_.final_exps);
-  attribute("g2_prepared", t.g2_prepared, start_tally_.g2_prepared);
-  attribute("msm_calls", t.msm_calls, start_tally_.msm_calls);
-  attribute("msm_terms", t.msm_terms, start_tally_.msm_terms);
-  attribute("gt_pows", t.gt_pows, start_tally_.gt_pows);
-  attribute("fp12_inverses", t.fp12_inverses, start_tally_.fp12_inverses);
-  attribute("field_inversions", t.field_inversions,
-            start_tally_.field_inversions);
-  attribute("glv_decompositions", t.glv_decompositions,
-            start_tally_.glv_decompositions);
-  attribute("gls_decompositions", t.gls_decompositions,
-            start_tally_.gls_decompositions);
+  for (std::size_t i = 0; i < kOpCount; ++i)
+    if (t_tally[i] > start_tally_[i])
+      event_.add_arg(kOps[i].span_key, t_tally[i] - start_tally_[i]);
   Tracer::global().record(event_);
   if (hist_ != nullptr) hist_->record(dur);
   return dur;

@@ -13,13 +13,14 @@
 //    counter add.
 //  * Compile time: -DPEACE_OBS=OFF defines PEACE_OBS_DISABLED, making
 //    enabled() a constexpr false — Span bodies, tallies, and Tracer
-//    recording fold away entirely. The op-count hooks keep their registry
-//    counter adds (they are the crypto op-count API; see metrics.hpp).
+//    recording fold away entirely. obs::note keeps its registry counter
+//    adds (they are the crypto op-count API; see metrics.hpp).
 //
 // All name/category/key strings passed into this API must be string
 // literals (or otherwise outlive the Tracer) — events store the pointers.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <initializer_list>
 #include <memory>
@@ -47,50 +48,61 @@ std::uint64_t now_us();
 
 // --- crypto-op hooks (called from curve:: / groupsig::) -------------------
 //
-// Each hook bumps its process-global registry counter (always — this is
+// note() bumps the op's process-global registry counter (always — this is
 // what curve::pairing_op_count() and curve::g2_prepared_count() read) and,
 // when tracing is enabled, a thread-local tally that open spans diff to
 // attribute crypto work to themselves.
 
-void note_pairing(std::uint64_t n = 1);
-void note_miller_loop(std::uint64_t n = 1);
-void note_final_exp(std::uint64_t n = 1);
-void note_g2_prepared(std::uint64_t n = 1);
-void note_msm(std::uint64_t terms);
-void note_gt_pow(std::uint64_t n = 1);
-void note_fp12_inverse(std::uint64_t n = 1);
-/// One Jacobian->affine normalization inversion (a to_affine call or one
-/// batch_normalize pass — however many points the batch covers).
-void note_field_inversion(std::uint64_t n = 1);
-void note_glv_decomposition(std::uint64_t n = 1);
-void note_gls_decomposition(std::uint64_t n = 1);
-
-/// Fast reads of the always-on op counters (what the curve:: op-count API
-/// delegates to after the bare-global migration).
-std::uint64_t pairing_count();
-std::uint64_t g2_prepared_build_count();
-std::uint64_t fp12_inverse_op_count();
-
-/// Per-thread crypto-op tally. Spans snapshot it at open and diff at close;
-/// crypto work and the span observing it share a thread by construction
-/// (VerifyPool jobs run their own spans on the worker).
-struct CryptoTally {
-  std::uint64_t pairings = 0;
-  std::uint64_t miller_loops = 0;
-  std::uint64_t final_exps = 0;
-  std::uint64_t g2_prepared = 0;
-  std::uint64_t msm_calls = 0;
-  std::uint64_t msm_terms = 0;
-  std::uint64_t gt_pows = 0;
-  std::uint64_t fp12_inverses = 0;
-  std::uint64_t field_inversions = 0;
-  std::uint64_t glv_decompositions = 0;
-  std::uint64_t gls_decompositions = 0;
+enum class Op : std::uint8_t {
+  kPairing,
+  kMillerLoop,
+  kFinalExp,
+  kG2Prepared,
+  kMsmCall,
+  kMsmTerm,
+  kGtPow,
+  kFp12Inverse,
+  /// One Jacobian->affine normalization inversion (a to_affine call or one
+  /// batch_normalize pass — however many points the batch covers).
+  kFieldInversion,
+  kGlvDecomposition,
+  kGlsDecomposition,
+  kCount,  // sentinel — not an op
 };
 
-#ifndef PEACE_OBS_DISABLED
-const CryptoTally& thread_tally();
-#endif
+inline constexpr std::size_t kOpCount = static_cast<std::size_t>(Op::kCount);
+
+struct OpRow {
+  Op op;
+  const char* metric;    // the always-on registry counter
+  const char* span_key;  // the span argument carrying the per-span delta
+};
+
+/// The one definition of every crypto op: its counter and its span key, in
+/// the order Span attaches the deltas.
+inline constexpr std::array<OpRow, kOpCount> kOps{{
+    {Op::kPairing, "curve.pairings", "pairings"},
+    {Op::kMillerLoop, "curve.miller_loops", "miller_loops"},
+    {Op::kFinalExp, "curve.final_exps", "final_exps"},
+    {Op::kG2Prepared, "curve.g2_prepared_builds", "g2_prepared"},
+    {Op::kMsmCall, "curve.msm_calls", "msm_calls"},
+    {Op::kMsmTerm, "curve.msm_terms", "msm_terms"},
+    {Op::kGtPow, "curve.gt_pows", "gt_pows"},
+    {Op::kFp12Inverse, "curve.fp12_inverses", "fp12_inverses"},
+    {Op::kFieldInversion, "curve.field_inversions", "field_inversions"},
+    {Op::kGlvDecomposition, "curve.glv_decompositions", "glv_decompositions"},
+    {Op::kGlsDecomposition, "curve.gls_decompositions", "gls_decompositions"},
+}};
+
+void note(Op op, std::uint64_t n = 1);
+/// Fast read of an op's always-on counter (what the curve:: op-count API
+/// delegates to).
+std::uint64_t op_count(Op op);
+
+/// Per-thread crypto-op tally, indexed by Op. Spans snapshot it at open and
+/// diff at close; crypto work and the span observing it share a thread by
+/// construction (VerifyPool jobs run their own spans on the worker).
+using CryptoTally = std::array<std::uint64_t, kOpCount>;
 
 // --- events and spans -----------------------------------------------------
 
@@ -198,10 +210,10 @@ class Span {
 
 /// RAII wall-clock span. When tracing is enabled at construction it records
 /// on destruction (or close()) a 'X' event carrying its duration, the
-/// crypto-op delta observed on this thread while it was open (pairings,
-/// Miller loops, final exps, G2Prepared builds, MSM calls/terms, GT pows —
-/// only nonzero deltas are attached), and any explicit args. An optional
-/// histogram receives the duration in µs, sharing the span's clock reads.
+/// crypto-op delta observed on this thread while it was open (one arg per
+/// kOps row — only nonzero deltas are attached), and any explicit args. An
+/// optional histogram receives the duration in µs, sharing the span's clock
+/// reads.
 class Span {
  public:
   explicit Span(const char* name, const char* cat = "crypto",

@@ -6,9 +6,12 @@
 // one. Everything is driven by seeded DRBGs: same seed, same run.
 #include "mesh/network.hpp"
 #include "obs/health.hpp"
+#include "obs/sec_event.hpp"
 #include "obs/trace.hpp"
 
 #include <gtest/gtest.h>
+
+#include <map>
 
 namespace peace::mesh {
 namespace {
@@ -375,6 +378,11 @@ TEST_F(ChaosTest, PooledVerifierMatchesSequentialUnderFaults) {
 }
 
 TEST_F(ChaosTest, PeerLinksSurviveLossyHandshakes) {
+#ifndef PEACE_OBS_DISABLED
+  // Traced, so the trace can be checked against the counters below.
+  obs::Tracer::global().clear();
+  obs::enable(true);
+#endif
   ChaosWorld w("chaos-peer");
   w.net.set_fault_plan(burst_loss_plan());
   w.net.start_beaconing(100, 1000, 20'000);
@@ -396,6 +404,23 @@ TEST_F(ChaosTest, PeerLinksSurviveLossyHandshakes) {
   for (const NodeId u : w.users) ok += w.net.send_data(u, as_bytes("relay"));
   EXPECT_EQ(ok, w.users.size());
   w.expect_pending_bounded();
+
+#ifndef PEACE_OBS_DISABLED
+  // Every discrete reliability event records exactly one trace instant per
+  // counted occurrence — including the M~.3 resent from the cache.
+  obs::enable(false);
+  obs::drain_sec_events();
+  std::map<std::string, std::uint64_t> instants;
+  for (const obs::TraceEvent& e : obs::Tracer::global().events())
+    if (e.ph == 'i') ++instants[e.name];
+  obs::Tracer::global().clear();
+  const NetworkStats& s = w.net.stats();
+  EXPECT_GT(s.retransmissions, 0u);
+  EXPECT_EQ(instants["mesh.retransmit"], s.retransmissions);
+  EXPECT_EQ(instants["mesh.handshake_timeout"], s.handshake_timeouts);
+  EXPECT_EQ(instants["mesh.rekey"], s.rekeys);
+  EXPECT_EQ(instants["mesh.failover"], s.failovers);
+#endif
 }
 
 }  // namespace

@@ -12,7 +12,7 @@
 
 #include "curve/bn254.hpp"
 #include "curve/pairing.hpp"
-#include "mesh/metro.hpp"
+#include "mesh/metro_scenario.hpp"
 #include "obs/fields.hpp"
 #include "obs/metrics.hpp"
 #include "obs/sec_event.hpp"
@@ -358,13 +358,27 @@ TEST_F(ObsTest, StatsAbsorptionIsIdempotent) {
   put(metro.relay_dropped, "metro.relay_dropped");
   put(metro.handoffs_parked, "metro.handoffs_parked");
   put(metro.handoffs_dropped, "metro.handoffs_dropped");
+  put(metro.handoffs_completed, "metro.handoffs_completed");
+  put(metro.inbox_dropped, "metro.inbox_dropped");
+  mesh::FrameArenaStats arena;
+  put(arena.acquired, "metro.arena.acquired");
+  put(arena.reused, "metro.arena.reused");
+  put(arena.allocated, "metro.arena.allocated");
+  put(arena.cap_rejections, "metro.arena.cap_rejections");
+  mesh::SyntheticStats synthetic;
+  put(synthetic.associations, "metro_city.synthetic.associations");
+  put(synthetic.data_frames, "metro_city.synthetic.data_frames");
+  put(synthetic.internet_frames, "metro_city.synthetic.internet_frames");
+  put(synthetic.moved, "metro_city.synthetic.moved");
   ASSERT_EQ(want.size(),
             obs::kFields<proto::RouterStats>.size() +
                 obs::kFields<proto::UserStats>.size() +
                 obs::kFields<groupsig::OpCounters>.size() +
                 obs::kFields<revoke::SharedRevocationStats>.size() +
                 obs::kFields<mesh::NetworkStats>.size() +
-                obs::kFields<mesh::MetroStats>.size());
+                obs::kFields<mesh::MetroStats>.size() +
+                obs::kFields<mesh::FrameArenaStats>.size() +
+                obs::kFields<mesh::SyntheticStats>.size());
 
   for (int publish = 0; publish < 2; ++publish) {  // set(), not add()
     obs::absorb(r);
@@ -373,6 +387,8 @@ TEST_F(ObsTest, StatsAbsorptionIsIdempotent) {
     obs::absorb(rv);
     obs::absorb(net);
     obs::absorb(metro);
+    obs::absorb(arena);
+    obs::absorb(synthetic);
   }
   for (const auto& [name, value] : want)
     EXPECT_EQ(Registry::global().counter(name).value(), value) << name;
@@ -385,15 +401,18 @@ TEST_F(ObsTest, StatsAbsorptionIsIdempotent) {
 }
 
 TEST_F(ObsTest, FieldTablesAreCatalogued) {
-  // Every counter a field table exports has its backticked name in the
+  // Every counter a table exports — the field tables, the crypto op table
+  // and the per-kind sec.* counters — has its backticked name in the
   // docs/OBSERVABILITY.md catalogue.
   std::ifstream in(PEACE_OBSERVABILITY_MD);
   ASSERT_TRUE(in) << PEACE_OBSERVABILITY_MD;
   const std::string doc{std::istreambuf_iterator<char>(in), {}};
-  auto check = [&doc](const auto& table) {
-    for (const auto& f : table)
-      EXPECT_NE(doc.find('`' + std::string(f.name) + '`'), std::string::npos)
-          << f.name << " is missing from the catalogue";
+  auto catalogued = [&doc](const std::string& name) {
+    EXPECT_NE(doc.find('`' + name + '`'), std::string::npos)
+        << name << " is missing from the catalogue";
+  };
+  auto check = [&catalogued](const auto& table) {
+    for (const auto& f : table) catalogued(f.name);
   };
   check(obs::kFields<proto::RouterStats>);
   check(obs::kFields<proto::UserStats>);
@@ -401,6 +420,12 @@ TEST_F(ObsTest, FieldTablesAreCatalogued) {
   check(obs::kFields<revoke::SharedRevocationStats>);
   check(obs::kFields<mesh::NetworkStats>);
   check(obs::kFields<mesh::MetroStats>);
+  check(obs::kFields<mesh::FrameArenaStats>);
+  check(obs::kFields<mesh::SyntheticStats>);
+  for (const obs::OpRow& op : obs::kOps) catalogued(op.metric);
+  for (std::size_t k = 0; k < obs::kSecEventKindCount; ++k)
+    catalogued(std::string("sec.") +
+               obs::sec_event_name(static_cast<obs::SecEventKind>(k)));
 }
 
 TEST_F(ObsTest, PooledAndSequentialCountersMatch) {

@@ -15,8 +15,10 @@ Default mode prints a human summary: per-span-name durations and crypto-op
 attribution (pairings, Miller loops, final exponentiations, G2Prepared
 builds, MSM work), async handshake latencies on the simulator clock, and
 instant-event counts. With --validate it also checks both files against
-the schemas documented in docs/OBSERVABILITY.md §5 and exits non-zero on
-any violation — the CI gate for the telemetry artifacts.
+the schemas documented in docs/OBSERVABILITY.md §5 and, given --metrics
+from the same run, that each discrete mesh event left as many trace
+instants as its counter counts; it exits non-zero on any violation — the CI gate for the
+telemetry artifacts.
 """
 
 import argparse
@@ -35,6 +37,15 @@ CRYPTO_KEYS = (
 )
 
 METRICS_SCHEMA = "peace.metrics.v1"
+
+# Each discrete mesh event records one trace instant per occurrence its
+# counter counts (the event table in src/mesh/network.cpp).
+EVENT_COUNTERS = {
+    "mesh.retransmit": "mesh.retransmissions",
+    "mesh.handshake_timeout": "mesh.handshake_timeouts",
+    "mesh.rekey": "mesh.rekeys",
+    "mesh.failover": "mesh.failovers",
+}
 
 
 def fail(msg):
@@ -109,6 +120,18 @@ def validate_metrics(doc):
                  f"count says {h['count']}")
 
 
+def validate_event_counts(events, metrics):
+    seen = defaultdict(int)
+    for e in events:
+        if e.get("ph") == "i":
+            seen[e["name"]] += 1
+    for instant, counter in EVENT_COUNTERS.items():
+        want = metrics["counters"].get(counter, 0)
+        if seen[instant] != want:
+            fail(f"trace holds {seen[instant]} {instant!r} instants but "
+                 f"metrics count {counter} = {want}")
+
+
 def span_table(events):
     rows = defaultdict(lambda: {"n": 0, "dur": 0, **{k: 0 for k in CRYPTO_KEYS}})
     for e in events:
@@ -180,6 +203,7 @@ def main():
         validate_trace(trace)
         if metrics is not None:
             validate_metrics(metrics)
+            validate_event_counts(trace["traceEvents"], metrics)
         print("trace_report: validation ok")
 
     events = [e for e in trace["traceEvents"] if e.get("ph") != "M"]
