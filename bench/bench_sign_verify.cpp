@@ -69,6 +69,26 @@ void BM_GroupVerifyProofPrepared(benchmark::State& state) {
 }
 BENCHMARK(BM_GroupVerifyProofPrepared)->Unit(benchmark::kMillisecond);
 
+void BM_GroupSignPrepared(benchmark::State& state) {
+  // The signer users run (M.2, M~.1, M~.2): R2's two pairings reuse the
+  // prepared g2 / w lines. Same bytes and op counts as BM_GroupSign.
+  World& w = World::instance();
+  crypto::Drbg rng = crypto::Drbg::from_string("e2");
+  const auto& key = w.user->credential(w.gm.id());
+  const groupsig::PreparedGroupPublicKey pgpk(w.no.params().gpk);
+  groupsig::OpCounters ops;
+  for (auto _ : state) {
+    ops.reset();
+    auto sig = groupsig::sign(pgpk, key, as_bytes("msg"), rng, 0, &ops);
+    benchmark::DoNotOptimize(sig);
+  }
+  state.counters["exponentiations"] = static_cast<double>(ops.total_exp());
+  state.counters["pairings"] = static_cast<double>(ops.pairings);
+  state.counters["paper_exp"] = 8;
+  state.counters["paper_pairings"] = 2;
+}
+BENCHMARK(BM_GroupSignPrepared)->Unit(benchmark::kMillisecond);
+
 void BM_VerifyPoolBatch(benchmark::State& state) {
   // Aggregate throughput of a 16-signature batch over the VerifyPool at
   // 1/2/4/8 threads. Accept/reject results are asserted identical to the

@@ -173,9 +173,16 @@ MemberKey Issuer::derive(const Fr& grp, const Fr& x) const {
   return key;
 }
 
-Signature sign(const GroupPublicKey& gpk, const MemberKey& gsk,
-               BytesView message, crypto::Drbg& rng, Epoch epoch,
-               OpCounters* ops) {
+namespace {
+
+/// Steps 2.2.1) - 2.2.4) for both sign overloads. They differ only in R2's
+/// pairing product: through `pgpk`'s prepared g2 / w lines when it is
+/// given, from scratch otherwise (the plain-key reference path). Same rng
+/// draws, same bytes, same op counts either way.
+Signature sign_impl(const GroupPublicKey& gpk,
+                    const PreparedGroupPublicKey* pgpk, const MemberKey& gsk,
+                    BytesView message, crypto::Drbg& rng, Epoch epoch,
+                    OpCounters* ops) {
   const auto& bn = Bn254::get();
   Signature sig;
   sig.epoch = epoch;
@@ -205,11 +212,16 @@ Signature sign(const GroupPublicKey& gpk, const MemberKey& gsk,
   // bases g2 and w, so they fold into two: e(T2^rx v^-rd, g2) * e(v^-ra, w).
   sig.r1 = bases.u * r_alpha;
   count(ops, &OpCounters::g1_exp, 1);
-  sig.r2 = curve::multi_pairing(
-      {{curve::g1_msm<2>({sig.t2, bases.v},
-                         {r_x.to_u256(), (-r_delta).to_u256()}),
-        bn.g2_gen},
-       {-(bases.v * r_alpha), gpk.w}});
+  const G1 r2_g2 = curve::g1_msm<2>({sig.t2, bases.v},
+                                    {r_x.to_u256(), (-r_delta).to_u256()});
+  const G1 r2_w = -(bases.v * r_alpha);
+  if (pgpk != nullptr) {
+    const std::pair<G1, const curve::G2Prepared*> r2_pairs[] = {
+        {r2_g2, &pgpk->g2}, {r2_w, &pgpk->w}};
+    sig.r2 = curve::multi_pairing(r2_pairs);
+  } else {
+    sig.r2 = curve::multi_pairing({{r2_g2, bn.g2_gen}, {r2_w, gpk.w}});
+  }
   count(ops, &OpCounters::g1_exp, 3);
   count(ops, &OpCounters::pairings, 2);
   sig.r3 = curve::g1_msm<2>({sig.t1, bases.u},
@@ -225,6 +237,20 @@ Signature sign(const GroupPublicKey& gpk, const MemberKey& gsk,
   sig.s_x = r_x + c * y;
   sig.s_delta = r_delta + c * delta;
   return sig;
+}
+
+}  // namespace
+
+Signature sign(const GroupPublicKey& gpk, const MemberKey& gsk,
+               BytesView message, crypto::Drbg& rng, Epoch epoch,
+               OpCounters* ops) {
+  return sign_impl(gpk, nullptr, gsk, message, rng, epoch, ops);
+}
+
+Signature sign(const PreparedGroupPublicKey& pgpk, const MemberKey& gsk,
+               BytesView message, crypto::Drbg& rng, Epoch epoch,
+               OpCounters* ops) {
+  return sign_impl(pgpk.gpk, &pgpk, gsk, message, rng, epoch, ops);
 }
 
 PreparedGroupPublicKey::PreparedGroupPublicKey(const GroupPublicKey& key)

@@ -53,6 +53,7 @@ struct OpCounters {
 
   std::uint64_t total_exp() const { return g1_exp + g2_exp + gt_exp; }
   void reset() { *this = OpCounters{}; }
+  bool operator==(const OpCounters&) const = default;
   /// Accumulates another counter set (used to fold per-worker counters from
   /// parallel verification back into one aggregate).
   void merge(const OpCounters& o);
@@ -201,6 +202,13 @@ class Issuer {
 
 /// Signs `message` under the member key. Steps 2.2.1) - 2.2.4) of the paper.
 Signature sign(const GroupPublicKey& gpk, const MemberKey& gsk,
+               BytesView message, crypto::Drbg& rng, Epoch epoch = 0,
+               OpCounters* ops = nullptr);
+
+/// Hot-path variant: the same signature byte for byte (same rng draws, same
+/// op counts), but R2's two pairings reuse the prepared g2 / w Miller-loop
+/// lines. The plain-key overload above stays as its differential oracle.
+Signature sign(const PreparedGroupPublicKey& pgpk, const MemberKey& gsk,
                BytesView message, crypto::Drbg& rng, Epoch epoch = 0,
                OpCounters* ops = nullptr);
 

@@ -106,6 +106,17 @@ const MemberKey& User::pick_credential(GroupId via_group) const {
   return credential(via_group);
 }
 
+bool User::signed_by_no(std::optional<NoSigned>& verified, Bytes payload,
+                        const curve::EcdsaSignature& signature) {
+  if (verified.has_value() && verified->payload == payload &&
+      verified->signature == signature)
+    return true;
+  if (!ecdsa_verify(params_.network_public_key, payload, signature))
+    return false;
+  verified = NoSigned{std::move(payload), signature};
+  return true;
+}
+
 bool User::beacon_trustworthy(const BeaconMessage& beacon, Timestamp now) {
   // Step 2.1: timestamp freshness.
   const Timestamp age =
@@ -115,14 +126,13 @@ bool User::beacon_trustworthy(const BeaconMessage& beacon, Timestamp now) {
   const RouterCertificate& cert = beacon.certificate;
   if (cert.router_id != beacon.router_id) return false;
   if (cert.expires_at <= now) return false;
-  if (!ecdsa_verify(params_.network_public_key, cert.signed_payload(),
-                    cert.signature))
+  if (!signed_by_no(verified_cert_, cert.signed_payload(), cert.signature))
     return false;
   // Revocation lists: must be authentic before they are used or cached.
-  if (!ecdsa_verify(params_.network_public_key, beacon.crl.signed_payload(),
+  if (!signed_by_no(verified_crl_, beacon.crl.signed_payload(),
                     beacon.crl.signature))
     return false;
-  if (!ecdsa_verify(params_.network_public_key, beacon.url.signed_payload(),
+  if (!signed_by_no(verified_url_, beacon.url.signed_payload(),
                     beacon.url.signature))
     return false;
   // Cache the freshest authentic lists first (monotone versions only) —
@@ -178,7 +188,7 @@ std::optional<AccessRequest> User::process_beacon(const BeaconMessage& beacon,
   }
 
   // Steps 2.2.2 - 2.2.4: group signature over (g^rj, g^rR, ts2).
-  m2.signature = groupsig::sign(params_.gpk, pick_credential(via_group),
+  m2.signature = groupsig::sign(pgpk_, pick_credential(via_group),
                                 m2.signed_payload(), rng_);
 
   // Step 2.2.5: K = (g^rR)^rj, remembered until M.3 arrives.
@@ -233,7 +243,7 @@ PeerHello User::make_peer_hello(const G1& g, Timestamp now,
   hello.g = g;
   hello.g_rj = g * r_j;
   hello.ts1 = now;
-  hello.signature = groupsig::sign(params_.gpk, pick_credential(via_group),
+  hello.signature = groupsig::sign(pgpk_, pick_credential(via_group),
                                    hello.signed_payload(), rng_);
   admit_pending(pending_peer_init_, now);
   pending_peer_init_[to_hex(g1_to_bytes(hello.g_rj))] =
@@ -320,7 +330,7 @@ std::vector<std::optional<PeerReply>> User::process_peer_hellos(
     reply.g_rj = hello.g_rj;
     reply.g_rl = hello.g * r_l;
     reply.ts2 = now;
-    reply.signature = groupsig::sign(params_.gpk, pick_credential(via_group),
+    reply.signature = groupsig::sign(pgpk_, pick_credential(via_group),
                                      reply.signed_payload(), rng_);
     const Bytes sid = session_id_from(reply.g_rj, reply.g_rl);
     admit_pending(pending_peer_resp_, now);

@@ -7,6 +7,7 @@
 #pragma once
 
 #include <memory>
+#include <optional>
 #include <span>
 #include <unordered_map>
 
@@ -79,6 +80,9 @@ class User {
     url_tokens_.clear();
     url_ = {};
     crl_ = {};
+    verified_cert_.reset();
+    verified_crl_.reset();
+    verified_url_.reset();
     pending_access_.clear();
     pending_peer_init_.clear();
     pending_peer_resp_.clear();
@@ -165,6 +169,17 @@ class User {
 
  private:
   bool beacon_trustworthy(const BeaconMessage& beacon, Timestamp now);
+  /// The last (payload, signature) of one NO-signed kind that passed
+  /// ecdsa_verify under params_.network_public_key.
+  struct NoSigned {
+    Bytes payload;
+    curve::EcdsaSignature signature;
+  };
+  /// ecdsa_verify under the network key, skipped when `payload` and
+  /// `signature` are byte-identical to `verified` (the verdict is a function
+  /// of key, bytes and signature). Only a passing check updates `verified`.
+  bool signed_by_no(std::optional<NoSigned>& verified, Bytes payload,
+                    const curve::EcdsaSignature& signature);
   /// The URL scan of a peer's group signature: true when `sig` matches a
   /// token. `scan_pool` non-null shards a large URL over the pool.
   bool peer_revoked(BytesView payload, const groupsig::Signature& sig,
@@ -186,6 +201,9 @@ class User {
   SignedRevocationList crl_;
   SignedRevocationList url_;
   std::vector<RevocationToken> url_tokens_;
+  /// One slot per NO-signed kind a beacon carries; install_params clears
+  /// them, so a rotated network key re-verifies everything.
+  std::optional<NoSigned> verified_cert_, verified_crl_, verified_url_;
 
   /// TTL + hard-cap admission for one pending map: expired entries are
   /// reaped and, at the cap, the oldest entry is evicted to make room —

@@ -6,6 +6,7 @@
 
 #include <array>
 #include <atomic>
+#include <functional>
 
 #include "peace/router.hpp"
 #include "peace/user.hpp"
@@ -21,6 +22,7 @@ class AuthTest : public ::testing::Test {
     gm_ = std::make_unique<GroupManager>(no_.register_group("G", 8, ttp_));
 
     auto provision = no_.provision_router(1, kFarFuture);
+    router_key_ = provision.keypair;
     router_ = std::make_unique<MeshRouter>(
         1, provision.keypair, provision.certificate, no_.params(),
         crypto::Drbg::from_string("router1"));
@@ -53,10 +55,23 @@ class AuthTest : public ::testing::Test {
     return Established{std::move(*session), outcome->session_id};
   }
 
+  /// Router 1's beacon at `now`, edited by `tamper` and re-signed with
+  /// router 1's key, so only the user's checks of NO's signatures can catch
+  /// the edit.
+  template <typename Tamper>
+  BeaconMessage tampered_beacon(Timestamp now, Tamper&& tamper) {
+    BeaconMessage beacon = router_->make_beacon(now);
+    tamper(beacon);
+    crypto::Drbg rng = crypto::Drbg::from_string("resign");
+    beacon.signature = router_key_.sign(beacon.signed_payload(), rng);
+    return beacon;
+  }
+
   static constexpr Timestamp kFarFuture = 1000ull * 86400 * 365;
 
   NetworkOperator no_;
   TrustedThirdParty ttp_;
+  curve::EcdsaKeyPair router_key_;
   std::unique_ptr<GroupManager> gm_;
   std::unique_ptr<MeshRouter> router_;
   std::unique_ptr<User> alice_;
@@ -234,6 +249,87 @@ TEST_F(AuthTest, UserRejectsTamperedBeacon) {
   BeaconMessage beacon = router_->make_beacon(1000);
   beacon.ts1 += 1;
   EXPECT_FALSE(alice_->process_beacon(beacon, 1001).has_value());
+}
+
+TEST_F(AuthTest, VerifiedOnceMemoStillRejectsOneByteEdits) {
+  // A user skips re-verifying a certificate, CRL or URL byte-identical to
+  // one it already verified. A copy that differs in one byte must still
+  // fail NO's signature and leave the cached lists alone.
+  no_.revoke_router(7, 500);
+  no_.revoke_user_key(gm_->enroll("victim", ttp_).index, 600);
+  router_->install_revocation_lists(no_.current_crl(), no_.current_url());
+  ASSERT_TRUE(alice_->process_beacon(router_->make_beacon(1000), 1000));
+  const Bytes accepted_url = alice_->current_url().to_bytes();
+
+  const auto flip = [](curve::EcdsaSignature& sig) {
+    Bytes b = sig.to_bytes();
+    b.back() ^= 1;
+    sig = curve::EcdsaSignature::from_bytes(b);
+  };
+  const std::vector<std::function<void(BeaconMessage&)>> edits = {
+      [](BeaconMessage& b) { b.certificate.expires_at ^= 1; },
+      [](BeaconMessage& b) { b.crl.entries.at(0).back() ^= 1; },
+      [](BeaconMessage& b) { b.url.entries.at(0).back() ^= 1; },
+      [&](BeaconMessage& b) { flip(b.crl.signature); },
+      [&](BeaconMessage& b) { flip(b.url.signature); },
+  };
+  // Each edit is sent twice: a failed check must not be remembered either.
+  Timestamp now = 2000;
+  for (std::size_t i = 0; i < 2 * edits.size(); ++i, now += 100) {
+    const BeaconMessage beacon = tampered_beacon(now, edits[i / 2]);
+    EXPECT_FALSE(alice_->process_beacon(beacon, now).has_value()) << i;
+    EXPECT_EQ(alice_->current_url().to_bytes(), accepted_url) << i;
+  }
+  // The genuine certificate and lists still pass.
+  EXPECT_TRUE(alice_->process_beacon(router_->make_beacon(now), now));
+  EXPECT_EQ(alice_->stats().beacons_rejected, 2 * edits.size());
+}
+
+TEST_F(AuthTest, FreshUserRejectsUnsignedDefaultLists) {
+  // A fresh user's cached CRL and URL are default-constructed and unsigned;
+  // a beacon carrying such a list must not pass as already verified.
+  for (const bool crl : {true, false}) {
+    const auto carol = make_user(crl ? "carol" : "dave");
+    const BeaconMessage beacon = tampered_beacon(1000, [&](BeaconMessage& b) {
+      (crl ? b.crl : b.url) = SignedRevocationList{};
+    });
+    EXPECT_FALSE(carol->process_beacon(beacon, 1000).has_value());
+    EXPECT_EQ(carol->current_url().to_bytes(),
+              SignedRevocationList{}.to_bytes());
+  }
+}
+
+TEST_F(AuthTest, RotatedNetworkKeyForgetsVerifiedLists) {
+  // alice verifies the current lists; then NO's key rotates. Lists still
+  // signed under the old key must fail, even byte-identical to the ones
+  // accepted before the rotation.
+  ASSERT_TRUE(alice_->process_beacon(router_->make_beacon(1000), 1000));
+  crypto::Drbg rng = crypto::Drbg::from_string("rotated-npk");
+  const auto new_no = curve::EcdsaKeyPair::generate(rng);
+  SystemParams params = no_.params();
+  params.network_public_key = new_no.public_key();
+  alice_->install_params(params);
+  alice_->complete_enrollment(gm_->enroll("alice-renewed", ttp_));
+
+  const auto resigned = [&](auto signed_item) {
+    signed_item.signature = new_no.sign(signed_item.signed_payload(), rng);
+    return signed_item;
+  };
+  const RouterCertificate cert = resigned(router_->certificate());
+  const SignedRevocationList crl = no_.current_crl();
+  const SignedRevocationList url = no_.current_url();
+  const auto beacon = [&](Timestamp now, const SignedRevocationList& c,
+                          const SignedRevocationList& u) {
+    return tampered_beacon(now, [&](BeaconMessage& b) {
+      b.certificate = cert;
+      b.crl = c;
+      b.url = u;
+    });
+  };
+  EXPECT_FALSE(alice_->process_beacon(beacon(2000, crl, resigned(url)), 2000));
+  EXPECT_FALSE(alice_->process_beacon(beacon(2100, resigned(crl), url), 2100));
+  EXPECT_TRUE(alice_->process_beacon(
+      beacon(2200, resigned(crl), resigned(url)), 2200));
 }
 
 TEST_F(AuthTest, TamperedConfirmRejected) {

@@ -1,8 +1,9 @@
 // Differential tests for the curve-layer fast paths (docs/CRYPTO.md §6):
 // GLV/GLS endomorphism multiplication vs the plain windowed oracle, the
 // lazily reduced tower vs the eager formulas, batched affine normalization
-// vs per-point inversion, the wNAF window sweep, and the op-count
-// regression gates on the new curve.* counters.
+// vs per-point inversion, the wNAF window sweep, the op-count regression
+// gates on the new curve.* counters, and the prepared-key group signer vs
+// the plain-key one.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -13,6 +14,7 @@
 #include "curve/ecdsa.hpp"
 #include "curve/hash_to_curve.hpp"
 #include "curve/pairing.hpp"
+#include "groupsig/groupsig.hpp"
 #include "obs/metrics.hpp"
 
 namespace peace::curve {
@@ -327,6 +329,34 @@ TEST_F(CurveSpeedTest, HashToG2StillLandsInSubgroup) {
   EXPECT_TRUE(g2_in_subgroup(h));
   EXPECT_TRUE((h * Bn254::get().r).is_infinity());
   EXPECT_FALSE(h.is_infinity());
+}
+
+TEST_F(CurveSpeedTest, PreparedSignMatchesPlain) {
+  // The prepared-key signer pairs R2 against the prepared g2 / w lines; the
+  // plain-key signer is its oracle. From identically seeded DRBGs both must
+  // emit the same bytes and report the same op counts, at epoch 0 and in
+  // epoch mode.
+  crypto::Drbg setup = crypto::Drbg::from_string("prepared-sign-setup");
+  const groupsig::Issuer issuer = groupsig::Issuer::create(setup);
+  const groupsig::MemberKey key =
+      issuer.issue(issuer.new_group_secret(setup), setup);
+  const groupsig::PreparedGroupPublicKey pgpk(issuer.gpk());
+  for (const groupsig::Epoch epoch : {groupsig::Epoch{0}, groupsig::Epoch{7}}) {
+    crypto::Drbg plain_rng = crypto::Drbg::from_string("prepared-sign");
+    crypto::Drbg prepared_rng = crypto::Drbg::from_string("prepared-sign");
+    for (int i = 0; i < 10; ++i) {
+      const Bytes message = {static_cast<std::uint8_t>(i), 0x5a};
+      groupsig::OpCounters plain_ops, prepared_ops;
+      const groupsig::Signature plain = groupsig::sign(
+          issuer.gpk(), key, message, plain_rng, epoch, &plain_ops);
+      const groupsig::Signature prepared = groupsig::sign(
+          pgpk, key, message, prepared_rng, epoch, &prepared_ops);
+      EXPECT_EQ(prepared.to_bytes(), plain.to_bytes())
+          << "epoch " << epoch << " signature " << i;
+      EXPECT_EQ(prepared_ops, plain_ops);
+      EXPECT_TRUE(groupsig::verify_proof(pgpk, message, prepared));
+    }
+  }
 }
 
 }  // namespace
