@@ -24,7 +24,6 @@ struct Segment {
         net(sim, crypto::Drbg::from_string(seed + "-net"), mesh::RadioConfig{},
             [] {
               proto::ProtocolConfig config;
-              config.idempotent_resend = true;
               config.replay_window_ms = 60'000;
               return config;
             }()) {

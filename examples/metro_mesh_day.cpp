@@ -66,8 +66,7 @@ int write_obs_outputs(const ObsOptions& opts) {
 constexpr proto::Timestamp kYearMs = 1000ull * 86400 * 365;
 
 /// One disposable metro segment for a chaos phase: three routers on a
-/// downtown strip, twelve residents spaced so greedy relay chains work,
-/// idempotent resend on (retransmission is only safe with it).
+/// downtown strip, twelve residents spaced so greedy relay chains work.
 struct ChaosSegment {
   explicit ChaosSegment(const std::string& seed)
       : no(crypto::Drbg::from_string(seed + "-no")),
@@ -75,7 +74,6 @@ struct ChaosSegment {
         net(sim, crypto::Drbg::from_string(seed + "-net"), mesh::RadioConfig{},
             [] {
               proto::ProtocolConfig config;
-              config.idempotent_resend = true;
               config.replay_window_ms = 60'000;
               return config;
             }(),
@@ -93,7 +91,6 @@ struct ChaosSegment {
           crypto::Drbg::from_string(seed + "-r" + std::to_string(i)),
           [] {
             proto::ProtocolConfig config;
-            config.idempotent_resend = true;
             config.replay_window_ms = 60'000;
             return config;
           }());

@@ -19,8 +19,8 @@ void Eavesdropper::attach(MeshNetwork& net) {
 
 void Eavesdropper::on_frame(const WireObservation& obs) {
   frames_.push_back(obs);
-  if (std::strcmp(obs.kind, "m2") == 0) {
-    ++m2_count_;
+  if (std::strcmp(obs.kind, "m2") == 0 &&
+      m2_wires_.insert(obs.payload).second) {
     // Extract the fields a linkage attacker would index on.
     const AccessRequest m2 = AccessRequest::from_bytes(obs.payload);
     ++field_occurrences_["g_rj:" + to_hex(g1_to_bytes(m2.g_rj))];
@@ -63,13 +63,13 @@ void Replayer::attach(MeshNetwork& net) {
 
 std::size_t Replayer::replay_all(proto::MeshRouter& router,
                                  proto::Timestamp now) {
-  std::size_t accepted = 0;
+  const std::uint64_t accepted_before = router.stats().accepted;
   for (const Bytes& wire : captured_) {
-    if (router.handle_access_request(AccessRequest::from_bytes(wire), now)
-            .has_value())
-      ++accepted;
+    if (const auto outcome =
+            router.handle_access_request(AccessRequest::from_bytes(wire), now))
+      confirms_.push_back(outcome->confirm.to_bytes());
   }
-  return accepted;
+  return router.stats().accepted - accepted_before;
 }
 
 // --- BogusInjector ----------------------------------------------------------------

@@ -7,6 +7,7 @@
 #pragma once
 
 #include <map>
+#include <set>
 
 #include "mesh/network.hpp"
 
@@ -19,10 +20,12 @@ class Eavesdropper {
   void attach(MeshNetwork& net);
 
   std::size_t frames_seen() const { return frames_.size(); }
-  std::size_t access_requests_seen() const { return m2_count_; }
+  /// Distinct access requests on the air: a retransmission repeats its M.2
+  /// byte for byte, so its copies are one request.
+  std::size_t access_requests_seen() const { return m2_wires_.size(); }
 
   /// Number of byte-identical protocol fields (DH shares, T1, T2, T_hat,
-  /// nonces) appearing in more than one recorded access request. Freshness
+  /// nonces) appearing in more than one distinct access request. Freshness
   /// means this must be zero — any repeat is linkage evidence.
   std::size_t repeated_field_count() const;
 
@@ -42,7 +45,7 @@ class Eavesdropper {
 
   std::vector<WireObservation> frames_;
   std::map<std::string, int> field_occurrences_;
-  std::size_t m2_count_ = 0;
+  std::set<Bytes> m2_wires_;
   std::vector<Bytes> recovered_;
 };
 
@@ -52,12 +55,18 @@ class Replayer {
   void attach(MeshNetwork& net);
   std::size_t captured() const { return captured_.size(); }
 
-  /// Replays every captured M.2 at the router; returns how many were
-  /// accepted (must be zero: replay cache + timestamp window).
+  /// Replays every captured M.2 at the router; returns how many sessions
+  /// the replays gained (the router's `accepted` delta — must be zero:
+  /// replay cache + timestamp window). A byte-identical replay inside the
+  /// window is answered with the original's cached M.3, kept in confirms().
   std::size_t replay_all(proto::MeshRouter& router, proto::Timestamp now);
+
+  /// Wire bytes of every M.3 a router handed back to a replay.
+  const std::vector<Bytes>& confirms() const { return confirms_; }
 
  private:
   std::vector<Bytes> captured_;
+  std::vector<Bytes> confirms_;
 };
 
 /// Outsider without any credential: injects well-formed but unsigned /

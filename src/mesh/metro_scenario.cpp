@@ -32,9 +32,6 @@ std::uint64_t decode_u64(BytesView b) {
 
 proto::ProtocolConfig city_protocol_config() {
   proto::ProtocolConfig config;
-  // Retransmission over a lossy metro radio is only safe with idempotent
-  // resend (PROTOCOL.md §10).
-  config.idempotent_resend = true;
   config.replay_window_ms = 60'000;
   return config;
 }

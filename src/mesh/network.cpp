@@ -50,6 +50,9 @@ constexpr std::array<EventRow, 4> kEvents{{
     {&NetworkStats::failovers, "mesh.failover", "router", {}},
 }};
 
+/// The tap kind of each MeshNetwork::Attempt::Frame.
+constexpr std::array<const char*, 3> kAttemptKinds{"m2", "peer1", "peer2"};
+
 /// Async-span correlation id for the (initiator, responder) peer pair.
 std::uint64_t peer_span_id(NodeId a, NodeId b) {
   return (static_cast<std::uint64_t>(a) << 32) | b;
@@ -396,89 +399,98 @@ void MeshNetwork::user_hears_beacon(NodeId user_node, NodeId router_node,
 
   auto m2 = unode.user->process_beacon(beacon, sim_.now());
   if (!m2.has_value()) return;
-  // One attempt = one M.2, retransmitted byte-identically on RTO (so the
-  // router's idempotent-resend cache can recognise it); the user's DH share
-  // and signature are minted exactly once per attempt.
-  unode.attempt =
-      UserNode::Attempt{router_node, m2->to_bytes(), 0, ++attempt_seq_};
+  unode.attempt = Attempt{Attempt::Frame::kM2, m2->to_bytes(), user_node,
+                          router_node, 0, ++attempt_seq_};
   // Sim-time async span covering M.2 send → M.3 accept (or give-up); the
   // user's node id correlates begin and end.
   obs::Tracer::global().async_begin("access_handshake", "handshake", user_node,
                                     sim_us(sim_.now()),
                                     {{"router", router_node}});
-  send_m2(user_node);
+  send_attempt(*unode.attempt);
 }
 
-void MeshNetwork::send_m2(NodeId user_node) {
-  const auto uit = users_.find(user_node);
-  if (uit == users_.end()) return;
-  UserNode& unode = uit->second;
-  if (!unode.attempt.has_value()) return;
-  UserNode::Attempt& attempt = *unode.attempt;
+void MeshNetwork::send_attempt(Attempt& attempt) {
   ++attempt.tries;
   if (attempt.tries > 1)
-    record_event(MeshEvent::kRetransmit, user_node, attempt.tries);
-  const NodeId router_node = attempt.router_node;
-
-  // Power-boosted uplink (paper footnote 3): direct to the router.
-  transmit("m2", attempt.m2_wire, user_node, router_node,
-           [this, user_node, router_node](const Bytes& w) {
-             auto m2 = parse<proto::AccessRequest>(w);
-             if (!m2.has_value()) return;
-             const auto r = routers_.find(router_node);
-             if (r == routers_.end() || r->second.router == nullptr) return;
-             // Arrivals enqueue; the first one in a tick schedules a
-             // same-time drain (FIFO among same-time events puts it after
-             // every arrival of the tick), so all M.2s landing together
-             // verify as one batch.
-             std::vector<PendingAuth>& pending = pending_auth_[router_node];
-             pending.push_back(PendingAuth{user_node, std::move(*m2)});
-             if (pending.size() == 1)
-               sim_.schedule_in(
-                   0, [this, router_node] { drain_auth_batch(router_node); });
+    record_event(MeshEvent::kRetransmit, attempt.from, attempt.tries);
+  const Attempt::Frame frame = attempt.frame;
+  const NodeId from = attempt.from, to = attempt.to;
+  // M.2 rides the power-boosted uplink (paper footnote 3): direct to the
+  // router.
+  transmit(kAttemptKinds[static_cast<std::size_t>(frame)], attempt.wire, from,
+           to, [this, frame, from, to](const Bytes& w) {
+             if (frame == Attempt::Frame::kM2)
+               on_m2(to, from, w);
+             else if (frame == Attempt::Frame::kPeerHello)
+               on_peer_hello(to, from, w);
+             else
+               on_peer_reply(to, from, w);
            });
-
   // The RTO timer drives both retransmission and, once the budget is gone,
   // giving up — which is also how a lost M.3 or a rejected request frees
   // the attempt for the next beacon.
   const std::uint64_t generation = attempt.generation;
-  sim_.schedule_in(rto_for(attempt.tries), [this, user_node, generation] {
-    on_m2_timeout(user_node, generation);
+  sim_.schedule_in(rto_for(attempt.tries), [this, frame, from, to, generation] {
+    on_attempt_timeout(frame, from, to, generation);
   });
 }
 
-void MeshNetwork::on_m2_timeout(NodeId user_node, std::uint64_t generation) {
-  const auto it = users_.find(user_node);
-  if (it == users_.end()) return;
-  UserNode& unode = it->second;
-  if (!unode.attempt.has_value() || unode.attempt->generation != generation)
+void MeshNetwork::on_attempt_timeout(Attempt::Frame frame, NodeId from,
+                                     NodeId to, std::uint64_t generation) {
+  const bool access = frame == Attempt::Frame::kM2;
+  const auto uit = users_.find(from);
+  const auto pit = peer_attempts_.find({from, to});
+  Attempt* attempt = nullptr;
+  if (access && uit != users_.end() && uit->second.attempt.has_value())
+    attempt = &*uit->second.attempt;
+  else if (!access && pit != peer_attempts_.end())
+    attempt = &pit->second;
+  if (attempt == nullptr || attempt->generation != generation)
     return;  // completed or superseded — a stale timer is a no-op
-  if (unode.uplink.has_value()) {
-    unode.attempt.reset();
+  // Completion is the sender's side existing: the uplink after M.3; for the
+  // peer frames the sender's half of the session — the initiator holds it
+  // after M~.2, the responder after M~.3. A sender that roamed away
+  // mid-handshake is done too.
+  const bool done = uit == users_.end() ||
+                    (access ? uit->second.uplink.has_value()
+                            : uit->second.peer_sessions.contains(to));
+  if (!done && attempt->tries <= kRetryBudget) {
+    send_attempt(*attempt);
     return;
   }
-  // Byte-identical M.2 retransmission only helps when routers run the
-  // idempotent-resend cache (PROTOCOL.md §10.1): a strict-mode router
-  // rejects the duplicate as a replay, so there the RTO degrades to a
-  // watchdog that frees the attempt for a fresh M.2 at the next beacon.
-  const bool retransmit = proto_config_.idempotent_resend;
-  const unsigned budget = retransmit ? kRetryBudget : 0;
-  if (unode.attempt->tries > budget) {
-    record_event(MeshEvent::kHandshakeTimeout, user_node,
-                 unode.attempt->router_node);
-    obs::Tracer::global().async_end("access_handshake", "handshake",
-                                    user_node, sim_us(sim_.now()),
-                                    {{"timed_out", 1}});
-    const NodeId failed = unode.attempt->router_node;
-    // Failover backoff only once retries actually probed the router — a
-    // single unanswered strict-mode attempt says nothing about its health.
-    if (retransmit)
-      unode.router_backoff_until[failed] = sim_.now() + kFailoverBackoffMs;
-    unode.last_failed_router = failed;
-    unode.attempt.reset();
-    return;
+  if (!done) {
+    record_event(MeshEvent::kHandshakeTimeout, from, to);
+    if (access) {
+      obs::Tracer::global().async_end("access_handshake", "handshake", from,
+                                      sim_us(sim_.now()), {{"timed_out", 1}});
+      uit->second.router_backoff_until[to] = sim_.now() + kFailoverBackoffMs;
+      uit->second.last_failed_router = to;
+    } else if (frame == Attempt::Frame::kPeerHello) {
+      // Only the initiator's attempt owns the handshake span — the
+      // responder's M~.2 attempt opened none.
+      obs::Tracer::global().async_end("peer_handshake", "handshake",
+                                      peer_span_id(from, to),
+                                      sim_us(sim_.now()), {{"timed_out", 1}});
+    }
   }
-  send_m2(user_node);
+  if (access)
+    uit->second.attempt.reset();
+  else
+    peer_attempts_.erase(pit);
+}
+
+void MeshNetwork::on_m2(NodeId me, NodeId from, const Bytes& wire) {
+  auto m2 = parse<proto::AccessRequest>(wire);
+  if (!m2.has_value()) return;
+  const auto r = routers_.find(me);
+  if (r == routers_.end() || r->second.router == nullptr) return;
+  // Arrivals enqueue; the first one in a tick schedules a same-time drain
+  // (FIFO among same-time events puts it after every arrival of the tick),
+  // so all M.2s landing together verify as one batch.
+  std::vector<PendingAuth>& pending = pending_auth_[me];
+  pending.push_back(PendingAuth{from, std::move(*m2)});
+  if (pending.size() == 1)
+    sim_.schedule_in(0, [this, me] { drain_auth_batch(me); });
 }
 
 void MeshNetwork::on_m3(NodeId user_node, NodeId router_node,
@@ -557,62 +569,16 @@ void MeshNetwork::start_peer_handshake(NodeId a, NodeId b) {
   // canonical generator when not yet attached.
   const curve::G1 g = curve::Bn254::get().g1_gen;
   const proto::PeerHello hello = na.user->make_peer_hello(g, sim_.now());
-  peer_attempts_[{a, b}] =
-      PeerAttempt{"peer1", hello.to_bytes(), a, b, 0, ++attempt_seq_};
+  Attempt& attempt =
+      peer_attempts_
+          .emplace(std::make_pair(a, b),
+                   Attempt{Attempt::Frame::kPeerHello, hello.to_bytes(), a, b,
+                           0, ++attempt_seq_})
+          .first->second;
   obs::Tracer::global().async_begin("peer_handshake", "handshake",
                                     peer_span_id(a, b), sim_us(sim_.now()),
                                     {{"initiator", a}, {"responder", b}});
-  send_peer_frame(a, b);
-}
-
-void MeshNetwork::send_peer_frame(NodeId from, NodeId to) {
-  const auto it = peer_attempts_.find({from, to});
-  if (it == peer_attempts_.end()) return;
-  PeerAttempt& attempt = it->second;
-  ++attempt.tries;
-  if (attempt.tries > 1)
-    record_event(MeshEvent::kRetransmit, from, attempt.tries);
-  if (attempt.kind[4] == '1') {  // "peer1"
-    transmit(attempt.kind, attempt.wire, from, to,
-             [this, from, to](const Bytes& w) { on_peer_hello(to, from, w); });
-  } else {  // "peer2"
-    transmit(attempt.kind, attempt.wire, from, to,
-             [this, from, to](const Bytes& w) { on_peer_reply(to, from, w); });
-  }
-  const std::uint64_t generation = attempt.generation;
-  sim_.schedule_in(rto_for(attempt.tries), [this, from, to, generation] {
-    on_peer_timeout(from, to, generation);
-  });
-}
-
-void MeshNetwork::on_peer_timeout(NodeId from, NodeId to,
-                                  std::uint64_t generation) {
-  const auto it = peer_attempts_.find({from, to});
-  if (it == peer_attempts_.end() || it->second.generation != generation)
-    return;
-  // The sender's half of the session existing is completion for both
-  // frames: the initiator holds it after M~.2, the responder after M~.3.
-  const auto fit = users_.find(from);
-  if (fit == users_.end()) {  // roamed away mid-handshake
-    peer_attempts_.erase(it);
-    return;
-  }
-  if (fit->second.peer_sessions.contains(to)) {
-    peer_attempts_.erase(it);
-    return;
-  }
-  if (it->second.tries > kRetryBudget) {
-    record_event(MeshEvent::kHandshakeTimeout, from, to);
-    // Only the initiator's "peer1" attempt owns the handshake span — the
-    // responder's "peer2" attempt shares this timer but opened no span.
-    if (it->second.kind[4] == '1')
-      obs::Tracer::global().async_end("peer_handshake", "handshake",
-                                      peer_span_id(from, to),
-                                      sim_us(sim_.now()), {{"timed_out", 1}});
-    peer_attempts_.erase(it);
-    return;
-  }
-  send_peer_frame(from, to);
+  send_attempt(attempt);
 }
 
 void MeshNetwork::on_peer_hello(NodeId me, NodeId from, const Bytes& wire) {
@@ -621,20 +587,20 @@ void MeshNetwork::on_peer_hello(NodeId me, NodeId from, const Bytes& wire) {
   const auto mit = users_.find(me);
   if (mit == users_.end()) return;
   UserNode& nb = mit->second;
-  // With idempotent resend on, a duplicate hello is answered from the
-  // user's reply cache (byte-identical M~.2, no new DH share); otherwise
-  // the strict endpoint mints a fresh reply per delivery.
+  // A duplicate hello is answered from the user's reply cache
+  // (byte-identical M~.2, no new DH share).
   auto reply = nb.user->process_peer_hello(*hello, sim_.now());
   if (!reply.has_value()) return;
   const Bytes reply_wire = reply->to_bytes();
   if (!nb.peer_sessions.contains(from)) {
     const auto [it, inserted] = peer_attempts_.try_emplace(
         std::make_pair(me, from),
-        PeerAttempt{"peer2", reply_wire, me, from, 0, ++attempt_seq_});
+        Attempt{Attempt::Frame::kPeerReply, reply_wire, me, from, 0,
+                ++attempt_seq_});
     if (inserted) {
       // First hello: the reply rides the responder's own RTO timer, since a
       // lost M~.3 is recovered by retransmitting M~.2.
-      send_peer_frame(me, from);
+      send_attempt(it->second);
       return;
     }
   }
@@ -662,7 +628,7 @@ void MeshNetwork::on_peer_reply(NodeId me, NodeId from, const Bytes& wire) {
     return;
   }
   // Duplicate M~.2 — the responder retransmitted because our M~.3 was lost.
-  // The idempotent-resend cache returns the byte-identical confirmation.
+  // The initiator's resend cache returns the byte-identical confirmation.
   if (auto confirm = na.user->cached_peer_confirm(*reply);
       confirm.has_value()) {
     // No try count: M~.3 has no timer of its own.

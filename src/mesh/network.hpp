@@ -275,6 +275,20 @@ class MeshNetwork {
     proto::SystemParams params;
     unsigned restarts = 0;
   };
+  /// A handshake frame its sender retransmits byte-identically on RTO until
+  /// its side of the handshake completes or the retry budget runs out: the
+  /// user's M.2 (one attempt = one M.2; the DH share and group signature
+  /// are minted once), the initiator's M~.1 or the responder's M~.2. M~.3
+  /// needs no timer — a responder retransmitting M~.2 pulls the cached M~.3
+  /// back out of the initiator.
+  struct Attempt {
+    enum class Frame : std::uint8_t { kM2, kPeerHello, kPeerReply };
+    Frame frame = Frame::kM2;
+    Bytes wire;
+    NodeId from = 0, to = 0;
+    unsigned tries = 0;            // transmissions so far
+    std::uint64_t generation = 0;  // stale-timer guard
+  };
   struct UserNode {
     std::unique_ptr<proto::User> user;
     Vec2 pos;
@@ -284,15 +298,7 @@ class MeshNetwork {
     std::optional<NodeId> serving_node;
     std::map<NodeId, proto::Session> peer_sessions;
     // --- reliability layer -----------------------------------------------
-    /// The in-flight access handshake: the cached M.2 wire is retransmitted
-    /// byte-identically on RTO until M.3 arrives or the budget runs out.
-    struct Attempt {
-      NodeId router_node = 0;
-      Bytes m2_wire;
-      unsigned tries = 0;            // transmissions so far
-      std::uint64_t generation = 0;  // stale-timer guard
-    };
-    std::optional<Attempt> attempt;
+    std::optional<Attempt> attempt;  // the in-flight access handshake
     /// Retired uplink draining in-flight frames after a rekey.
     std::optional<proto::Session> old_uplink;
     Bytes old_uplink_session_id;
@@ -306,18 +312,6 @@ class MeshNetwork {
   struct PendingAuth {
     NodeId user_node;
     proto::AccessRequest m2;
-  };
-
-  /// A peer-handshake frame the sender keeps retransmitting on RTO until
-  /// its side of the session exists: the initiator's M~.1 or the
-  /// responder's M~.2 (M~.3 needs no timer — a responder retransmitting
-  /// M~.2 pulls the cached M~.3 back out of the initiator).
-  struct PeerAttempt {
-    const char* kind;  // "peer1" | "peer2"
-    Bytes wire;
-    NodeId from = 0, to = 0;
-    unsigned tries = 0;
-    std::uint64_t generation = 0;
   };
 
   /// One occurrence of `event` concerning `user`: bumps its counter,
@@ -350,9 +344,13 @@ class MeshNetwork {
   /// handshake (M.3 delivery) exactly as the per-request path used to.
   void drain_auth_batch(NodeId router_node);
 
-  // --- access-handshake reliability --------------------------------------
-  void send_m2(NodeId user_node);
-  void on_m2_timeout(NodeId user_node, std::uint64_t generation);
+  // --- handshake reliability ---------------------------------------------
+  /// One (re)transmission of `attempt` and the RTO timer behind it, whose
+  /// expiry retransmits, gives up or finds the attempt done.
+  void send_attempt(Attempt& attempt);
+  void on_attempt_timeout(Attempt::Frame frame, NodeId from, NodeId to,
+                          std::uint64_t generation);
+  void on_m2(NodeId me, NodeId from, const Bytes& wire);
   void on_m3(NodeId user_node, NodeId router_node, const Bytes& wire);
   /// Retires the current uplink into the drain window and leaves the user
   /// ready for a fresh handshake at the next beacon.
@@ -360,10 +358,7 @@ class MeshNetwork {
   /// Applies the configured frame-count / age rekey policy before a send.
   void maybe_rekey(NodeId user_id, UserNode& node);
 
-  // --- peer-handshake reliability ----------------------------------------
   void start_peer_handshake(NodeId a, NodeId b);
-  void send_peer_frame(NodeId from, NodeId to);
-  void on_peer_timeout(NodeId from, NodeId to, std::uint64_t generation);
   void on_peer_hello(NodeId me, NodeId from, const Bytes& wire);
   void on_peer_reply(NodeId me, NodeId from, const Bytes& wire);
   void on_peer_confirm(NodeId me, NodeId from, const Bytes& wire);
@@ -396,7 +391,7 @@ class MeshNetwork {
   std::map<std::pair<NodeId, NodeId>, Bytes> backbone_keys_;
   /// In-flight peer-handshake frames with retransmission timers, keyed by
   /// (sender, receiver); erased when the sender's session exists.
-  std::map<std::pair<NodeId, NodeId>, PeerAttempt> peer_attempts_;
+  std::map<std::pair<NodeId, NodeId>, Attempt> peer_attempts_;
   std::set<std::pair<NodeId, NodeId>> blocked_links_;
   std::uint64_t attempt_seq_ = 0;  // generation source for stale timers
   NodeId next_id_ = 1;

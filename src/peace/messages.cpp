@@ -1,6 +1,7 @@
 #include "peace/messages.hpp"
 
 #include "common/serde.hpp"
+#include "crypto/sha256.hpp"
 
 namespace peace::proto {
 
@@ -427,6 +428,10 @@ Bytes session_id_from(const G1& a, const G1& b) {
   Bytes id = g1_to_bytes(a);
   append(id, g1_to_bytes(b));
   return id;
+}
+
+std::string wire_key(BytesView wire) {
+  return to_hex(crypto::Sha256::hash(wire));
 }
 
 }  // namespace peace::proto

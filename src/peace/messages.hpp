@@ -41,23 +41,17 @@ struct ProtocolConfig {
   unsigned verify_threads = 0;
 
   // --- reliability layer (PROTOCOL.md §10) -------------------------------
-  /// Idempotent resend handling: when a duplicate of an *accepted* M.2
-  /// arrives (a retransmission after a lost M.3), resend the cached M.3
-  /// instead of rejecting it as a replay, and answer a duplicate M~.1 with
-  /// the cached M~.2. Resends mint no session, draw no randomness, and
-  /// redo no pairing work. Off by default: the strict endpoints treat any
-  /// duplicate as a replay, exactly as before this layer existed.
-  bool idempotent_resend = false;
   /// TTL for pending-handshake state and resend caches; entries older than
   /// this are reaped before any insert. An abandoned handshake (lost M.2,
   /// peer gone) can therefore never strand state for longer than the TTL.
   Timestamp pending_ttl_ms = 30'000;
-  /// Hard cap on every pending-handshake map and resend cache. When an
-  /// insert would exceed it, the oldest entry is evicted first — bounding
-  /// the state a handshake flood can pin regardless of the TTL.
+  /// Hard cap (at least 1) on every pending-handshake map and resend cache.
+  /// When an insert would exceed it, the oldest entry is evicted first —
+  /// bounding the state a handshake flood can pin regardless of the TTL.
   std::size_t pending_cap = 1024;
-  /// Cap on the router's M.2 replay cache (FIFO eviction). Entries that
-  /// age out of the cache are still protected by the timestamp window.
+  /// Cap (at least 1) on the router's M.2 replay cache, oldest-first
+  /// eviction. Entries that age out of the cache are still protected by
+  /// the timestamp window.
   std::size_t replay_cache_cap = 1 << 16;
 };
 
@@ -252,5 +246,10 @@ struct DataFrame {
 /// Session identifier helpers — sessions are identified only by pairs of
 /// fresh random group elements (a privacy property the tests check).
 Bytes session_id_from(const G1& a, const G1& b);
+
+/// Key of the resend caches (PROTOCOL.md §10.1): the hex SHA-256 of a
+/// frame's full wire bytes, so only a *byte-identical* duplicate matches and
+/// a forged variant sharing public fields can never fish an answer out.
+std::string wire_key(BytesView wire);
 
 }  // namespace peace::proto

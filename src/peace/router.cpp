@@ -1,7 +1,10 @@
 #include "peace/router.hpp"
 
+#include <array>
+#include <unordered_set>
+#include <utility>
+
 #include "common/serde.hpp"
-#include "crypto/sha256.hpp"
 #include "curve/hash_to_curve.hpp"
 #include "obs/sec_event.hpp"
 #include "obs/trace.hpp"
@@ -15,23 +18,31 @@ using curve::random_fr;
 
 namespace {
 
-/// Confirm-cache key: the SHA-256 of a frame's full wire bytes, so only a
-/// byte-identical retransmission ever matches.
-std::string wire_key(const Bytes& wire) {
-  return to_hex(crypto::Sha256::hash(wire));
-}
+/// Why an M.2 was refused.
+enum class Reject : std::uint8_t {
+  kUnknownBeacon, kStale, kReplayPrecheck, kReplayInBatch, kPuzzle,
+  kBadSignature, kRevoked
+};
 
-// SecEvent auth_reject detail codes (docs/OBSERVABILITY.md §4.1). The
-// emissions are observers riding the existing rejection counters: every
-// one happens in a sequential pass, so per-kind counts are identical
-// between pooled and sequential verification.
-constexpr std::uint64_t kRejectUnknownBeacon = 1;
-constexpr std::uint64_t kRejectStale = 2;
-constexpr std::uint64_t kRejectPuzzle = 3;
-constexpr std::uint64_t kRejectBadSignature = 4;
-// replay_detected detail codes: where in the pipeline the cache hit.
-constexpr std::uint64_t kReplayPrecheck = 1;
-constexpr std::uint64_t kReplayInBatch = 2;
+/// The one definition of each rejection, indexed by Reject: the RouterStats
+/// counter it bumps and the SecEvent it emits (detail codes:
+/// docs/OBSERVABILITY.md §4.1). Every rejection happens in a sequential
+/// pass, so per-kind counts are identical between pooled and sequential
+/// verification.
+struct RejectRow {
+  std::uint64_t RouterStats::*counter;
+  obs::SecEventKind sec;
+  std::optional<std::uint64_t> code;  // none: the caller's detail
+};
+constexpr std::array<RejectRow, 7> kRejects{{
+    {&RouterStats::rejected_unknown_beacon, obs::SecEventKind::kAuthReject, 1},
+    {&RouterStats::rejected_stale, obs::SecEventKind::kAuthReject, 2},
+    {&RouterStats::rejected_replay, obs::SecEventKind::kReplayDetected, 1},
+    {&RouterStats::rejected_replay, obs::SecEventKind::kReplayDetected, 2},
+    {&RouterStats::rejected_puzzle, obs::SecEventKind::kAuthReject, 3},
+    {&RouterStats::rejected_bad_signature, obs::SecEventKind::kAuthReject, 4},
+    {&RouterStats::rejected_revoked, obs::SecEventKind::kRevocationHit, {}},
+}};
 
 }  // namespace
 
@@ -47,7 +58,8 @@ MeshRouter::MeshRouter(RouterId id, curve::EcdsaKeyPair keypair,
       rng_(std::move(rng)),
       config_(config),
       batch_salt_(rng_.bytes(32)),
-      revocation_(std::move(revocation)) {
+      revocation_(std::move(revocation)),
+      seen_requests_(config_.replay_cache_cap) {
   if (revocation_ == nullptr)
     revocation_ = std::make_shared<revoke::SharedRevocationState>(
         params_.network_public_key);
@@ -175,16 +187,27 @@ MeshRouter::handle_access_requests(std::span<const AccessRequest> batch,
   obs::Span span("router.m2_batch", "handshake", &batch_hist);
   span.arg("batch_size", batch.size());
 
-  // Idempotent resend: a byte-identical retransmission of an *accepted* M.2
-  // (its M.3 was lost on the air) gets the cached M.3 back — no new
-  // session, no rng draw, no pairing work, no counter but confirms_resent.
-  const auto resend_cached = [&](const AccessRequest& m2,
-                                 const Bytes& sid) -> std::optional<AccessOutcome> {
-    if (!config_.idempotent_resend) return std::nullopt;
-    const auto it = confirm_cache_.find(wire_key(m2.to_bytes()));
-    if (it == confirm_cache_.end()) return std::nullopt;
-    ++stats_.confirms_resent;
-    return AccessOutcome{AccessConfirm::from_bytes(it->second), sid};
+  const auto reject = [&](Reject kind, std::uint64_t detail = 0) {
+    const RejectRow& row = kRejects[static_cast<std::size_t>(kind)];
+    ++(stats_.*row.counter);
+    obs::sec_emit(row.sec, now, id_, row.code.value_or(detail));
+  };
+  // A session id the replay cache already holds. Idempotent resend: a
+  // byte-identical copy of the accepted M.2 (its M.3 was lost on the air)
+  // gets the cached M.3 in `result` — no new session, no rng draw, no
+  // pairing work. Anything else is a replay. False when the id is fresh.
+  const auto seen_before = [&](const AccessRequest& m2, const Bytes& sid,
+                               const std::string& sid_hex, Reject replay,
+                               std::optional<AccessOutcome>& result) {
+    const SeenRequest* seen = seen_requests_.find(sid_hex);
+    if (seen == nullptr) return false;
+    if (seen->confirm.has_value() && seen->m2_key == wire_key(m2.to_bytes())) {
+      ++stats_.confirms_resent;
+      result = AccessOutcome{*seen->confirm, sid};
+    } else {
+      reject(replay);
+    }
+    return true;
   };
 
   // Pass 1 (sequential, input order): the cheap gates — beacon lookup,
@@ -207,31 +230,20 @@ MeshRouter::handle_access_requests(std::span<const AccessRequest> batch,
       }
     }
     if (beacon == nullptr) {
-      ++stats_.rejected_unknown_beacon;
-      obs::sec_emit(obs::SecEventKind::kAuthReject, now, id_,
-                    kRejectUnknownBeacon);
+      reject(Reject::kUnknownBeacon);
       continue;
     }
     // ...and carry a fresh timestamp.
     const Timestamp age = now >= m2.ts2 ? now - m2.ts2 : m2.ts2 - now;
     if (age > config_.replay_window_ms) {
-      ++stats_.rejected_stale;
-      obs::sec_emit(obs::SecEventKind::kAuthReject, now, id_, kRejectStale);
+      reject(Reject::kStale);
       continue;
     }
     // Replay cache on the session identifier.
     Bytes sid = session_id_from(m2.g_rr, m2.g_rj);
     std::string sid_hex = to_hex(sid);
-    if (seen_requests_.contains(sid_hex)) {
-      if (auto resent = resend_cached(m2, sid); resent.has_value()) {
-        results[i] = std::move(resent);
-        continue;
-      }
-      ++stats_.rejected_replay;
-      obs::sec_emit(obs::SecEventKind::kReplayDetected, now, id_,
-                    kReplayPrecheck);
+    if (seen_before(m2, sid, sid_hex, Reject::kReplayPrecheck, results[i]))
       continue;
-    }
 
     // DoS defence: the cheap puzzle check gates the expensive pairing work.
     if (puzzle_difficulty_ > 0) {
@@ -241,8 +253,7 @@ MeshRouter::handle_access_requests(std::span<const AccessRequest> batch,
                               puzzle_difficulty_},
               *m2.puzzle_solution, g1_to_bytes(m2.g_rj)) ||
           !ct_equal(m2.puzzle_solution->server_nonce, puzzle_nonce_)) {
-        ++stats_.rejected_puzzle;
-        obs::sec_emit(obs::SecEventKind::kAuthReject, now, id_, kRejectPuzzle);
+        reject(Reject::kPuzzle);
         continue;
       }
     }
@@ -284,14 +295,14 @@ MeshRouter::handle_access_requests(std::span<const AccessRequest> batch,
           revocation->index->epoch() == epoch)
         continue;  // answered in O(1); no scan bases needed
       if (epoch_bases_.contains(epoch)) continue;
-      if (epoch_bases_.size() >= kEpochBasesCacheCap) epoch_bases_.clear();
       // Epoch-mode bases ignore the message (bases_seed binds only
       // (gpk, epoch) when epoch != 0), so any request of the epoch works
       // as the derivation template. Attributed to the request that
       // triggered the fill, like every other first-toucher cost.
-      epoch_bases_.emplace(
-          epoch, groupsig::prepare_bases(params_.gpk, {}, pv.m2->signature,
-                                         &pv.ops));
+      epoch_bases_.insert(
+          epoch,
+          groupsig::prepare_bases(params_.gpk, {}, pv.m2->signature, &pv.ops),
+          now);
     }
   }
 
@@ -304,19 +315,12 @@ MeshRouter::handle_access_requests(std::span<const AccessRequest> batch,
   // per-worker OpCounters merge in input order, keeping the aggregate
   // deterministic regardless of which worker verified what.
   for (PendingVerify& pv : pending) {
-    if (seen_requests_.contains(pv.sid_hex)) {
-      // An in-batch byte-identical duplicate of a request accepted earlier
-      // in this pass resends its cached M.3, exactly as sequential
-      // processing would have.
-      if (auto resent = resend_cached(*pv.m2, pv.sid); resent.has_value()) {
-        results[pv.index] = std::move(resent);
-        continue;
-      }
-      ++stats_.rejected_replay;
-      obs::sec_emit(obs::SecEventKind::kReplayDetected, now, id_,
-                    kReplayInBatch);
+    // An in-batch byte-identical duplicate of a request accepted earlier in
+    // this pass resends its cached M.3, exactly as sequential processing
+    // would have.
+    if (seen_before(*pv.m2, pv.sid, pv.sid_hex, Reject::kReplayInBatch,
+                    results[pv.index]))
       continue;
-    }
     // Earlier same-sid entry was rejected: verify now, as a batch of one.
     if (pv.deferred) {
       PendingVerify* self = &pv;
@@ -325,21 +329,18 @@ MeshRouter::handle_access_requests(std::span<const AccessRequest> batch,
     ++stats_.signature_verifications;
     verify_ops_.merge(pv.ops);
     if (pv.verdict == SigVerdict::kBadProof) {
-      ++stats_.rejected_bad_signature;
-      obs::sec_emit(obs::SecEventKind::kAuthReject, now, id_,
-                    kRejectBadSignature);
+      reject(Reject::kBadSignature);
       if (folded && !pv.deferred)
         obs::sec_emit(obs::SecEventKind::kBatchForgeryAttributed, now, id_,
                       pv.index);
       continue;
     }
     if (pv.verdict == SigVerdict::kRevoked) {
-      ++stats_.rejected_revoked;
-      obs::sec_emit(obs::SecEventKind::kRevocationHit, now, id_,
-                    pv.m2->signature.epoch);
+      reject(Reject::kRevoked, pv.m2->signature.epoch);
       continue;
     }
-    results[pv.index] = accept_request(*pv.m2, *pv.beacon, pv.sid, pv.sid_hex);
+    results[pv.index] =
+        accept_request(*pv.m2, *pv.beacon, pv.sid, pv.sid_hex, now);
   }
 
   if (span.active() && !batch.empty()) {
@@ -401,8 +402,7 @@ bool MeshRouter::revoked(PendingVerify& pv,
   const groupsig::PreparedBases* prepared = nullptr;
   groupsig::PreparedBases local;
   if (pv.m2->signature.epoch != 0) {
-    const auto it = epoch_bases_.find(pv.m2->signature.epoch);
-    if (it != epoch_bases_.end()) prepared = &it->second;
+    prepared = std::as_const(epoch_bases_).find(pv.m2->signature.epoch);
   }
   if (prepared == nullptr) {
     const Bytes payload = pv.m2->signed_payload();
@@ -417,9 +417,9 @@ bool MeshRouter::revoked(PendingVerify& pv,
 MeshRouter::AccessOutcome MeshRouter::accept_request(const AccessRequest& m2,
                                                      const BeaconState& beacon,
                                                      const Bytes& sid,
-                                                     const std::string& sid_hex) {
+                                                     const std::string& sid_hex,
+                                                     Timestamp now) {
   // Step 3.4: K = (g^rj)^rR, session established, M.3 returned.
-  seen_requests_.insert(sid_hex);
   const G1 shared = m2.g_rj * beacon.r_r;
   sessions_.emplace(sid_hex,
                     Session::establish(shared, sid, Session::Role::kResponder));
@@ -434,29 +434,15 @@ MeshRouter::AccessOutcome MeshRouter::accept_request(const AccessRequest& m2,
   payload.raw(g1_to_bytes(m2.g_rr));
   out.confirm.ciphertext = confirm_seal(shared, sid, payload.data());
   ++stats_.accepted;
-
-  // Reliability bookkeeping: remember the M.3 for idempotent resends and
-  // keep the replay cache bounded by FIFO eviction (evicted entries remain
-  // protected by the timestamp window).
-  std::string confirm_key;
-  if (config_.idempotent_resend) {
-    confirm_key = wire_key(m2.to_bytes());
-    confirm_cache_[confirm_key] = out.confirm.to_bytes();
-  }
-  seen_order_.emplace_back(sid_hex, std::move(confirm_key));
-  while (config_.replay_cache_cap > 0 &&
-         seen_requests_.size() > config_.replay_cache_cap &&
-         !seen_order_.empty()) {
-    const auto& [old_sid, old_key] = seen_order_.front();
-    seen_requests_.erase(old_sid);
-    if (!old_key.empty()) confirm_cache_.erase(old_key);
-    seen_order_.pop_front();
-  }
+  seen_requests_.insert(sid_hex,
+                        SeenRequest{wire_key(m2.to_bytes()), out.confirm}, now);
   return out;
 }
 
 bool MeshRouter::close_session(BytesView session_id) {
-  return sessions_.erase(to_hex(session_id)) > 0;
+  const std::string sid_hex = to_hex(session_id);
+  if (SeenRequest* seen = seen_requests_.find(sid_hex)) seen->confirm.reset();
+  return sessions_.erase(sid_hex) > 0;
 }
 
 Session* MeshRouter::session(BytesView session_id) {

@@ -7,9 +7,9 @@
 #include <deque>
 #include <memory>
 #include <unordered_map>
-#include <unordered_set>
 
 #include "obs/fields.hpp"
+#include "peace/bounded_map.hpp"
 #include "peace/entities.hpp"
 #include "peace/revoke/shared.hpp"
 #include "peace/session.hpp"
@@ -147,11 +147,12 @@ class MeshRouter {
 
   /// Tears down an established session (rekey retired it, or the peer is
   /// gone). Returns whether a session with that id existed. The replay
-  /// cache entry survives, so the spent M.2 can never re-establish it.
+  /// cache entry survives but loses its cached M.3, so the spent M.2 can
+  /// never re-establish the session nor fish its confirmation back out.
   bool close_session(BytesView session_id);
 
   /// Replay-cache occupancy, for cap monitoring (bounded by
-  /// config.replay_cache_cap via FIFO eviction).
+  /// config.replay_cache_cap via oldest-first eviction).
   std::size_t replay_cache_size() const { return seen_requests_.size(); }
 
   /// Aggregate groupsig operation counters for all verifications this
@@ -170,7 +171,7 @@ class MeshRouter {
   struct PendingVerify;
   AccessOutcome accept_request(const AccessRequest& m2,
                                const BeaconState& beacon, const Bytes& sid,
-                               const std::string& sid_hex);
+                               const std::string& sid_hex, Timestamp now);
   /// Steps 3.2 + 3.3 for `jobs` as one verify_group_signatures batch
   /// against a batch-wide snapshot: sets each entry's verdict. Returns
   /// whether the check folded (and then bumps the batch counters).
@@ -203,26 +204,26 @@ class MeshRouter {
   /// shares one PreparedBases per epoch instead of deriving its own.
   /// Mutated ONLY in the sequential precheck phase of
   /// handle_access_requests (and cleared in install_params); pool workers
-  /// read it concurrently via find(), never insert. Bounded by
-  /// kEpochBasesCacheCap with whole-cache eviction — epochs advance
-  /// monotonically, so at steady state the cache holds the live epoch plus
-  /// a few stragglers from an in-flight roll.
+  /// read it concurrently via the const find(), never insert. Epochs
+  /// advance monotonically, so at steady state the cache holds the live
+  /// epoch plus a few stragglers from an in-flight roll.
   static constexpr std::size_t kEpochBasesCacheCap = 8;
-  std::unordered_map<groupsig::Epoch, groupsig::PreparedBases> epoch_bases_;
+  BoundedMap<groupsig::Epoch, groupsig::PreparedBases> epoch_bases_{
+      kEpochBasesCacheCap};
 
   std::deque<BeaconState> recent_beacons_;
   std::uint8_t puzzle_difficulty_ = 0;
   Bytes puzzle_nonce_;
 
-  std::unordered_set<std::string> seen_requests_;  // replay cache
-  /// Insertion order of the replay cache, for FIFO eviction at
-  /// config.replay_cache_cap. Each entry carries the key of its cached M.3
-  /// (empty when idempotent resend is off) so both are evicted together.
-  std::deque<std::pair<std::string, std::string>> seen_order_;
-  /// Idempotent-resend mode: the serialized M.3 per accepted M.2, keyed by
-  /// SHA-256 of the M.2's full wire bytes — only a *byte-identical*
-  /// retransmission can fish a confirmation back out.
-  std::unordered_map<std::string, Bytes> confirm_cache_;
+  /// One accepted M.2: its wire_key and the M.3 it was answered with,
+  /// until close_session drops it.
+  struct SeenRequest {
+    std::string m2_key;
+    std::optional<AccessConfirm> confirm;
+  };
+  /// The replay cache, keyed by hex session id; evicted entries remain
+  /// protected by the timestamp window.
+  BoundedMap<std::string, SeenRequest> seen_requests_;
   std::unordered_map<std::string, Session> sessions_;
   RouterStats stats_;
 };

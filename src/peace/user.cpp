@@ -1,7 +1,6 @@
 #include "peace/user.hpp"
 
 #include "common/serde.hpp"
-#include "crypto/sha256.hpp"
 #include "curve/hash_to_curve.hpp"
 #include "obs/trace.hpp"
 #include "peace/url_scan.hpp"
@@ -20,57 +19,21 @@ User::User(std::string uid, SystemParams params, crypto::Drbg rng,
       rng_(std::move(rng)),
       config_(config),
       batch_salt_(rng_.bytes(32)),
-      receipt_key_(curve::EcdsaKeyPair::generate(rng_)) {}
-
-namespace {
-
-/// Key for the resend caches: only *byte-identical* duplicates of a frame
-/// ever match, so a forged variant sharing public fields can never fish a
-/// cached answer out.
-std::string wire_key(const Bytes& wire) {
-  return to_hex(crypto::Sha256::hash(wire));
-}
-
-template <typename Map>
-std::size_t reap_map(Map& map, Timestamp now, Timestamp ttl) {
-  std::size_t reaped = 0;
-  for (auto it = map.begin(); it != map.end();) {
-    if (now >= it->second.created && now - it->second.created > ttl) {
-      it = map.erase(it);
-      ++reaped;
-    } else {
-      ++it;
-    }
-  }
-  return reaped;
-}
-
-}  // namespace
+      receipt_key_(curve::EcdsaKeyPair::generate(rng_)),
+      pending_access_(config_.pending_cap),
+      pending_peer_init_(config_.pending_cap),
+      pending_peer_resp_(config_.pending_cap),
+      hello_replies_(config_.pending_cap),
+      peer_confirms_(config_.pending_cap) {}
 
 std::size_t User::reap_pending(Timestamp now) {
   const Timestamp ttl = config_.pending_ttl_ms;
-  std::size_t reaped = reap_map(pending_access_, now, ttl);
-  reaped += reap_map(pending_peer_init_, now, ttl);
-  reaped += reap_map(pending_peer_resp_, now, ttl);
-  reaped += reap_map(hello_replies_, now, ttl);
-  reaped += reap_map(peer_confirms_, now, ttl);
+  const std::size_t reaped =
+      pending_access_.reap(now, ttl) + pending_peer_init_.reap(now, ttl) +
+      pending_peer_resp_.reap(now, ttl) + hello_replies_.reap(now, ttl) +
+      peer_confirms_.reap(now, ttl);
   stats_.pending_expired += reaped;
   return reaped;
-}
-
-template <typename Map>
-void User::admit_pending(Map& map, Timestamp now) {
-  reap_pending(now);
-  if (config_.pending_cap == 0) return;
-  // Hard cap: evict the oldest entry rather than refuse — the newest
-  // handshake is the one most likely to still complete.
-  while (map.size() >= config_.pending_cap) {
-    auto oldest = map.begin();
-    for (auto it = map.begin(); it != map.end(); ++it)
-      if (it->second.created < oldest->second.created) oldest = it;
-    map.erase(oldest);
-    ++stats_.pending_evicted;
-  }
 }
 
 curve::EcdsaSignature User::complete_enrollment(
@@ -193,9 +156,11 @@ std::optional<AccessRequest> User::process_beacon(const BeaconMessage& beacon,
 
   // Step 2.2.5: K = (g^rR)^rj, remembered until M.3 arrives.
   const Bytes sid = session_id_from(m2.g_rr, m2.g_rj);
-  admit_pending(pending_access_, now);
-  pending_access_[to_hex(sid)] =
-      PendingAccess{beacon.g_rr * r_j, beacon.router_id, m2.g_rj, m2.g_rr, now};
+  reap_pending(now);
+  stats_.pending_evicted += pending_access_.insert(
+      to_hex(sid),
+      PendingAccess{beacon.g_rr * r_j, beacon.router_id, m2.g_rj, m2.g_rr},
+      now);
   return m2;
 }
 
@@ -204,22 +169,22 @@ std::optional<Session> User::process_access_confirm(const AccessConfirm& m3) {
       obs::Registry::global().histogram("user.m3_process_us");
   obs::Span span("user.m3_process", "handshake", &m3_hist);
   const Bytes sid = session_id_from(m3.g_rr, m3.g_rj);
-  const auto it = pending_access_.find(to_hex(sid));
-  if (it == pending_access_.end()) return std::nullopt;
-  const PendingAccess& pending = it->second;
+  const std::string key = to_hex(sid);
+  const PendingAccess* pending = pending_access_.find(key);
+  if (pending == nullptr) return std::nullopt;
 
-  const auto payload = confirm_open(pending.shared, sid, m3.ciphertext);
+  const auto payload = confirm_open(pending->shared, sid, m3.ciphertext);
   if (!payload.has_value()) return std::nullopt;
   // The confirmation must name the router and echo both DH shares.
   Writer expect;
-  expect.u32(pending.router_id);
-  expect.raw(g1_to_bytes(pending.g_rj));
-  expect.raw(g1_to_bytes(pending.g_rr));
+  expect.u32(pending->router_id);
+  expect.raw(g1_to_bytes(pending->g_rj));
+  expect.raw(g1_to_bytes(pending->g_rr));
   if (*payload != expect.data()) return std::nullopt;
 
   Session session =
-      Session::establish(pending.shared, sid, Session::Role::kInitiator);
-  pending_access_.erase(it);
+      Session::establish(pending->shared, sid, Session::Role::kInitiator);
+  pending_access_.erase(key);
   ++stats_.sessions_established;
   return session;
 }
@@ -245,9 +210,9 @@ PeerHello User::make_peer_hello(const G1& g, Timestamp now,
   hello.ts1 = now;
   hello.signature = groupsig::sign(pgpk_, pick_credential(via_group),
                                    hello.signed_payload(), rng_);
-  admit_pending(pending_peer_init_, now);
-  pending_peer_init_[to_hex(g1_to_bytes(hello.g_rj))] =
-      PendingPeerInitiator{r_j, hello.g_rj, now, now};
+  reap_pending(now);
+  stats_.pending_evicted += pending_peer_init_.insert(
+      to_hex(g1_to_bytes(hello.g_rj)), PendingPeerInitiator{r_j, now}, now);
   return hello;
 }
 
@@ -266,6 +231,17 @@ std::vector<std::optional<PeerReply>> User::process_peer_hellos(
   obs::Span span("user.peer_batch", "handshake", &peer_batch_hist);
   span.arg("batch_size", hellos.size());
 
+  // Idempotent resend: a byte-identical duplicate of an answered hello gets
+  // the cached reply back — no new r_l, no pairing work.
+  const auto cached_reply = [&](const PeerHello& hello,
+                                std::optional<PeerReply>& result) {
+    const PeerReply* cached = hello_replies_.find(wire_key(hello.to_bytes()));
+    if (cached == nullptr) return false;
+    ++stats_.duplicate_hellos;
+    result = *cached;
+    return true;
+  };
+
   // Pass 1 (sequential): the cheap freshness gate, in input order.
   std::vector<std::size_t> pending;
   pending.reserve(hellos.size());
@@ -273,16 +249,7 @@ std::vector<std::optional<PeerReply>> User::process_peer_hellos(
     const Timestamp age =
         now >= hellos[i].ts1 ? now - hellos[i].ts1 : hellos[i].ts1 - now;
     if (age > config_.replay_window_ms) continue;
-    // Idempotent resend: a byte-identical duplicate of an answered hello
-    // gets the cached reply back — no new r_l, no pairing work.
-    if (config_.idempotent_resend) {
-      if (const auto it = hello_replies_.find(wire_key(hellos[i].to_bytes()));
-          it != hello_replies_.end()) {
-        ++stats_.duplicate_hellos;
-        results[i] = PeerReply::from_bytes(it->second.wire);
-        continue;
-      }
-    }
+    if (cached_reply(hellos[i], results[i])) continue;
     pending.push_back(i);
   }
 
@@ -317,14 +284,7 @@ std::vector<std::optional<PeerReply>> User::process_peer_hellos(
     // first copy's reply doesn't exist yet) but must still be served from
     // it: the first copy populated the cache earlier in this pass, so
     // re-check before minting a second r_l.
-    if (config_.idempotent_resend) {
-      if (const auto it = hello_replies_.find(wire_key(hello.to_bytes()));
-          it != hello_replies_.end()) {
-        ++stats_.duplicate_hellos;
-        result = PeerReply::from_bytes(it->second.wire);
-        continue;
-      }
-    }
+    if (cached_reply(hello, result)) continue;
     const Fr r_l = random_fr(rng_);
     PeerReply& reply = result.emplace();
     reply.g_rj = hello.g_rj;
@@ -333,14 +293,12 @@ std::vector<std::optional<PeerReply>> User::process_peer_hellos(
     reply.signature = groupsig::sign(pgpk_, pick_credential(via_group),
                                      reply.signed_payload(), rng_);
     const Bytes sid = session_id_from(reply.g_rj, reply.g_rl);
-    admit_pending(pending_peer_resp_, now);
-    pending_peer_resp_[to_hex(sid)] =
-        PendingPeerResponder{hello.g_rj * r_l, hello.ts1, now, now};
-    if (config_.idempotent_resend) {
-      admit_pending(hello_replies_, now);
-      hello_replies_[wire_key(hello.to_bytes())] =
-          CachedWire{reply.to_bytes(), now};
-    }
+    reap_pending(now);
+    stats_.pending_evicted += pending_peer_resp_.insert(
+        to_hex(sid), PendingPeerResponder{hello.g_rj * r_l, hello.ts1, now},
+        now);
+    stats_.pending_evicted +=
+        hello_replies_.insert(wire_key(hello.to_bytes()), reply, now);
   }
 
   if (span.active() && !hellos.empty()) {
@@ -357,13 +315,13 @@ std::optional<User::PeerEstablished> User::process_peer_reply(
   static obs::Histogram& reply_hist =
       obs::Registry::global().histogram("user.peer_reply_us");
   obs::Span span("user.peer_reply", "handshake", &reply_hist);
-  const auto it = pending_peer_init_.find(to_hex(g1_to_bytes(reply.g_rj)));
-  if (it == pending_peer_init_.end()) return std::nullopt;
-  const PendingPeerInitiator& pending = it->second;
+  const std::string key = to_hex(g1_to_bytes(reply.g_rj));
+  const PendingPeerInitiator* pending = pending_peer_init_.find(key);
+  if (pending == nullptr) return std::nullopt;
 
   // Paper step 3: ts2 - ts1 within the acceptable delay window.
-  if (reply.ts2 < pending.ts1 ||
-      reply.ts2 - pending.ts1 > config_.replay_window_ms)
+  if (reply.ts2 < pending->ts1 ||
+      reply.ts2 - pending->ts1 > config_.replay_window_ms)
     return std::nullopt;
   const Timestamp age = now >= reply.ts2 ? now - reply.ts2 : reply.ts2 - now;
   if (age > config_.replay_window_ms) return std::nullopt;
@@ -372,7 +330,7 @@ std::optional<User::PeerEstablished> User::process_peer_reply(
       peer_revoked(reply_payload, reply.signature, nullptr))
     return std::nullopt;
 
-  const G1 shared = reply.g_rl * pending.r_j;
+  const G1 shared = reply.g_rl * pending->r_j;
   const Bytes sid = session_id_from(reply.g_rj, reply.g_rl);
 
   PeerEstablished out{
@@ -381,45 +339,43 @@ std::optional<User::PeerEstablished> User::process_peer_reply(
   Writer payload;
   payload.raw(g1_to_bytes(reply.g_rj));
   payload.raw(g1_to_bytes(reply.g_rl));
-  payload.u64(pending.ts1);
+  payload.u64(pending->ts1);
   payload.u64(reply.ts2);
   out.confirm.ciphertext = confirm_seal(shared, sid, payload.data());
 
-  if (config_.idempotent_resend) {
-    admit_pending(peer_confirms_, now);
-    peer_confirms_[wire_key(reply.to_bytes())] =
-        CachedWire{out.confirm.to_bytes(), now};
-  }
-  pending_peer_init_.erase(it);
+  reap_pending(now);
+  stats_.pending_evicted +=
+      peer_confirms_.insert(wire_key(reply.to_bytes()), out.confirm, now);
+  pending_peer_init_.erase(key);
   ++stats_.peer_sessions_established;
   return out;
 }
 
 std::optional<PeerConfirm> User::cached_peer_confirm(const PeerReply& reply) {
-  const auto it = peer_confirms_.find(wire_key(reply.to_bytes()));
-  if (it == peer_confirms_.end()) return std::nullopt;
+  const PeerConfirm* cached = peer_confirms_.find(wire_key(reply.to_bytes()));
+  if (cached == nullptr) return std::nullopt;
   ++stats_.duplicate_replies;
-  return PeerConfirm::from_bytes(it->second.wire);
+  return *cached;
 }
 
 std::optional<Session> User::process_peer_confirm(const PeerConfirm& confirm) {
   const Bytes sid = session_id_from(confirm.g_rj, confirm.g_rl);
-  const auto it = pending_peer_resp_.find(to_hex(sid));
-  if (it == pending_peer_resp_.end()) return std::nullopt;
-  const PendingPeerResponder& pending = it->second;
+  const std::string key = to_hex(sid);
+  const PendingPeerResponder* pending = pending_peer_resp_.find(key);
+  if (pending == nullptr) return std::nullopt;
 
-  const auto payload = confirm_open(pending.shared, sid, confirm.ciphertext);
+  const auto payload = confirm_open(pending->shared, sid, confirm.ciphertext);
   if (!payload.has_value()) return std::nullopt;
   Writer expect;
   expect.raw(g1_to_bytes(confirm.g_rj));
   expect.raw(g1_to_bytes(confirm.g_rl));
-  expect.u64(pending.ts1);
-  expect.u64(pending.ts2);
+  expect.u64(pending->ts1);
+  expect.u64(pending->ts2);
   if (*payload != expect.data()) return std::nullopt;
 
   Session session =
-      Session::establish(pending.shared, sid, Session::Role::kResponder);
-  pending_peer_resp_.erase(it);
+      Session::establish(pending->shared, sid, Session::Role::kResponder);
+  pending_peer_resp_.erase(key);
   ++stats_.peer_sessions_established;
   return session;
 }

@@ -9,9 +9,9 @@
 #include <memory>
 #include <optional>
 #include <span>
-#include <unordered_map>
 
 #include "obs/fields.hpp"
+#include "peace/bounded_map.hpp"
 #include "peace/entities.hpp"
 #include "peace/session.hpp"
 #include "peace/verify_pool.hpp"
@@ -141,11 +141,11 @@ class User {
   /// touching any state — a no-op, not a protocol error.
   std::optional<Session> process_peer_confirm(const PeerConfirm& confirm);
 
-  /// Idempotent-resend path (config.idempotent_resend): when a duplicate
-  /// M~.2 arrives after the initiator already established the session (its
-  /// M~.3 was lost on the air), returns the byte-identical cached M~.3 so
-  /// the responder can still converge. Mints nothing and draws no
-  /// randomness. nullopt when the reply matches no cached confirmation.
+  /// Idempotent-resend path: when a duplicate M~.2 arrives after the
+  /// initiator already established the session (its M~.3 was lost on the
+  /// air), returns the byte-identical cached M~.3 so the responder can
+  /// still converge. Mints nothing and draws no randomness. nullopt when
+  /// the reply matches no cached confirmation.
   std::optional<PeerConfirm> cached_peer_confirm(const PeerReply& reply);
 
   // --- reliability state hygiene (PROTOCOL.md §10) ---
@@ -205,46 +205,33 @@ class User {
   /// them, so a rotated network key re-verifies everything.
   std::optional<NoSigned> verified_cert_, verified_crl_, verified_url_;
 
-  /// TTL + hard-cap admission for one pending map: expired entries are
-  /// reaped and, at the cap, the oldest entry is evicted to make room —
-  /// so no handshake flood can grow any map past config.pending_cap.
-  template <typename Map>
-  void admit_pending(Map& map, Timestamp now);
-
+  // Every map below is TTL'd (reap_pending runs before each insert) and
+  // capped at config.pending_cap with oldest-first eviction, so no
+  // handshake flood can grow one past the cap.
   struct PendingAccess {
     G1 shared;
     RouterId router_id;
     G1 g_rj, g_rr;
-    Timestamp created = 0;
   };
-  std::unordered_map<std::string, PendingAccess> pending_access_;
+  BoundedMap<std::string, PendingAccess> pending_access_;
 
   struct PendingPeerInitiator {
     Fr r_j;
-    G1 g_rj;
     Timestamp ts1;
-    Timestamp created = 0;
   };
-  std::unordered_map<std::string, PendingPeerInitiator> pending_peer_init_;
+  BoundedMap<std::string, PendingPeerInitiator> pending_peer_init_;
 
   struct PendingPeerResponder {
     G1 shared;
     Timestamp ts1, ts2;
-    Timestamp created = 0;
   };
-  std::unordered_map<std::string, PendingPeerResponder> pending_peer_resp_;
+  BoundedMap<std::string, PendingPeerResponder> pending_peer_resp_;
 
-  /// Resend caches for the idempotent-resend mode, keyed by the SHA-256 of
-  /// the triggering frame's full wire bytes (only *byte-identical*
-  /// duplicates match): the serialized M~.2 a responder produced per hello
-  /// and the serialized M~.3 an initiator produced per reply. Both are
-  /// TTL'd and capped exactly like the pending maps.
-  struct CachedWire {
-    Bytes wire;
-    Timestamp created = 0;
-  };
-  std::unordered_map<std::string, CachedWire> hello_replies_;
-  std::unordered_map<std::string, CachedWire> peer_confirms_;
+  /// Resend caches, keyed by the wire_key of the triggering frame: the M~.2
+  /// a responder produced per hello and the M~.3 an initiator produced per
+  /// reply.
+  BoundedMap<std::string, PeerReply> hello_replies_;
+  BoundedMap<std::string, PeerConfirm> peer_confirms_;
 
   UserStats stats_;
 };

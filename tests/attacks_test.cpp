@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string_view>
+
 namespace peace::mesh {
 namespace {
 
@@ -103,12 +106,22 @@ TEST_F(AttacksTest, A1_ReplayedRequestsAllRejected) {
   net_.add_user({40, 0}, make_user("victim"));
   Replayer replayer;
   replayer.attach(net_);
+  std::vector<Bytes> m3_on_air;
+  net_.add_tap([&](const WireObservation& obs) {
+    if (std::string_view(obs.kind) == "m3") m3_on_air.push_back(obs.payload);
+  });
   net_.start_beaconing(100, 500, 1100);
   sim_.run_until(2000);
   ASSERT_GT(replayer.captured(), 0u);
   // Immediate replay: replay cache blocks it. Later replay: timestamp too.
   EXPECT_EQ(replayer.replay_all(net_.router(r), sim_.now()), 0u);
   EXPECT_EQ(replayer.replay_all(net_.router(r), sim_.now() + 100000), 0u);
+  // A byte-identical replay may be answered as a retransmission, but only
+  // with an M.3 the air already carried: it leaks nothing new.
+  EXPECT_FALSE(replayer.confirms().empty());
+  for (const Bytes& m3 : replayer.confirms())
+    EXPECT_NE(std::find(m3_on_air.begin(), m3_on_air.end(), m3),
+              m3_on_air.end());
 }
 
 TEST_F(AttacksTest, A2_PhishingRouterAttractsNoUsers) {

@@ -162,9 +162,24 @@ TEST_F(AuthTest, ReplayedAccessRequestRejected) {
   const BeaconMessage beacon = router_->make_beacon(1000);
   auto m2 = alice_->process_beacon(beacon, 1000);
   ASSERT_TRUE(m2.has_value());
-  ASSERT_TRUE(router_->handle_access_request(*m2, 1010).has_value());
-  EXPECT_FALSE(router_->handle_access_request(*m2, 1020).has_value());
+  const auto first = router_->handle_access_request(*m2, 1010);
+  ASSERT_TRUE(first.has_value());
+  // A byte-identical copy cannot be told from a retransmission: it gets the
+  // first copy's M.3 back and opens no session.
+  const auto resent = router_->handle_access_request(*m2, 1020);
+  ASSERT_TRUE(resent.has_value());
+  EXPECT_EQ(resent->confirm.to_bytes(), first->confirm.to_bytes());
+  EXPECT_EQ(router_->session_count(), 1u);
+  EXPECT_EQ(router_->stats().accepted, 1u);
+  EXPECT_EQ(router_->stats().confirms_resent, 1u);
+  EXPECT_EQ(router_->stats().rejected_replay, 0u);
+  // Any other request under the same session id is a replay.
+  AccessRequest variant = *m2;
+  variant.ts2 += 1;
+  EXPECT_FALSE(router_->handle_access_request(variant, 1030).has_value());
   EXPECT_EQ(router_->stats().rejected_replay, 1u);
+  EXPECT_EQ(router_->stats().confirms_resent, 1u);
+  EXPECT_EQ(router_->session_count(), 1u);
 }
 
 TEST_F(AuthTest, StaleTimestampRejected) {
@@ -366,8 +381,8 @@ TEST_F(AuthTest, MultipleConcurrentSessions) {
 TEST_F(AuthTest, PooledBatchMatchesSequential) {
   // Two routers with identical keys and DRBG seeds — one verifying inline,
   // one over a 4-thread VerifyPool — must produce byte-identical outcomes
-  // for the same batch: accepts, rejects, session ids, confirm ciphertexts,
-  // and rejection counters.
+  // for the same batch: accepts, resends, rejects, session ids, confirm
+  // ciphertexts, and rejection counters.
   auto provision = no_.provision_router(5, kFarFuture);
   ProtocolConfig pooled_cfg;
   pooled_cfg.verify_threads = 4;
@@ -391,12 +406,15 @@ TEST_F(AuthTest, PooledBatchMatchesSequential) {
     ASSERT_TRUE(m2.has_value());
     batch.push_back(std::move(*m2));
   }
-  batch.push_back(batch[1]);  // duplicate in the same batch: replay
+  batch.push_back(batch[1]);  // byte-identical duplicate: resent
   users.push_back(make_user("batch-forger"));
   auto forged_m2 = users.back()->process_beacon(beacon, 1000);
   ASSERT_TRUE(forged_m2.has_value());
   forged_m2->signature.s_x = forged_m2->signature.s_x + curve::Fr::one();
   batch.push_back(std::move(*forged_m2));
+  AccessRequest variant = batch[2];  // same session id, other bytes: replay
+  variant.ts2 += 1;
+  batch.push_back(variant);
 
   const auto seq_out = seq.handle_access_requests(batch, 1010);
   const auto pool_out = pooled.handle_access_requests(batch, 1010);
@@ -409,12 +427,21 @@ TEST_F(AuthTest, PooledBatchMatchesSequential) {
       EXPECT_EQ(seq_out[i]->confirm.to_bytes(), pool_out[i]->confirm.to_bytes());
     }
   }
-  // First four accepted, duplicate and forged rejected.
+  // First four accepted, the duplicate answered with its first copy's M.3,
+  // forged and variant rejected.
   EXPECT_TRUE(seq_out[0].has_value() && seq_out[3].has_value());
-  EXPECT_FALSE(seq_out[4].has_value());
+  ASSERT_TRUE(seq_out[4].has_value());
+  EXPECT_EQ(seq_out[4]->confirm.to_bytes(), seq_out[1]->confirm.to_bytes());
   EXPECT_FALSE(seq_out[5].has_value());
+  EXPECT_FALSE(seq_out[6].has_value());
 
+  EXPECT_EQ(seq.stats().accepted, 4u);
   EXPECT_EQ(seq.stats().accepted, pooled.stats().accepted);
+  EXPECT_EQ(seq.session_count(), 4u);
+  EXPECT_EQ(seq.session_count(), pooled.session_count());
+  EXPECT_EQ(seq.stats().confirms_resent, 1u);
+  EXPECT_EQ(seq.stats().confirms_resent, pooled.stats().confirms_resent);
+  EXPECT_EQ(seq.stats().rejected_replay, 1u);
   EXPECT_EQ(seq.stats().rejected_replay, pooled.stats().rejected_replay);
   EXPECT_EQ(seq.stats().rejected_bad_signature,
             pooled.stats().rejected_bad_signature);
@@ -423,10 +450,10 @@ TEST_F(AuthTest, PooledBatchMatchesSequential) {
   // inline router counts a batch too.
   EXPECT_EQ(seq.stats().verify_batches, 1u);
   EXPECT_GE(pooled.stats().verify_batches, 1u);
-  // Five jobs entered the batch; the within-batch duplicate is deferred to
-  // the sequential apply pass and never verified in parallel.
-  EXPECT_EQ(pooled.stats().batched_requests, batch.size() - 1);
-  EXPECT_EQ(seq.stats().batched_requests, batch.size() - 1);
+  // Five jobs entered the batch; the two within-batch same-sid entries are
+  // deferred to the sequential apply pass and never verified in parallel.
+  EXPECT_EQ(pooled.stats().batched_requests, batch.size() - 2);
+  EXPECT_EQ(seq.stats().batched_requests, batch.size() - 2);
 }
 
 TEST_F(AuthTest, CustomReplayWindowEnforced) {

@@ -350,7 +350,8 @@ TEST_F(BatchProtocolTest, PooledBatchedRouterMatchesStrictUnderDuplicates) {
   // Pool + batch verification + fault-injected duplicate frames: the
   // combined pipeline must still be bit-identical to the one-at-a-time
   // twin (duplicates of one M.2 are deferred to the in-order apply pass,
-  // where only the first copy establishes the session).
+  // where only the first copy establishes the session and the copies get
+  // its M.3 back).
   auto alice = make_user("alice");
   auto bob = make_user("bob");
 
@@ -367,19 +368,30 @@ TEST_F(BatchProtocolTest, PooledBatchedRouterMatchesStrictUnderDuplicates) {
   auto b2 = bob->process_beacon(beacon, 1001);
   ASSERT_TRUE(a2.has_value());
   ASSERT_TRUE(b2.has_value());
-  // The radio duplicated alice's frame twice, interleaved with bob's.
+  // The radio duplicated alice's frame twice, interleaved with bob's; an
+  // attacker adds a variant of bob's under the same session id.
+  proto::AccessRequest b2_variant = *b2;
+  b2_variant.ts2 += 1;
   batch.push_back(*a2);
   batch.push_back(*b2);
   batch.push_back(*a2);
   batch.push_back(*a2);
+  batch.push_back(b2_variant);
 
   const auto got = pooled->handle_access_requests(batch, 1002);
   EXPECT_EQ(wires(got), wires(one_at_a_time(*single, batch, 1002)));
   ASSERT_TRUE(got[0].has_value());
   ASSERT_TRUE(got[1].has_value());
-  EXPECT_FALSE(got[2].has_value());  // replayed duplicates
-  EXPECT_FALSE(got[3].has_value());
+  ASSERT_TRUE(got[2].has_value());  // duplicates: alice's first M.3 again
+  ASSERT_TRUE(got[3].has_value());
+  EXPECT_EQ(got[2]->confirm.to_bytes(), got[0]->confirm.to_bytes());
+  EXPECT_EQ(got[3]->confirm.to_bytes(), got[0]->confirm.to_bytes());
+  EXPECT_FALSE(got[4].has_value());  // the variant is a replay
+  EXPECT_EQ(pooled->session_count(), 2u);
   EXPECT_EQ(pooled->session_count(), single->session_count());
+  EXPECT_EQ(pooled->stats().confirms_resent, 2u);
+  EXPECT_EQ(pooled->stats().confirms_resent, single->stats().confirms_resent);
+  EXPECT_EQ(pooled->stats().rejected_replay, 1u);
   EXPECT_EQ(pooled->stats().rejected_replay, single->stats().rejected_replay);
 }
 

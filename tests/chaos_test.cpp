@@ -30,8 +30,7 @@ FaultPlan burst_loss_plan() {
 }
 
 /// One self-contained metro segment: two routers with overlapping
-/// coverage, a row of users inside it, idempotent resend on (the resend
-/// caches are what make retransmission safe).
+/// coverage and a row of users inside it.
 struct ChaosWorld {
   explicit ChaosWorld(const std::string& seed, unsigned verify_threads = 0,
                       ReliabilityConfig reliability = {})
@@ -55,7 +54,6 @@ struct ChaosWorld {
 
   static proto::ProtocolConfig make_proto_config(unsigned verify_threads) {
     proto::ProtocolConfig config;
-    config.idempotent_resend = true;
     config.verify_threads = verify_threads;
     // Chaos runs span minutes of sim time; handshake freshness must follow.
     config.replay_window_ms = 60'000;

@@ -1,10 +1,12 @@
 // The handshake reliability layer (PROTOCOL.md §10) at the protocol tier:
 // idempotent resends of cached M.3 / M~.2 / M~.3 for byte-identical
-// duplicates, TTL + hard-cap garbage collection of pending-handshake
-// state, bounded replay caches, graceful sequence-space exhaustion, and
-// the duplicate-frame no-op guarantees.
+// duplicates, the bounded map behind every piece of handshake state, TTL +
+// hard-cap garbage collection of pending-handshake state, bounded replay
+// caches, graceful sequence-space exhaustion, and the duplicate-frame no-op
+// guarantees.
 #include <gtest/gtest.h>
 
+#include "peace/bounded_map.hpp"
 #include "peace/router.hpp"
 #include "peace/user.hpp"
 
@@ -44,18 +46,11 @@ class ReliabilityTest : public ::testing::Test {
   std::unique_ptr<GroupManager> gm_;
 };
 
-ProtocolConfig idempotent_config() {
-  ProtocolConfig config;
-  config.idempotent_resend = true;
-  return config;
-}
-
 // --- router-side idempotent resend (M.2 -> cached M.3) --------------------
 
 TEST_F(ReliabilityTest, DuplicateAccessRequestResendsCachedConfirm) {
-  const ProtocolConfig config = idempotent_config();
-  auto router = make_router(1, config);
-  auto alice = make_user("alice", config);
+  auto router = make_router(1);
+  auto alice = make_user("alice");
 
   const BeaconMessage beacon = router->make_beacon(1000);
   auto m2 = alice->process_beacon(beacon, 1000);
@@ -80,23 +75,9 @@ TEST_F(ReliabilityTest, DuplicateAccessRequestResendsCachedConfirm) {
   EXPECT_TRUE(session.has_value());
 }
 
-TEST_F(ReliabilityTest, StrictModeStillRejectsDuplicatesAsReplays) {
-  auto router = make_router(1);  // idempotent_resend off (default)
-  auto alice = make_user("alice");
-
-  const BeaconMessage beacon = router->make_beacon(1000);
-  auto m2 = alice->process_beacon(beacon, 1000);
-  ASSERT_TRUE(m2.has_value());
-  ASSERT_TRUE(router->handle_access_request(*m2, 1010).has_value());
-  EXPECT_FALSE(router->handle_access_request(*m2, 1020).has_value());
-  EXPECT_EQ(router->stats().rejected_replay, 1u);
-  EXPECT_EQ(router->stats().confirms_resent, 0u);
-}
-
 TEST_F(ReliabilityTest, ForgedVariantOfAcceptedRequestNotResent) {
-  const ProtocolConfig config = idempotent_config();
-  auto router = make_router(1, config);
-  auto alice = make_user("alice", config);
+  auto router = make_router(1);
+  auto alice = make_user("alice");
 
   const BeaconMessage beacon = router->make_beacon(1000);
   auto m2 = alice->process_beacon(beacon, 1000);
@@ -168,9 +149,8 @@ TEST_F(ReliabilityTest, ClosedSessionStaysClosedToReplays) {
 // --- peer-side idempotent resend (M~.1 -> cached M~.2, M~.2 -> M~.3) ------
 
 TEST_F(ReliabilityTest, DuplicatePeerHelloAnsweredFromCache) {
-  const ProtocolConfig config = idempotent_config();
-  auto alice = make_user("alice", config);
-  auto bob = make_user("bob", config);
+  auto alice = make_user("alice");
+  auto bob = make_user("bob");
   const curve::G1 g = curve::Bn254::get().g1_gen;
 
   const PeerHello hello = alice->make_peer_hello(g, 1000);
@@ -186,20 +166,6 @@ TEST_F(ReliabilityTest, DuplicatePeerHelloAnsweredFromCache) {
   EXPECT_EQ(bob->stats().duplicate_hellos, 1u);
 }
 
-TEST_F(ReliabilityTest, StrictModeMintsFreshReplyPerHello) {
-  auto alice = make_user("alice");
-  auto bob = make_user("bob");
-  const curve::G1 g = curve::Bn254::get().g1_gen;
-
-  const PeerHello hello = alice->make_peer_hello(g, 1000);
-  auto first = bob->process_peer_hello(hello, 1001);
-  auto second = bob->process_peer_hello(hello, 1002);
-  ASSERT_TRUE(first.has_value());
-  ASSERT_TRUE(second.has_value());
-  EXPECT_NE(first->to_bytes(), second->to_bytes());  // fresh r_l each time
-  EXPECT_EQ(bob->stats().duplicate_hellos, 0u);
-}
-
 TEST_F(ReliabilityTest, BatchedDuplicateHellosMatchSequential) {
   // Two bit-identical worlds built from the same seeds, differing only in
   // verify_threads: the pooled batch path must produce byte-for-byte the
@@ -210,7 +176,7 @@ TEST_F(ReliabilityTest, BatchedDuplicateHellosMatchSequential) {
     std::size_t pending;
   };
   const auto run = [](unsigned verify_threads) {
-    ProtocolConfig config = idempotent_config();
+    ProtocolConfig config;
     config.verify_threads = verify_threads;
     NetworkOperator no(crypto::Drbg::from_string("rel-batch-no"));
     TrustedThirdParty ttp;
@@ -253,9 +219,8 @@ TEST_F(ReliabilityTest, BatchedDuplicateHellosMatchSequential) {
 }
 
 TEST_F(ReliabilityTest, DuplicateReplyYieldsCachedPeerConfirm) {
-  const ProtocolConfig config = idempotent_config();
-  auto alice = make_user("alice", config);
-  auto bob = make_user("bob", config);
+  auto alice = make_user("alice");
+  auto bob = make_user("bob");
   const curve::G1 g = curve::Bn254::get().g1_gen;
 
   const PeerHello hello = alice->make_peer_hello(g, 1000);
@@ -279,16 +244,70 @@ TEST_F(ReliabilityTest, DuplicateReplyYieldsCachedPeerConfirm) {
   EXPECT_EQ(bob->stats().peer_sessions_established, 1u);
 }
 
-TEST_F(ReliabilityTest, CachedPeerConfirmAbsentInStrictMode) {
-  auto alice = make_user("alice");
-  auto bob = make_user("bob");
-  const curve::G1 g = curve::Bn254::get().g1_gen;
+// --- the bounded map behind every handshake cache -------------------------
 
-  const PeerHello hello = alice->make_peer_hello(g, 1000);
-  auto reply = bob->process_peer_hello(hello, 1001);
-  ASSERT_TRUE(reply.has_value());
-  ASSERT_TRUE(alice->process_peer_reply(*reply, 1002).has_value());
-  EXPECT_FALSE(alice->cached_peer_confirm(*reply).has_value());
+TEST(BoundedMapTest, EvictsOldestInsertionFirstAtCap) {
+  BoundedMap<int, int> map(4);
+  for (int k = 0; k < 4; ++k) EXPECT_EQ(map.insert(k, 10 * k, 100), 0u);
+  EXPECT_EQ(map.size(), 4u);
+  // Each new key at the cap pushes out exactly the oldest survivor.
+  EXPECT_EQ(map.insert(4, 40, 100), 1u);
+  EXPECT_FALSE(map.contains(0));
+  EXPECT_EQ(map.insert(5, 50, 100), 1u);
+  EXPECT_FALSE(map.contains(1));
+  EXPECT_EQ(map.size(), 4u);
+  for (int k = 2; k < 6; ++k) {
+    ASSERT_NE(map.find(k), nullptr) << k;
+    EXPECT_EQ(*map.find(k), 10 * k);
+  }
+}
+
+TEST(BoundedMapTest, OverwriteReplacesValueAndBecomesNewest) {
+  BoundedMap<int, int> map(4);
+  for (int k = 0; k < 4; ++k) map.insert(k, k, 100);
+  // Overwriting a held key neither grows the map nor evicts...
+  EXPECT_EQ(map.insert(0, 99, 200), 0u);
+  EXPECT_EQ(map.size(), 4u);
+  EXPECT_EQ(*map.find(0), 99);
+  // ...and moves it to the newest slot: key 1 is now the oldest.
+  EXPECT_EQ(map.insert(7, 7, 200), 1u);
+  EXPECT_FALSE(map.contains(1));
+  EXPECT_TRUE(map.contains(0));
+  // Its timestamp moved too: a reap that expires the t=100 entries keeps it.
+  EXPECT_EQ(map.reap(200, 50), 2u);  // keys 2 and 3
+  EXPECT_TRUE(map.contains(0));
+  EXPECT_TRUE(map.contains(7));
+}
+
+TEST(BoundedMapTest, ReapDropsOnlyEntriesOlderThanTtl) {
+  BoundedMap<int, int> map(4);
+  map.insert(1, 1, 1000);
+  map.insert(2, 2, 1500);
+  map.insert(3, 3, 3000);  // stamped after the reap's `now`
+  // now - created == ttl keeps the entry; one ms more reaps it.
+  EXPECT_EQ(map.reap(2000, 1000), 0u);
+  EXPECT_EQ(map.reap(2001, 1000), 1u);
+  EXPECT_FALSE(map.contains(1));
+  EXPECT_TRUE(map.contains(2));
+  EXPECT_TRUE(map.contains(3));
+  EXPECT_EQ(map.reap(2501, 1000), 1u);
+  EXPECT_EQ(map.size(), 1u);
+  EXPECT_TRUE(map.erase(3));
+  EXPECT_FALSE(map.erase(3));
+  EXPECT_EQ(map.size(), 0u);
+}
+
+TEST(BoundedMapTest, ZeroCapThrows) {
+  EXPECT_THROW((BoundedMap<int, int>(0)), Error);
+}
+
+TEST_F(ReliabilityTest, ZeroCapsRejectedAtConstruction) {
+  ProtocolConfig no_pending;
+  no_pending.pending_cap = 0;
+  EXPECT_THROW(make_user("alice", no_pending), Error);
+  ProtocolConfig no_replay_cache;
+  no_replay_cache.replay_cache_cap = 0;
+  EXPECT_THROW(make_router(1, no_replay_cache), Error);
 }
 
 // --- TTL + cap garbage collection -----------------------------------------
@@ -346,7 +365,7 @@ TEST_F(ReliabilityTest, PendingCapEvictsOldestFirst) {
 }
 
 TEST_F(ReliabilityTest, ResendCachesHonorTtlAndCap) {
-  ProtocolConfig config = idempotent_config();
+  ProtocolConfig config;
   config.pending_ttl_ms = 1000;
   config.pending_cap = 4;
   auto alice = make_user("alice", config);

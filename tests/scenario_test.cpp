@@ -6,6 +6,9 @@
 // unit tests miss, this is designed to catch it.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string_view>
+
 #include "mesh/adversary.hpp"
 
 namespace peace::mesh {
@@ -34,6 +37,10 @@ TEST_F(ScenarioTest, FullOperationalCycle) {
   eve.attach(net);
   Replayer replayer;
   replayer.attach(net);
+  std::vector<Bytes> m3_on_air;
+  net.add_tap([&](const WireObservation& obs) {
+    if (std::string_view(obs.kind) == "m3") m3_on_air.push_back(obs.payload);
+  });
 
   // --- Act 1: enrollment & join -----------------------------------------
   auto enroll = [&](const char* uid, proto::GroupManager& gm, Vec2 pos) {
@@ -67,6 +74,11 @@ TEST_F(ScenarioTest, FullOperationalCycle) {
   const auto beacon = net.router(r1).make_beacon(5000);
   EXPECT_EQ(outsider.inject(net.router(r1), beacon, 5001, 10), 0u);
   EXPECT_EQ(replayer.replay_all(net.router(r1), 5100), 0u);
+  // Replays answered as retransmissions get only M.3s already on the air.
+  EXPECT_FALSE(replayer.confirms().empty());
+  for (const Bytes& m3 : replayer.confirms())
+    EXPECT_NE(std::find(m3_on_air.begin(), m3_on_air.end(), m3),
+              m3_on_air.end());
 
   // DoS wave: puzzles switch on, the flood dies cheap, alice-class users
   // still get in (checked in act 5 via re-association).

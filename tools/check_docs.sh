@@ -1,13 +1,15 @@
 #!/usr/bin/env bash
 # Doc hygiene gate, run by the CI docs job (and runnable locally from the
-# repo root). Three checks over the markdown set:
+# repo root). Four checks over the markdown set:
 #
 #   1. every relative markdown link resolves to a file/dir in the tree;
 #   2. every source-tree path a doc mentions (src/..., tests/..., ...)
 #      exists — as written, or with a source extension appended (so
 #      "examples/dos_defense" matching examples/dos_defense.cpp is fine);
 #   3. every backticked code symbol (`Foo::bar`, `CamelCase`) appears
-#      somewhere in the source tree — stale identifiers fail the build.
+#      somewhere in the source tree — stale identifiers fail the build;
+#   4. every `ProtocolConfig` field in src/peace/messages.hpp is named in
+#      docs/PROTOCOL.md — an undocumented protocol knob fails the build.
 #
 # Fenced code blocks are ignored (their contents are illustrative, not
 # references). Exits nonzero listing every failure.
@@ -86,6 +88,18 @@ for doc in "${DOCS[@]}"; do
   done < <(strip_fences "$doc" \
            | grep -oE '`[A-Z][A-Za-z0-9]*`' | tr -d '`' \
            | grep -E '[a-z]' | grep -vE '::' | sort -u)
+done
+
+# --- 4. every ProtocolConfig field is documented --------------------------
+config_fields=$(awk '/^struct ProtocolConfig \{/ { in_struct = 1; next }
+                     in_struct && /^\};/ { exit }
+                     in_struct' src/peace/messages.hpp \
+  | grep -oE '^[[:space:]]+[A-Za-z_:<>0-9]+[[:space:]]+[a-z_0-9]+[[:space:]]*=' \
+  | awk '{ print $2 }')
+[ -n "$config_fields" ] || fail "src/peace/messages.hpp: no ProtocolConfig fields found"
+for field in $config_fields; do
+  grep -qw -e "$field" docs/PROTOCOL.md ||
+    fail "docs/PROTOCOL.md: ProtocolConfig field not documented ($field)"
 done
 
 if [ "$fails" -gt 0 ]; then
