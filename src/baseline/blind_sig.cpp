@@ -16,16 +16,9 @@ Fr schnorr_challenge(const G1& commitment, BytesView message) {
 
 }  // namespace
 
-Bytes BlindSignature::to_bytes() const {
-  Bytes out = curve::fr_to_bytes(c);
-  append(out, curve::fr_to_bytes(s));
-  return out;
-}
-
+Bytes BlindSignature::to_bytes() const { return encode(*this); }
 BlindSignature BlindSignature::from_bytes(BytesView data) {
-  if (data.size() != 64) throw Error("blindsig: bad length");
-  return {curve::fr_from_bytes(data.subspan(0, 32)),
-          curve::fr_from_bytes(data.subspan(32))};
+  return decode<BlindSignature>(data);
 }
 
 BlindIssuer BlindIssuer::create(crypto::Drbg& rng) {

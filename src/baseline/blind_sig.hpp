@@ -21,6 +21,7 @@ struct BlindSignature {
   Fr c;
   Fr s;
 
+  static void fields(auto& io, auto& sig) { io(sig.c, sig.s); }
   Bytes to_bytes() const;
   static BlindSignature from_bytes(BytesView data);
 };

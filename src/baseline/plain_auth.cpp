@@ -6,36 +6,12 @@
 
 namespace peace::baseline {
 
-using curve::g1_from_bytes;
-using curve::g1_to_bytes;
-
 Bytes PlainUserCertificate::signed_payload() const {
-  Writer w;
-  w.str("plain/user-cert");
-  w.str(uid);
-  w.raw(g1_to_bytes(public_key));
-  w.u64(expires_at);
-  return w.take();
+  return encode_signed(*this, "plain/user-cert");
 }
-
-Bytes PlainUserCertificate::to_bytes() const {
-  Writer w;
-  w.str(uid);
-  w.raw(g1_to_bytes(public_key));
-  w.u64(expires_at);
-  w.raw(signature.to_bytes());
-  return w.take();
-}
-
+Bytes PlainUserCertificate::to_bytes() const { return encode(*this); }
 PlainUserCertificate PlainUserCertificate::from_bytes(BytesView data) {
-  Reader r(data);
-  PlainUserCertificate c;
-  c.uid = r.str();
-  c.public_key = g1_from_bytes(r.raw(curve::kG1CompressedSize));
-  c.expires_at = r.u64();
-  c.signature = EcdsaSignature::from_bytes(r.raw(curve::kEcdsaSignatureSize));
-  r.expect_end();
-  return c;
+  return decode<PlainUserCertificate>(data);
 }
 
 PlainAuthority::PlainAuthority(crypto::Drbg rng)
@@ -60,34 +36,11 @@ bool PlainAuthority::is_revoked(const std::string& uid) const {
 }
 
 Bytes PlainAccessRequest::signed_payload() const {
-  Writer w;
-  w.str("plain/m2");
-  w.raw(g1_to_bytes(g_rj));
-  w.raw(g1_to_bytes(g_rr));
-  w.u64(ts);
-  return w.take();
+  return encode_signed(*this, "plain/m2");
 }
-
-Bytes PlainAccessRequest::to_bytes() const {
-  Writer w;
-  w.raw(g1_to_bytes(g_rj));
-  w.raw(g1_to_bytes(g_rr));
-  w.u64(ts);
-  w.bytes(certificate.to_bytes());
-  w.raw(signature.to_bytes());
-  return w.take();
-}
-
+Bytes PlainAccessRequest::to_bytes() const { return encode(*this); }
 PlainAccessRequest PlainAccessRequest::from_bytes(BytesView data) {
-  Reader r(data);
-  PlainAccessRequest m;
-  m.g_rj = g1_from_bytes(r.raw(curve::kG1CompressedSize));
-  m.g_rr = g1_from_bytes(r.raw(curve::kG1CompressedSize));
-  m.ts = r.u64();
-  m.certificate = PlainUserCertificate::from_bytes(r.bytes());
-  m.signature = EcdsaSignature::from_bytes(r.raw(curve::kEcdsaSignatureSize));
-  r.expect_end();
-  return m;
+  return decode<PlainAccessRequest>(data);
 }
 
 PlainAccessRequest make_plain_request(const PlainAuthority::IssuedUser& user,

@@ -8,6 +8,7 @@
 #include <optional>
 #include <string>
 
+#include "common/serde.hpp"
 #include "curve/ecdsa.hpp"
 
 namespace peace::baseline {
@@ -22,6 +23,9 @@ struct PlainUserCertificate {
   std::uint64_t expires_at = 0;
   EcdsaSignature signature;  // by the operator
 
+  static void fields(auto& io, auto& s) {
+    io(s.uid, s.public_key, s.expires_at, kSignedEnd, s.signature);
+  }
   Bytes signed_payload() const;
   Bytes to_bytes() const;
   static PlainUserCertificate from_bytes(BytesView data);
@@ -59,6 +63,9 @@ struct PlainAccessRequest {
   PlainUserCertificate certificate;
   EcdsaSignature signature;
 
+  static void fields(auto& io, auto& s) {
+    io(s.g_rj, s.g_rr, s.ts, kSignedEnd, s.certificate, s.signature);
+  }
   Bytes signed_payload() const;
   Bytes to_bytes() const;
   static PlainAccessRequest from_bytes(BytesView data);

@@ -31,25 +31,9 @@ RingKeyPair RingKeyPair::generate(crypto::Drbg& rng) {
   return kp;
 }
 
-Bytes RingSignature::to_bytes() const {
-  Writer w;
-  w.raw(curve::fr_to_bytes(c0));
-  w.u32(static_cast<std::uint32_t>(z.size()));
-  for (const Fr& zi : z) w.raw(curve::fr_to_bytes(zi));
-  return w.take();
-}
-
+Bytes RingSignature::to_bytes() const { return encode(*this); }
 RingSignature RingSignature::from_bytes(BytesView data) {
-  Reader r(data);
-  RingSignature sig;
-  sig.c0 = curve::fr_from_bytes(r.raw(32));
-  const std::uint32_t n = r.u32();
-  if (n > r.remaining() / 32) throw Error("ring: bad member count");
-  sig.z.reserve(n);
-  for (std::uint32_t i = 0; i < n; ++i)
-    sig.z.push_back(curve::fr_from_bytes(r.raw(32)));
-  r.expect_end();
-  return sig;
+  return decode<RingSignature>(data);
 }
 
 RingSignature ring_sign(const std::vector<G1>& ring, std::size_t signer_index,

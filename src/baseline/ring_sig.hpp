@@ -27,6 +27,7 @@ struct RingSignature {
   Fr c0;
   std::vector<Fr> z;
 
+  static void fields(auto& io, auto& s) { io(s.c0, s.z); }
   Bytes to_bytes() const;
   static RingSignature from_bytes(BytesView data);
   std::size_t size_bytes() const { return 32 * (1 + z.size()); }

@@ -22,6 +22,11 @@ void Writer::bytes(BytesView data) {
   raw(data);
 }
 
+void Writer::count(std::size_t n) {
+  if (wide_counts_) u64(n);
+  else u32(static_cast<std::uint32_t>(n));
+}
+
 void Reader::need(std::size_t n) const {
   if (remaining() < n) throw Error("serde: truncated input");
 }
@@ -70,6 +75,12 @@ Bytes Reader::bytes() {
 std::string Reader::str() {
   Bytes b = bytes();
   return std::string(b.begin(), b.end());
+}
+
+std::size_t Reader::count() {
+  const std::uint64_t n = wide_counts_ ? u64() : u32();
+  if (n > remaining() / 4) throw Error("serde: bad element count");
+  return static_cast<std::size_t>(n);
 }
 
 void Reader::expect_end() const {

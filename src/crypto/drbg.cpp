@@ -87,29 +87,23 @@ Drbg Drbg::fork(std::string_view label) {
   return Drbg(seed);
 }
 
-Bytes Drbg::export_state() const {
-  Writer w;
-  w.str("peace/drbg-state-v1");
-  w.bytes(key_);
-  w.u64(block_counter_);
-  w.bytes(cache_);
-  w.u64(cache_pos_);
-  return w.take();
-}
+Bytes Drbg::export_state() const { return encode(*this); }
 
 Drbg Drbg::import_state(BytesView data) {
-  Reader r(data);
-  if (r.str() != "peace/drbg-state-v1")
-    throw Error("drbg: bad state encoding");
   Drbg d;
-  d.key_ = r.bytes();
-  d.block_counter_ = r.u64();
-  d.cache_ = r.bytes();
-  d.cache_pos_ = r.u64();
-  r.expect_end();
+  decode_into(data, d);
   if (d.key_.size() != 32 || d.cache_pos_ > d.cache_.size())
     throw Error("drbg: malformed state");
   return d;
 }
 
 }  // namespace peace::crypto
+
+namespace peace {
+
+void put(Writer& w, const crypto::Drbg& d) { w.bytes(d.export_state()); }
+void get(Reader& r, crypto::Drbg& d) {
+  d = crypto::Drbg::import_state(r.bytes());
+}
+
+}  // namespace peace

@@ -7,6 +7,7 @@
 #include <string_view>
 
 #include "common/bytes.hpp"
+#include "common/serde.hpp"
 
 namespace peace::crypto {
 
@@ -43,6 +44,12 @@ class Drbg {
 
   void ratchet();
 
+  friend struct peace::FieldAccess;
+  static void fields(auto& io, auto& s) {
+    io(Tag{"peace/drbg-state-v1"}, s.key_, s.block_counter_, s.cache_,
+       s.cache_pos_);
+  }
+
   Bytes key_;            // 32 bytes
   std::uint64_t block_counter_ = 0;
   Bytes cache_;
@@ -50,3 +57,12 @@ class Drbg {
 };
 
 }  // namespace peace::crypto
+
+namespace peace {
+
+/// Field-list leaf for state images: the export_state() bytes,
+/// length-prefixed.
+void put(Writer& w, const crypto::Drbg& d);
+void get(Reader& r, crypto::Drbg& d);
+
+}  // namespace peace

@@ -1,5 +1,7 @@
 #include "curve/bn254.hpp"
 
+#include "common/serde.hpp"
+
 namespace peace::curve {
 
 using math::BigInt;
@@ -728,3 +730,25 @@ Fr fr_from_bytes(BytesView data) {
 }
 
 }  // namespace peace::curve
+
+namespace peace {
+
+void put(Writer& w, const curve::G1& p) { w.raw(curve::g1_to_bytes(p)); }
+void get(Reader& r, curve::G1& p) {
+  p = curve::g1_from_bytes(r.raw(curve::kG1CompressedSize));
+}
+void put(Writer& w, curve::NonZero<const curve::G1> p) { w(p.point); }
+void get(Reader& r, curve::NonZero<curve::G1> p) {
+  r(p.point);
+  if (p.point.is_infinity()) throw Error("serde: identity point in message");
+}
+void put(Writer& w, const curve::G2& p) { w.raw(curve::g2_to_bytes(p)); }
+void get(Reader& r, curve::G2& p) {
+  p = curve::g2_from_bytes(r.raw(curve::kG2CompressedSize));
+}
+void put(Writer& w, const curve::Fr& v) { w.raw(curve::fr_to_bytes(v)); }
+void get(Reader& r, curve::Fr& v) {
+  v = curve::fr_from_bytes(r.raw(curve::kFrSize));
+}
+
+}  // namespace peace

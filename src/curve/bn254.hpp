@@ -9,6 +9,11 @@
 #include "curve/point.hpp"
 #include "math/bigint.hpp"
 
+namespace peace {
+class Writer;
+class Reader;
+}  // namespace peace
+
 namespace peace::curve {
 
 using math::Fp;
@@ -155,7 +160,7 @@ constexpr std::size_t kG1CompressedSize = 33;
 constexpr std::size_t kG2CompressedSize = 65;
 constexpr std::size_t kFrSize = 32;
 /// GT elements serialize as the 12 Fp coefficients (Fp12::to_bytes).
-constexpr std::size_t kGtSize = 12 * 32;
+constexpr std::size_t kGtSize = math::Fp12::kWireSize;
 
 Bytes g1_to_bytes(const G1& point);
 /// Throws Error on malformed encodings or points off the curve.
@@ -169,4 +174,33 @@ G2 g2_from_bytes(BytesView data);
 Bytes fr_to_bytes(const Fr& v);
 Fr fr_from_bytes(BytesView data);
 
+/// A G1 field that must not be the identity: no protocol field is ever
+/// legitimately the identity (router keys and DH shares are secret
+/// multiples of the generator), and letting one through would, e.g., force
+/// a session key derived from the identity share.
+template <class P>
+struct NonZero {
+  P& point;
+};
+template <class P>
+NonZero<P> nonzero(P& point) {
+  return {point};
+}
+
 }  // namespace peace::curve
+
+namespace peace {
+
+// Field-list leaves (common/serde.hpp) for the curve types: compressed
+// points and canonical scalars, embedded raw. GT travels through
+// Fp12::kWireSize.
+void put(Writer& w, const curve::G1& p);
+void get(Reader& r, curve::G1& p);
+void put(Writer& w, curve::NonZero<const curve::G1> p);
+void get(Reader& r, curve::NonZero<curve::G1> p);
+void put(Writer& w, const curve::G2& p);
+void get(Reader& r, curve::G2& p);
+void put(Writer& w, const curve::Fr& v);
+void get(Reader& r, curve::Fr& v);
+
+}  // namespace peace

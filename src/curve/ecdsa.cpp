@@ -1,5 +1,6 @@
 #include "curve/ecdsa.hpp"
 
+#include "common/serde.hpp"
 #include "crypto/sha256.hpp"
 #include "curve/hash_to_curve.hpp"
 
@@ -25,16 +26,10 @@ Fr random_fr(crypto::Drbg& rng) {
   }
 }
 
-Bytes EcdsaSignature::to_bytes() const {
-  Bytes out = fr_to_bytes(r);
-  append(out, fr_to_bytes(s));
-  return out;
-}
+Bytes EcdsaSignature::to_bytes() const { return encode(*this); }
 
 EcdsaSignature EcdsaSignature::from_bytes(BytesView data) {
-  if (data.size() != kEcdsaSignatureSize) throw Error("ecdsa: bad sig length");
-  return {fr_from_bytes(data.subspan(0, kFrSize)),
-          fr_from_bytes(data.subspan(kFrSize))};
+  return decode<EcdsaSignature>(data);
 }
 
 EcdsaKeyPair EcdsaKeyPair::generate(crypto::Drbg& rng) {
@@ -89,3 +84,14 @@ bool ecdsa_verify(const G1& public_key, BytesView message,
 }
 
 }  // namespace peace::curve
+
+namespace peace {
+
+void put(Writer& w, const curve::EcdsaKeyPair& k) { w(k.secret_key()); }
+void get(Reader& r, curve::EcdsaKeyPair& k) {
+  curve::Fr secret;
+  r(secret);
+  k = curve::EcdsaKeyPair::from_secret(secret);
+}
+
+}  // namespace peace

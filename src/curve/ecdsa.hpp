@@ -13,12 +13,15 @@ struct EcdsaSignature {
   Fr r;
   Fr s;
 
+  /// r || s; nested in a field list the signature is embedded raw.
+  static constexpr std::size_t kWireSize = 2 * kFrSize;
+  static void fields(auto& io, auto& sig) { io(sig.r, sig.s); }
   Bytes to_bytes() const;
   static EcdsaSignature from_bytes(BytesView data);
   bool operator==(const EcdsaSignature&) const = default;
 };
 
-constexpr std::size_t kEcdsaSignatureSize = 2 * kFrSize;
+constexpr std::size_t kEcdsaSignatureSize = EcdsaSignature::kWireSize;
 
 class EcdsaKeyPair {
  public:
@@ -46,3 +49,12 @@ Fr random_fr(crypto::Drbg& rng);
 Fr random_fr_any(crypto::Drbg& rng);
 
 }  // namespace peace::curve
+
+namespace peace {
+
+/// Field-list leaf for state images: a key pair is stored as its secret
+/// scalar and rebuilt with from_secret.
+void put(Writer& w, const curve::EcdsaKeyPair& k);
+void get(Reader& r, curve::EcdsaKeyPair& k);
+
+}  // namespace peace

@@ -491,20 +491,6 @@ bool gt_in_cyclotomic_subgroup(const Fp12& x) {
   return x_p4 * x == x_p2;
 }
 
-GT gt_pow_unitary(const GT& x, std::uint64_t e) {
-  obs::note(obs::Op::kGtPow);
-  Fp12 acc = Fp12::one();
-  bool started = false;
-  for (int i = 63; i >= 0; --i) {
-    if (started) acc = acc.cyclotomic_square();
-    if ((e >> i) & 1) {
-      acc *= x;
-      started = true;
-    }
-  }
-  return acc;
-}
-
 GT gt_multi_pow_unitary(std::span<const GT> xs,
                         std::span<const std::uint64_t> es) {
   if (xs.size() != es.size())

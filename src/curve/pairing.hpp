@@ -115,11 +115,6 @@ class MillerAccumulator {
 /// batch check (docs/CRYPTO.md).
 bool gt_in_cyclotomic_subgroup(const Fp12& x);
 
-/// x^e for x in the cyclotomic subgroup (NOT valid for general Fp12 — the
-/// caller guarantees membership, e.g. via gt_in_cyclotomic_subgroup or
-/// because x is a pairing output). Uses Granger-Scott cyclotomic squaring.
-GT gt_pow_unitary(const GT& x, std::uint64_t e);
-
 /// prod_i xs[i]^{es[i]} over cyclotomic-subgroup elements with one shared
 /// squaring chain: 64 cyclotomic squarings total plus one multiplication
 /// per set exponent bit, instead of a full chain per element. The batch

@@ -92,40 +92,11 @@ RevocationToken RevocationToken::from_bytes(BytesView data) {
   return token;
 }
 
-Bytes Signature::to_bytes() const {
-  Writer w;
-  w.u64(epoch);
-  w.raw(fr_to_bytes(nonce));
-  w.raw(g1_to_bytes(t1));
-  w.raw(g1_to_bytes(t2));
-  w.raw(g2_to_bytes(t_hat));
-  w.raw(g1_to_bytes(r1));
-  w.raw(r2.to_bytes());
-  w.raw(g1_to_bytes(r3));
-  w.raw(g2_to_bytes(r4));
-  w.raw(fr_to_bytes(s_alpha));
-  w.raw(fr_to_bytes(s_x));
-  w.raw(fr_to_bytes(s_delta));
-  return w.take();
-}
+Bytes Signature::to_bytes() const { return encode(*this); }
 
 Signature Signature::from_bytes(BytesView data) {
   if (data.size() != kSignatureSize) throw Error("groupsig: bad sig length");
-  Reader r(data);
-  Signature sig;
-  sig.epoch = r.u64();
-  sig.nonce = fr_from_bytes(r.raw(32));
-  sig.t1 = g1_from_bytes(r.raw(curve::kG1CompressedSize));
-  sig.t2 = g1_from_bytes(r.raw(curve::kG1CompressedSize));
-  sig.t_hat = g2_from_bytes(r.raw(curve::kG2CompressedSize));
-  sig.r1 = g1_from_bytes(r.raw(curve::kG1CompressedSize));
-  sig.r2 = GT::from_bytes(r.raw(curve::kGtSize));
-  sig.r3 = g1_from_bytes(r.raw(curve::kG1CompressedSize));
-  sig.r4 = g2_from_bytes(r.raw(curve::kG2CompressedSize));
-  sig.s_alpha = fr_from_bytes(r.raw(32));
-  sig.s_x = fr_from_bytes(r.raw(32));
-  sig.s_delta = fr_from_bytes(r.raw(32));
-  r.expect_end();
+  const Signature sig = decode<Signature>(data);
   // T1 = u^alpha, T2 = A v^alpha, T_hat = v_hat^alpha with u, v, v_hat
   // nonzero hashed bases: honest signers never produce the identity, and
   // rejecting it here keeps degenerate points out of the pairing inputs.
@@ -794,3 +765,14 @@ GT epoch_linkability_tag(const GroupPublicKey& gpk, const Signature& sig) {
 }
 
 }  // namespace peace::groupsig
+
+namespace peace {
+
+void put(Writer& w, const groupsig::Issuer& issuer) { w(issuer.gamma()); }
+void get(Reader& r, groupsig::Issuer& issuer) {
+  curve::Fr gamma;
+  r(gamma);
+  issuer = groupsig::Issuer::from_secret(gamma);
+}
+
+}  // namespace peace

@@ -155,6 +155,16 @@ struct Signature {
   G2 r4;     // v_hat^r_alpha
   Fr s_alpha, s_x, s_delta;
 
+  /// epoch(8) + nonce(32) + 2 G1 + 1 G2 + R1(G1) + R2(GT) + R3(G1) + R4(G2)
+  /// + 3 Fr = 782 bytes; nested in a message the signature is embedded raw.
+  static constexpr std::size_t kWireSize =
+      8 + 32 + 2 * curve::kG1CompressedSize + curve::kG2CompressedSize +
+      curve::kG1CompressedSize + curve::kGtSize + curve::kG1CompressedSize +
+      curve::kG2CompressedSize + 3 * 32;
+  static void fields(auto& io, auto& s) {
+    io(s.epoch, s.nonce, s.t1, s.t2, s.t_hat, s.r1, s.r2, s.r3, s.r4,
+       s.s_alpha, s.s_x, s.s_delta);
+  }
   Bytes to_bytes() const;
   /// Throws on malformed encodings; additionally enforces that T1, T2,
   /// T_hat are non-identity and that R2 lies in the cyclotomic subgroup of
@@ -164,13 +174,8 @@ struct Signature {
   bool operator==(const Signature&) const = default;
 };
 
-/// Serialized signature size:
-/// epoch(8) + nonce(32) + 2 G1 + 1 G2 + R1(G1) + R2(GT) + R3(G1) + R4(G2)
-/// + 3 Fr = 782 bytes.
-constexpr std::size_t kSignatureSize =
-    8 + 32 + 2 * curve::kG1CompressedSize + curve::kG2CompressedSize +
-    curve::kG1CompressedSize + curve::kGtSize + curve::kG1CompressedSize +
-    curve::kG2CompressedSize + 3 * 32;
+/// Serialized signature size.
+constexpr std::size_t kSignatureSize = Signature::kWireSize;
 
 /// Group-manager/issuer role (the network operator in PEACE): holds the
 /// master secret gamma and mints member keys.
@@ -462,3 +467,12 @@ bool verify_fast(const GroupPublicKey& gpk, BytesView message,
 GT epoch_linkability_tag(const GroupPublicKey& gpk, const Signature& sig);
 
 }  // namespace peace::groupsig
+
+namespace peace {
+
+/// Field-list leaf for state images: an issuer is stored as its master
+/// secret gamma and rebuilt with from_secret.
+void put(Writer& w, const groupsig::Issuer& issuer);
+void get(Reader& r, groupsig::Issuer& issuer);
+
+}  // namespace peace

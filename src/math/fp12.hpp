@@ -223,6 +223,9 @@ struct Fp12 {
   /// form, big-endian) — used to feed GT elements into hashes and KDFs.
   Bytes to_bytes() const;
 
+  /// Size of to_bytes(); nested in a field list a GT element is embedded raw.
+  static constexpr std::size_t kWireSize = 12 * 32;
+
   /// Strict inverse of to_bytes: exactly 12 * 32 bytes, every coefficient
   /// canonical (< p). Throws Error otherwise. Callers deserializing GT
   /// elements from the wire must additionally run a subgroup membership

@@ -87,7 +87,6 @@ class FrameArena {
   std::optional<PooledFrame> acquire_copy(BytesView payload);
 
   std::size_t cap() const { return cap_; }
-  std::size_t free_frames() const { return free_.size(); }
   /// Live PooledFrames right now.
   std::size_t outstanding() const { return outstanding_; }
   const FrameArenaStats& stats() const { return stats_; }

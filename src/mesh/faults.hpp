@@ -52,8 +52,6 @@ class FaultInjector {
   FaultInjector() = default;
   explicit FaultInjector(const FaultPlan& plan) : plan_(plan) {}
 
-  const FaultPlan& plan() const { return plan_; }
-  bool in_burst() const { return burst_bad_; }
 
   /// Draws the fate of one frame. Randomness is consumed only by fault
   /// classes with nonzero probability (and the burst chain only once it can

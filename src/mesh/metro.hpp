@@ -188,7 +188,6 @@ class MetroSimulation {
   /// the monitor and ticks its evaluation clock. Observer only — arming a
   /// monitor cannot change a single simulation byte. Must outlive the run.
   void set_health_monitor(obs::HealthMonitor* monitor) { health_ = monitor; }
-  obs::HealthMonitor* health_monitor() const { return health_; }
 
  private:
   struct UserRecord {

@@ -147,7 +147,6 @@ class MeshNetwork {
   /// are never carried across segments — the privacy model mandates a
   /// fresh anonymous handshake after roaming anyway.
   std::unique_ptr<proto::User> remove_user(NodeId id);
-  bool has_user(NodeId id) const { return users_.contains(id); }
   std::size_t user_count() const { return users_.size(); }
   /// Layer-1 of Fig. 1: a wired Internet entry point, reachable from
   /// routers within backbone_range over a secure channel.
@@ -220,7 +219,6 @@ class MeshNetwork {
   /// caller folds it into the plan's loss_good; the backbone and the
   /// operator's control traffic stay on the plain loss model.
   void set_fault_plan(const FaultPlan& plan);
-  const FaultPlan& fault_plan() const { return faults_.plan(); }
 
   /// Blocks (or heals) the radio link between two nodes — a partition.
   /// Frames sent across a blocked link are dropped (frames_partitioned).

@@ -27,13 +27,23 @@ G1 unblind_credential(BytesView blinded, const Fr& x) {
   return g1_from_bytes(xor_bytes(blinded, pad));
 }
 
+namespace {
+
+/// What NO signs when it deposits a blinded credential with the TTP, and
+/// what the TTP countersigns as its receipt.
+Bytes deposit_payload(const KeyIndex& idx, const Bytes& blinded) {
+  Writer w;
+  w.str("peace/ttp-deposit");
+  w(idx, blinded);
+  return w.take();
+}
+
+}  // namespace
+
 // --- TrustedThirdParty -------------------------------------------------------
 
 void TrustedThirdParty::ensure_signing_key(crypto::Drbg& rng) {
-  if (!has_key_) {
-    signing_key_ = EcdsaKeyPair::generate(rng);
-    has_key_ = true;
-  }
+  if (!signing_key_) signing_key_ = EcdsaKeyPair::generate(rng);
 }
 
 EcdsaSignature TrustedThirdParty::deposit(const KeyIndex& idx,
@@ -41,16 +51,12 @@ EcdsaSignature TrustedThirdParty::deposit(const KeyIndex& idx,
                                           const EcdsaSignature& no_signature,
                                           const G1& npk, crypto::Drbg& rng) {
   ensure_signing_key(rng);
-  Writer w;
-  w.str("peace/ttp-deposit");
-  w.u32(idx.group);
-  w.u32(idx.member);
-  w.bytes(blinded_credential);
-  if (!ecdsa_verify(npk, w.data(), no_signature))
+  const Bytes payload = deposit_payload(idx, blinded_credential);
+  if (!ecdsa_verify(npk, payload, no_signature))
     throw Error("ttp: deposit not signed by NO");
   store_[{idx.group, idx.member}] = std::move(blinded_credential);
   // Receipt for non-repudiation (paper: "TTP also signs on these messages").
-  return signing_key_.sign(w.data(), rng);
+  return signing_key_->sign(payload, rng);
 }
 
 Bytes TrustedThirdParty::deliver(const KeyIndex& idx, const std::string& uid) {
@@ -76,47 +82,10 @@ void TrustedThirdParty::replay_deliver(const KeyIndex& idx,
   delivered_to_[{idx.group, idx.member}] = uid;
 }
 
-Bytes TrustedThirdParty::state_bytes() const {
-  Writer w;
-  w.str("peace/ttp-state-v1");
-  w.u8(has_key_ ? 1 : 0);
-  if (has_key_) w.raw(curve::fr_to_bytes(signing_key_.secret_key()));
-  w.u64(store_.size());
-  for (const auto& [key, blinded] : store_) {
-    w.u32(key.first);
-    w.u32(key.second);
-    w.bytes(blinded);
-  }
-  w.u64(delivered_to_.size());
-  for (const auto& [key, uid] : delivered_to_) {
-    w.u32(key.first);
-    w.u32(key.second);
-    w.str(uid);
-  }
-  return w.take();
-}
+Bytes TrustedThirdParty::state_bytes() const { return encode(*this); }
 
 TrustedThirdParty TrustedThirdParty::from_state(BytesView data) {
-  Reader r(data);
-  if (r.str() != "peace/ttp-state-v1")
-    throw Error("ttp: bad state image");
-  TrustedThirdParty ttp;
-  ttp.has_key_ = r.u8() != 0;
-  if (ttp.has_key_)
-    ttp.signing_key_ =
-        EcdsaKeyPair::from_secret(curve::fr_from_bytes(r.raw(curve::kFrSize)));
-  for (std::uint64_t i = 0, n = r.u64(); i < n; ++i) {
-    const std::uint32_t g = r.u32();
-    const std::uint32_t m = r.u32();
-    ttp.store_[{g, m}] = r.bytes();
-  }
-  for (std::uint64_t i = 0, n = r.u64(); i < n; ++i) {
-    const std::uint32_t g = r.u32();
-    const std::uint32_t m = r.u32();
-    ttp.delivered_to_[{g, m}] = r.str();
-  }
-  r.expect_end();
-  return ttp;
+  return decode<TrustedThirdParty>(data);
 }
 
 // --- GroupManager ------------------------------------------------------------
@@ -154,14 +123,7 @@ std::optional<std::string> GroupManager::uid_for_index(
 }
 
 Bytes GroupManager::enrollment_receipt_payload(const Enrollment& enrollment) {
-  Writer w;
-  w.str("peace/enrollment-receipt");
-  w.u32(enrollment.index.group);
-  w.u32(enrollment.index.member);
-  w.raw(curve::fr_to_bytes(enrollment.grp));
-  w.raw(curve::fr_to_bytes(enrollment.x));
-  w.bytes(enrollment.blinded_credential);
-  return w.take();
+  return encode_signed(enrollment, "peace/enrollment-receipt");
 }
 
 void GroupManager::record_receipt(const Enrollment& enrollment,
@@ -210,81 +172,11 @@ std::optional<GroupManager::EnrollmentReceipt> GroupManager::receipt_for(
 
 std::size_t GroupManager::keys_remaining() const { return unassigned_.size(); }
 
-Bytes GroupManager::state_bytes() const {
-  Writer w;
-  w.str("peace/gm-state-v1");
-  w.u32(id_);
-  w.str(name_);
-  w.raw(curve::fr_to_bytes(grp_));
-  w.u64(unassigned_.size());
-  for (const auto& [idx, x] : unassigned_) {
-    w.u32(idx.group);
-    w.u32(idx.member);
-    w.raw(curve::fr_to_bytes(x));
-  }
-  w.u64(assigned_.size());
-  for (const auto& [key, uid] : assigned_) {
-    w.u32(key.first);
-    w.u32(key.second);
-    w.str(uid);
-  }
-  w.u64(assigned_x_.size());
-  for (const auto& [key, x] : assigned_x_) {
-    w.u32(key.first);
-    w.u32(key.second);
-    w.raw(curve::fr_to_bytes(x));
-  }
-  w.u64(receipts_.size());
-  for (const auto& [key, receipt] : receipts_) {
-    w.u32(key.first);
-    w.u32(key.second);
-    w.bytes(g1_to_bytes(receipt.user_public_key));
-    w.bytes(receipt.signature.to_bytes());
-  }
-  w.u64(receipt_order_.size());
-  for (const auto& [g, m] : receipt_order_) {
-    w.u32(g);
-    w.u32(m);
-  }
-  return w.take();
-}
+Bytes GroupManager::state_bytes() const { return encode(*this); }
 
 GroupManager GroupManager::from_state(BytesView data) {
-  Reader r(data);
-  if (r.str() != "peace/gm-state-v1")
-    throw Error("gm: bad state image");
-  const GroupId id = r.u32();
-  GroupManager gm(id, r.str());
-  gm.grp_ = curve::fr_from_bytes(r.raw(curve::kFrSize));
-  for (std::uint64_t i = 0, n = r.u64(); i < n; ++i) {
-    KeyIndex idx{r.u32(), r.u32()};
-    gm.unassigned_.emplace_back(idx,
-                                curve::fr_from_bytes(r.raw(curve::kFrSize)));
-  }
-  for (std::uint64_t i = 0, n = r.u64(); i < n; ++i) {
-    const std::uint32_t g = r.u32();
-    const std::uint32_t m = r.u32();
-    gm.assigned_[{g, m}] = r.str();
-  }
-  for (std::uint64_t i = 0, n = r.u64(); i < n; ++i) {
-    const std::uint32_t g = r.u32();
-    const std::uint32_t m = r.u32();
-    gm.assigned_x_[{g, m}] = curve::fr_from_bytes(r.raw(curve::kFrSize));
-  }
-  for (std::uint64_t i = 0, n = r.u64(); i < n; ++i) {
-    const std::uint32_t g = r.u32();
-    const std::uint32_t m = r.u32();
-    EnrollmentReceipt receipt;
-    receipt.user_public_key = g1_from_bytes(r.bytes());
-    receipt.signature = EcdsaSignature::from_bytes(r.bytes());
-    gm.receipts_[{g, m}] = std::move(receipt);
-  }
-  for (std::uint64_t i = 0, n = r.u64(); i < n; ++i) {
-    const std::uint32_t g = r.u32();
-    const std::uint32_t m = r.u32();
-    gm.receipt_order_.emplace_back(g, m);
-  }
-  r.expect_end();
+  GroupManager gm(0, {});
+  decode_into(data, gm);
   return gm;
 }
 
@@ -315,12 +207,7 @@ std::vector<std::pair<KeyIndex, Fr>> NetworkOperator::issue_batch(
 
     // Step 7: deposit A xor x with the TTP, signed for non-repudiation.
     Bytes blinded = blind_credential(key.a, key.x);
-    Writer w;
-    w.str("peace/ttp-deposit");
-    w.u32(idx.group);
-    w.u32(idx.member);
-    w.bytes(blinded);
-    const EcdsaSignature sig = nsk_.sign(w.data(), rng_);
+    const EcdsaSignature sig = nsk_.sign(deposit_payload(idx, blinded), rng_);
     ttp.deposit(idx, std::move(blinded), sig, npk(), rng_);
   }
   return gm_batch;
@@ -403,9 +290,7 @@ void NetworkOperator::revoke_user_key(const KeyIndex& idx, Timestamp now) {
 }
 
 void NetworkOperator::revoke_router(RouterId id, Timestamp now) {
-  Writer w;
-  w.u32(id);
-  Bytes entry = w.take();
+  Bytes entry = crl_entry(id);
   if (std::find(crl_entries_.begin(), crl_entries_.end(), entry) !=
       crl_entries_.end())
     return;  // already revoked
@@ -570,114 +455,14 @@ void NetworkOperator::restore_rng(BytesView state) {
   rng_ = crypto::Drbg::import_state(state);
 }
 
-Bytes NetworkOperator::state_bytes() const {
-  Writer w;
-  w.str("peace/no-state-v1");
-  w.bytes(rng_.export_state());
-  w.raw(curve::fr_to_bytes(issuer_.gamma()));
-  w.raw(curve::fr_to_bytes(nsk_.secret_key()));
-  const auto write_grt = [&w](const std::vector<GrtEntry>& grt) {
-    w.u64(grt.size());
-    for (const GrtEntry& e : grt) {
-      w.bytes(e.token.to_bytes());
-      w.u32(e.group_id);
-      w.u32(e.index.group);
-      w.u32(e.index.member);
-    }
-  };
-  write_grt(grt_);
-  w.u64(past_eras_.size());
-  for (const Era& era : past_eras_) {
-    w.bytes(era.gpk.to_bytes());
-    w.u8(era.spilled ? 1 : 0);
-    w.u64(era.total);
-    write_grt(era.grt);
-  }
-  // unordered maps go out sorted so the image is canonical: equal state
-  // must serialize to equal bytes (the differential tests compare images).
-  std::vector<std::pair<GroupId, Fr>> secrets(group_secrets_.begin(),
-                                              group_secrets_.end());
-  std::sort(secrets.begin(), secrets.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  w.u64(secrets.size());
-  for (const auto& [gid, grp] : secrets) {
-    w.u32(gid);
-    w.raw(curve::fr_to_bytes(grp));
-  }
-  std::vector<std::pair<GroupId, std::uint32_t>> next(next_member_.begin(),
-                                                      next_member_.end());
-  std::sort(next.begin(), next.end());
-  w.u64(next.size());
-  for (const auto& [gid, n] : next) {
-    w.u32(gid);
-    w.u32(n);
-  }
-  w.u32(next_group_id_);
-  // url_entries_/crl_entries_ are not written: they equal the entries of
-  // the signed lists and are restored from there.
-  w.bytes(url_.to_bytes());
-  w.bytes(crl_.to_bytes());
-  const auto write_deltas = [&w](const std::vector<RLDelta>& deltas) {
-    w.u64(deltas.size());
-    for (const RLDelta& d : deltas) w.bytes(d.to_bytes());
-  };
-  write_deltas(url_deltas_);
-  write_deltas(crl_deltas_);
-  return w.take();
-}
+Bytes NetworkOperator::state_bytes() const { return encode(*this); }
 
 NetworkOperator NetworkOperator::from_state(BytesView data) {
-  Reader r(data);
-  if (r.str() != "peace/no-state-v1")
-    throw Error("no: bad state image");
-  crypto::Drbg rng = crypto::Drbg::import_state(r.bytes());
-  const Fr gamma = curve::fr_from_bytes(r.raw(curve::kFrSize));
-  const Fr nsk = curve::fr_from_bytes(r.raw(curve::kFrSize));
-  NetworkOperator no(std::move(rng), groupsig::Issuer::from_secret(gamma),
-                     EcdsaKeyPair::from_secret(nsk));
-  const auto read_grt = [&r]() {
-    std::vector<GrtEntry> grt;
-    for (std::uint64_t i = 0, n = r.u64(); i < n; ++i) {
-      GrtEntry e;
-      e.token = RevocationToken::from_bytes(r.bytes());
-      e.group_id = r.u32();
-      e.index.group = r.u32();
-      e.index.member = r.u32();
-      grt.push_back(std::move(e));
-    }
-    return grt;
-  };
-  no.grt_ = read_grt();
-  for (std::uint64_t i = 0, n = r.u64(); i < n; ++i) {
-    Era era;
-    era.gpk = GroupPublicKey::from_bytes(r.bytes());
-    era.spilled = r.u8() != 0;
-    era.total = r.u64();
-    era.grt = read_grt();
-    no.past_eras_.push_back(std::move(era));
-  }
-  for (std::uint64_t i = 0, n = r.u64(); i < n; ++i) {
-    const GroupId gid = r.u32();
-    no.group_secrets_[gid] = curve::fr_from_bytes(r.raw(curve::kFrSize));
-  }
-  for (std::uint64_t i = 0, n = r.u64(); i < n; ++i) {
-    const GroupId gid = r.u32();
-    no.next_member_[gid] = r.u32();
-  }
-  no.next_group_id_ = r.u32();
-  no.url_ = SignedRevocationList::from_bytes(r.bytes());
-  no.crl_ = SignedRevocationList::from_bytes(r.bytes());
+  // Placeholder members, every one of them overwritten by the image.
+  NetworkOperator no(crypto::Drbg(Bytes{}), {}, {});
+  decode_into(data, no);
   no.url_entries_ = no.url_.entries;
   no.crl_entries_ = no.crl_.entries;
-  const auto read_deltas = [&r]() {
-    std::vector<RLDelta> deltas;
-    for (std::uint64_t i = 0, n = r.u64(); i < n; ++i)
-      deltas.push_back(RLDelta::from_bytes(r.bytes()));
-    return deltas;
-  };
-  no.url_deltas_ = read_deltas();
-  no.crl_deltas_ = read_deltas();
-  r.expect_end();
   return no;
 }
 

@@ -18,7 +18,6 @@
 #include <map>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "peace/messages.hpp"
@@ -49,6 +48,8 @@ G1 unblind_credential(BytesView blinded, const Fr& x);
 
 class TrustedThirdParty {
  public:
+  static constexpr bool kWideCounts = true;
+
   /// Setup step 7: NO deposits {[i,j], A xor x} (signature checked against
   /// NPK for non-repudiation); TTP signs a receipt.
   EcdsaSignature deposit(const KeyIndex& idx, Bytes blinded_credential,
@@ -64,7 +65,8 @@ class TrustedThirdParty {
   /// key lands in the genesis snapshot and replay never draws randomness.
   void ensure_signing_key(crypto::Drbg& rng);
 
-  /// Full-state image for operator snapshots (docs/ARCHITECTURE.md §8).
+  /// Full-state image for operator snapshots (docs/ARCHITECTURE.md §8);
+  /// its layout is the private `fields` list.
   Bytes state_bytes() const;
   static TrustedThirdParty from_state(BytesView data);
 
@@ -86,14 +88,20 @@ class TrustedThirdParty {
   void replay_deposit(const KeyIndex& idx, Bytes blinded);
   void replay_deliver(const KeyIndex& idx, const std::string& uid);
 
-  curve::EcdsaKeyPair signing_key_;  // for receipts
-  bool has_key_ = false;
+  friend struct peace::FieldAccess;
+  static void fields(auto& io, auto& s) {
+    io(Tag{"peace/ttp-state-v1"}, s.signing_key_, s.store_, s.delivered_to_);
+  }
+
+  std::optional<curve::EcdsaKeyPair> signing_key_;  // for receipts
   std::map<std::pair<GroupId, std::uint32_t>, Bytes> store_;
   std::map<std::pair<GroupId, std::uint32_t>, std::string> delivered_to_;
 };
 
 class GroupManager {
  public:
+  static constexpr bool kWideCounts = true;
+
   GroupManager(GroupId id, std::string name) : id_(id), name_(std::move(name)) {}
 
   GroupId id() const { return id_; }
@@ -115,6 +123,10 @@ class GroupManager {
     Fr grp;
     Fr x;
     Bytes blinded_credential;  // fetched from TTP on the user's behalf
+
+    static void fields(auto& io, auto& s) {
+      io(s.index, s.grp, s.x, s.blinded_credential);
+    }
   };
 
   /// Consumes one unassigned key for `uid`. Throws when exhausted.
@@ -134,6 +146,10 @@ class GroupManager {
   struct EnrollmentReceipt {
     G1 user_public_key;
     EcdsaSignature signature;
+
+    static void fields(auto& io, auto& s) {
+      io(prefixed(s.user_public_key), prefixed(s.signature));
+    }
   };
   std::optional<EnrollmentReceipt> receipt_for(const KeyIndex& idx) const;
 
@@ -148,7 +164,8 @@ class GroupManager {
   /// plane — see DurableControlPlane::receipt_for).
   std::size_t receipts_in_memory() const { return receipts_.size(); }
 
-  /// Full-state image for operator snapshots (docs/ARCHITECTURE.md §8).
+  /// Full-state image for operator snapshots (docs/ARCHITECTURE.md §8);
+  /// its layout is the private `fields` list.
   Bytes state_bytes() const;
   static GroupManager from_state(BytesView data);
 
@@ -161,6 +178,12 @@ class GroupManager {
   /// Evicts oldest-first until at most `cap` receipts stay resident;
   /// returns how many were dropped (they remain in the durable log).
   std::size_t evict_receipts_over(std::size_t cap);
+
+  friend struct peace::FieldAccess;
+  static void fields(auto& io, auto& s) {
+    io(Tag{"peace/gm-state-v1"}, s.id_, s.name_, s.grp_, s.unassigned_,
+       s.assigned_, s.assigned_x_, s.receipts_, s.receipt_order_);
+  }
 
   GroupId id_;
   std::string name_;
@@ -184,6 +207,8 @@ struct AuditResult {
 
 class NetworkOperator {
  public:
+  static constexpr bool kWideCounts = true;
+
   explicit NetworkOperator(crypto::Drbg rng);
 
   SystemParams params() const;
@@ -268,6 +293,8 @@ class NetworkOperator {
     RevocationToken token;
     GroupId group_id;
     KeyIndex index;
+
+    static void fields(auto& io, auto& s) { io(s.token, s.group_id, s.index); }
   };
   const std::vector<GrtEntry>& grt_entries() const { return grt_; }
 
@@ -282,7 +309,8 @@ class NetworkOperator {
   /// durable log. Returns the number of entries freed.
   std::size_t spill_archived_era(std::size_t era);
 
-  /// Full-state image for operator snapshots (docs/ARCHITECTURE.md §8).
+  /// Full-state image for operator snapshots (docs/ARCHITECTURE.md §8);
+  /// its layout is the private `fields` list.
   Bytes state_bytes() const;
   static NetworkOperator from_state(BytesView data);
 
@@ -333,10 +361,14 @@ class NetworkOperator {
     /// still holds them and the control plane scans them from disk.
     bool spilled = false;
     std::size_t total = 0;  // entry count including spilled ones
+
+    static void fields(auto& io, auto& s) {
+      io(s.gpk, s.spilled, s.total, s.grt);
+    }
   };
   std::vector<Era> past_eras_;
-  std::unordered_map<GroupId, Fr> group_secrets_;
-  std::unordered_map<GroupId, std::uint32_t> next_member_;
+  std::map<GroupId, Fr> group_secrets_;
+  std::map<GroupId, std::uint32_t> next_member_;
   GroupId next_group_id_ = 1;
 
   std::vector<Bytes> url_entries_;
@@ -345,6 +377,15 @@ class NetworkOperator {
   SignedRevocationList crl_;
   std::vector<RLDelta> url_deltas_;  // complete chains, oldest first
   std::vector<RLDelta> crl_deltas_;
+
+  // url_entries_/crl_entries_ are not in the image: they equal the entries
+  // of the signed lists and from_state restores them from there.
+  friend struct peace::FieldAccess;
+  static void fields(auto& io, auto& s) {
+    io(Tag{"peace/no-state-v1"}, s.rng_, s.issuer_, s.nsk_, s.grt_,
+       s.past_eras_, s.group_secrets_, s.next_member_, s.next_group_id_,
+       s.url_, s.crl_, s.url_deltas_, s.crl_deltas_);
+  }
 };
 
 /// The trace of paper IV.D ("revocable user anonymity against law

@@ -6,7 +6,9 @@
 //   M~.2 peer reply                 (g^rj, g^rl, ts2, group signature)
 //   M~.3 initiator confirm          (g^rj, g^rl, E_K(g^rj, g^rl, ts1, ts2))
 // plus router certificates and the signed CRL / URL revocation lists.
-// All encodings are canonical (serde) and every decoder validates points.
+// Each layout is the type's `fields` list (common/serde.hpp): to_bytes,
+// from_bytes and signed_payload all derive from it, so encodings are
+// canonical and every decoder validates points.
 #pragma once
 
 #include <cstdint>
@@ -14,6 +16,7 @@
 #include <string>
 #include <vector>
 
+#include "common/serde.hpp"
 #include "curve/ecdsa.hpp"
 #include "groupsig/groupsig.hpp"
 #include "peace/puzzle.hpp"
@@ -24,6 +27,7 @@ using curve::EcdsaSignature;
 using curve::Fr;
 using curve::G1;
 using curve::G2;
+using curve::nonzero;
 
 /// Milliseconds of (simulated or wall) time.
 using Timestamp = std::uint64_t;
@@ -63,6 +67,7 @@ struct KeyIndex {
   GroupId group = 0;
   std::uint32_t member = 0;
 
+  static void fields(auto& io, auto& s) { io(s.group, s.member); }
   bool operator==(const KeyIndex&) const = default;
 };
 
@@ -79,6 +84,10 @@ struct RouterCertificate {
   Timestamp expires_at = 0;
   EcdsaSignature signature;  // by NO over (router_id, public_key, expires_at)
 
+  static void fields(auto& io, auto& s) {
+    io(s.router_id, nonzero(s.public_key), s.expires_at, kSignedEnd,
+       s.signature);
+  }
   /// The byte string NO signs.
   Bytes signed_payload() const;
   Bytes to_bytes() const;
@@ -94,6 +103,9 @@ struct SignedRevocationList {
   std::vector<Bytes> entries;
   EcdsaSignature signature;  // by NO
 
+  static void fields(auto& io, auto& s) {
+    io(s.version, s.issued_at, s.entries, kSignedEnd, s.signature);
+  }
   Bytes signed_payload() const;
   Bytes to_bytes() const;
   static SignedRevocationList from_bytes(BytesView data);
@@ -121,9 +133,15 @@ struct RLDelta {
   EcdsaSignature full_signature;  // by NO, over the resulting full list
   EcdsaSignature signature;       // by NO, over this delta
 
+  static void fields(auto& io, auto& s) {
+    io(s.kind, s.base_version, s.version, s.issued_at, s.base_hash, s.removed,
+       s.added, s.full_signature, kSignedEnd, s.signature);
+  }
+  /// Also rejects a base_hash that is not 32 bytes and a version that does
+  /// not advance past base_version.
+  static RLDelta from_bytes(BytesView data);
   Bytes signed_payload() const;
   Bytes to_bytes() const;
-  static RLDelta from_bytes(BytesView data);
 };
 
 /// NO -> routers: one or more consecutive deltas (a straggler that missed
@@ -131,6 +149,7 @@ struct RLDelta {
 struct RLDeltaAnnounce {
   std::vector<RLDelta> deltas;
 
+  static void fields(auto& io, auto& s) { io(s.deltas); }
   Bytes to_bytes() const;
   static RLDeltaAnnounce from_bytes(BytesView data);
 };
@@ -141,6 +160,7 @@ struct RLResyncRequest {
   ListKind kind = ListKind::kUrl;
   std::uint64_t have_version = 0;
 
+  static void fields(auto& io, auto& s) { io(s.kind, s.have_version); }
   Bytes to_bytes() const;
   static RLResyncRequest from_bytes(BytesView data);
 };
@@ -151,6 +171,7 @@ struct RLResyncResponse {
   ListKind kind = ListKind::kUrl;
   SignedRevocationList full;
 
+  static void fields(auto& io, auto& s) { io(s.kind, s.full); }
   Bytes to_bytes() const;
   static RLResyncResponse from_bytes(BytesView data);
 };
@@ -168,6 +189,10 @@ struct BeaconMessage {
   /// DoS defence (Sec. V.A): present only while the router suspects attack.
   std::optional<PuzzleChallenge> puzzle;
 
+  static void fields(auto& io, auto& s) {
+    io(s.router_id, nonzero(s.g), nonzero(s.g_rr), s.ts1, kSignedEnd,
+       s.signature, s.certificate, s.crl, s.url, s.puzzle);
+  }
   Bytes signed_payload() const;
   Bytes to_bytes() const;
   static BeaconMessage from_bytes(BytesView data);
@@ -182,6 +207,10 @@ struct AccessRequest {
   groupsig::Signature signature;
   std::optional<PuzzleSolution> puzzle_solution;
 
+  static void fields(auto& io, auto& s) {
+    io(nonzero(s.g_rj), nonzero(s.g_rr), s.ts2, kSignedEnd, s.signature,
+       s.puzzle_solution);
+  }
   /// The message the group signature is computed over.
   Bytes signed_payload() const;
   Bytes to_bytes() const;
@@ -194,6 +223,9 @@ struct AccessConfirm {
   G1 g_rr;
   Bytes ciphertext;  // E_K(router_id, g^rj, g^rR)
 
+  static void fields(auto& io, auto& s) {
+    io(nonzero(s.g_rj), nonzero(s.g_rr), s.ciphertext);
+  }
   Bytes to_bytes() const;
   static AccessConfirm from_bytes(BytesView data);
 };
@@ -205,6 +237,9 @@ struct PeerHello {
   Timestamp ts1 = 0;
   groupsig::Signature signature;
 
+  static void fields(auto& io, auto& s) {
+    io(nonzero(s.g), nonzero(s.g_rj), s.ts1, kSignedEnd, s.signature);
+  }
   Bytes signed_payload() const;
   Bytes to_bytes() const;
   static PeerHello from_bytes(BytesView data);
@@ -217,6 +252,9 @@ struct PeerReply {
   Timestamp ts2 = 0;
   groupsig::Signature signature;
 
+  static void fields(auto& io, auto& s) {
+    io(nonzero(s.g_rj), nonzero(s.g_rl), s.ts2, kSignedEnd, s.signature);
+  }
   Bytes signed_payload() const;
   Bytes to_bytes() const;
   static PeerReply from_bytes(BytesView data);
@@ -228,6 +266,9 @@ struct PeerConfirm {
   G1 g_rl;
   Bytes ciphertext;  // E_K(g^rj, g^rl, ts1, ts2)
 
+  static void fields(auto& io, auto& s) {
+    io(nonzero(s.g_rj), nonzero(s.g_rl), s.ciphertext);
+  }
   Bytes to_bytes() const;
   static PeerConfirm from_bytes(BytesView data);
 };
@@ -239,9 +280,23 @@ struct DataFrame {
   std::uint64_t seq = 0;  // strictly increasing; receivers reject replays
   Bytes ciphertext;       // AEAD(payload), bound to session_id and seq
 
+  static void fields(auto& io, auto& s) {
+    io(s.session_id, s.seq, s.ciphertext);
+  }
   Bytes to_bytes() const;
   static DataFrame from_bytes(BytesView data);
 };
+
+/// A router's entry on the CRL: its id as a big-endian u32.
+Bytes crl_entry(RouterId router_id);
+
+/// The plaintext M.3 seals: (router_id, g^rj, g^rR).
+Bytes access_confirm_plaintext(RouterId router_id, const G1& g_rj,
+                               const G1& g_rr);
+
+/// The plaintext M~.3 seals: (g^rj, g^rl, ts1, ts2).
+Bytes peer_confirm_plaintext(const G1& g_rj, const G1& g_rl, Timestamp ts1,
+                             Timestamp ts2);
 
 /// Session identifier helpers — sessions are identified only by pairs of
 /// fresh random group elements (a privacy property the tests check).

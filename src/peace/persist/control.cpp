@@ -6,6 +6,33 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
+namespace peace {
+
+// Leaves of the control-plane image. The operator and the group managers
+// nest as their own state images; a GM's map key is its id, which its image
+// already carries.
+void put(Writer& w, const std::unique_ptr<proto::NetworkOperator>& no) {
+  w(*no);
+}
+void get(Reader& r, std::unique_ptr<proto::NetworkOperator>& no) {
+  no = std::make_unique<proto::NetworkOperator>(
+      proto::NetworkOperator::from_state(r.bytes()));
+}
+void put(Writer& w, const std::map<proto::GroupId, proto::GroupManager>& gms) {
+  w.count(gms.size());
+  for (const auto& [gid, gm] : gms) w(gm);
+}
+void get(Reader& r, std::map<proto::GroupId, proto::GroupManager>& gms) {
+  gms.clear();
+  for (std::size_t i = 0, n = r.count(); i < n; ++i) {
+    proto::GroupManager gm = proto::GroupManager::from_state(r.bytes());
+    const proto::GroupId gid = gm.id();
+    gms.emplace(gid, std::move(gm));
+  }
+}
+
+}  // namespace peace
+
 namespace peace::persist {
 
 using proto::GroupManager;
@@ -16,22 +43,6 @@ namespace {
 
 std::pair<proto::GroupId, std::uint32_t> key_of(const proto::KeyIndex& idx) {
   return {idx.group, idx.member};
-}
-
-void write_ref(Writer& w, const RecordRef& ref) {
-  w.u64(ref.seq);
-  w.u64(ref.segment_base);
-  w.u64(ref.offset);
-  w.u8(ref.type);
-}
-
-RecordRef read_ref(Reader& r) {
-  RecordRef ref;
-  ref.seq = r.u64();
-  ref.segment_base = r.u64();
-  ref.offset = r.u64();
-  ref.type = r.u8();
-  return ref;
 }
 
 }  // namespace
@@ -71,54 +82,10 @@ ControlPlane ControlPlane::recover(const std::string& dir,
 
 // --- state image -------------------------------------------------------------
 
-Bytes ControlPlane::state_bytes() const {
-  Writer w;
-  w.str("peace/control-state-v1");
-  w.bytes(no_->state_bytes());
-  w.bytes(ttp_.state_bytes());
-  w.u64(gms_.size());
-  for (const auto& [gid, gm] : gms_) w.bytes(gm.state_bytes());
-  w.u64(era_issue_refs_.size());
-  for (const auto& era : era_issue_refs_) {
-    w.u64(era.size());
-    for (const RecordRef& ref : era) write_ref(w, ref);
-  }
-  w.u64(receipt_refs_.size());
-  for (const auto& [key, ref] : receipt_refs_) {
-    w.u32(key.first);
-    w.u32(key.second);
-    write_ref(w, ref);
-  }
-  return w.take();
-}
+Bytes ControlPlane::state_bytes() const { return encode(*this); }
 
 void ControlPlane::load_state(BytesView payload) {
-  Reader r(payload);
-  if (r.str() != "peace/control-state-v1")
-    throw Error("persist: bad control-plane snapshot");
-  no_ = std::make_unique<NetworkOperator>(
-      NetworkOperator::from_state(r.bytes()));
-  ttp_ = TrustedThirdParty::from_state(r.bytes());
-  gms_.clear();
-  for (std::uint64_t i = 0, n = r.u64(); i < n; ++i) {
-    GroupManager gm = GroupManager::from_state(r.bytes());
-    const proto::GroupId gid = gm.id();
-    gms_.emplace(gid, std::move(gm));
-  }
-  era_issue_refs_.clear();
-  for (std::uint64_t i = 0, n = r.u64(); i < n; ++i) {
-    std::vector<RecordRef> era;
-    for (std::uint64_t j = 0, m = r.u64(); j < m; ++j)
-      era.push_back(read_ref(r));
-    era_issue_refs_.push_back(std::move(era));
-  }
-  receipt_refs_.clear();
-  for (std::uint64_t i = 0, n = r.u64(); i < n; ++i) {
-    const proto::GroupId g = r.u32();
-    const std::uint32_t m = r.u32();
-    receipt_refs_[{g, m}] = read_ref(r);
-  }
-  r.expect_end();
+  decode_into(payload, *this);
   if (era_issue_refs_.empty()) era_issue_refs_.push_back({});
 }
 

@@ -47,6 +47,8 @@ struct ControlPlaneOptions {
 
 class ControlPlane {
  public:
+  static constexpr bool kWideCounts = true;
+
   /// Initializes a fresh operator site in an empty `dir`: creates the
   /// store, the NO (from `rng`), the TTP signing key, and writes the
   /// genesis snapshot.
@@ -140,6 +142,12 @@ class ControlPlane {
   std::vector<std::vector<RecordRef>> era_issue_refs_;
   /// (group, member) -> ref of the kReceiptArchived record.
   std::map<std::pair<proto::GroupId, std::uint32_t>, RecordRef> receipt_refs_;
+
+  friend struct peace::FieldAccess;
+  static void fields(auto& io, auto& s) {
+    io(Tag{"peace/control-state-v1"}, s.no_, s.ttp_, s.gms_,
+       s.era_issue_refs_, s.receipt_refs_);
+  }
 
   std::size_t records_since_snapshot_ = 0;
   std::size_t receipts_spilled_ = 0;

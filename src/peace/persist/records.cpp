@@ -1,149 +1,35 @@
 #include "peace/persist/records.hpp"
 
-#include "common/serde.hpp"
-#include "curve/bn254.hpp"
-
 namespace peace::persist {
 
-const char* record_type_name(std::uint8_t type) {
-  switch (static_cast<RecordType>(type)) {
-    case RecordType::kGroupRegistered: return "group_registered";
-    case RecordType::kGroupReissued: return "group_reissued";
-    case RecordType::kMasterRotated: return "master_rotated";
-    case RecordType::kUserRevoked: return "user_revoked";
-    case RecordType::kRouterRevoked: return "router_revoked";
-    case RecordType::kRouterProvisioned: return "router_provisioned";
-    case RecordType::kEnrolled: return "enrolled";
-    case RecordType::kReceiptArchived: return "receipt_archived";
-  }
-  return "unknown";
-}
-
-Bytes GroupIssueRecord::to_bytes() const {
-  Writer w;
-  w.u32(gid);
-  w.str(name);
-  w.raw(curve::fr_to_bytes(grp));
-  w.u32(next_member_after);
-  w.u64(keys.size());
-  for (const IssuedKey& k : keys) {
-    w.u32(k.index.group);
-    w.u32(k.index.member);
-    w.bytes(k.token);
-    w.bytes(k.blinded);
-    w.raw(curve::fr_to_bytes(k.x));
-  }
-  w.bytes(rng_state);
-  return w.take();
-}
-
+Bytes GroupIssueRecord::to_bytes() const { return encode(*this); }
 GroupIssueRecord GroupIssueRecord::from_bytes(BytesView data) {
-  Reader r(data);
-  GroupIssueRecord rec;
-  rec.gid = r.u32();
-  rec.name = r.str();
-  rec.grp = curve::fr_from_bytes(r.raw(curve::kFrSize));
-  rec.next_member_after = r.u32();
-  for (std::uint64_t i = 0, n = r.u64(); i < n; ++i) {
-    IssuedKey k;
-    k.index.group = r.u32();
-    k.index.member = r.u32();
-    k.token = r.bytes();
-    k.blinded = r.bytes();
-    k.x = curve::fr_from_bytes(r.raw(curve::kFrSize));
-    rec.keys.push_back(std::move(k));
-  }
-  rec.rng_state = r.bytes();
-  r.expect_end();
-  return rec;
+  return decode<GroupIssueRecord>(data);
 }
 
-Bytes MasterRotatedRecord::to_bytes() const {
-  Writer w;
-  w.raw(curve::fr_to_bytes(new_gamma));
-  w.bytes(url_delta);
-  w.bytes(rng_state);
-  return w.take();
-}
-
+Bytes MasterRotatedRecord::to_bytes() const { return encode(*this); }
 MasterRotatedRecord MasterRotatedRecord::from_bytes(BytesView data) {
-  Reader r(data);
-  MasterRotatedRecord rec;
-  rec.new_gamma = curve::fr_from_bytes(r.raw(curve::kFrSize));
-  rec.url_delta = r.bytes();
-  rec.rng_state = r.bytes();
-  r.expect_end();
-  return rec;
+  return decode<MasterRotatedRecord>(data);
 }
 
-Bytes RevocationRecord::to_bytes() const {
-  Writer w;
-  w.bytes(delta);
-  w.bytes(rng_state);
-  return w.take();
-}
-
+Bytes RevocationRecord::to_bytes() const { return encode(*this); }
 RevocationRecord RevocationRecord::from_bytes(BytesView data) {
-  Reader r(data);
-  RevocationRecord rec;
-  rec.delta = r.bytes();
-  rec.rng_state = r.bytes();
-  r.expect_end();
-  return rec;
+  return decode<RevocationRecord>(data);
 }
 
-Bytes RouterProvisionedRecord::to_bytes() const {
-  Writer w;
-  w.bytes(certificate);
-  w.bytes(rng_state);
-  return w.take();
-}
-
+Bytes RouterProvisionedRecord::to_bytes() const { return encode(*this); }
 RouterProvisionedRecord RouterProvisionedRecord::from_bytes(BytesView data) {
-  Reader r(data);
-  RouterProvisionedRecord rec;
-  rec.certificate = r.bytes();
-  rec.rng_state = r.bytes();
-  r.expect_end();
-  return rec;
+  return decode<RouterProvisionedRecord>(data);
 }
 
-Bytes EnrolledRecord::to_bytes() const {
-  Writer w;
-  w.u32(index.group);
-  w.u32(index.member);
-  w.str(uid);
-  return w.take();
-}
-
+Bytes EnrolledRecord::to_bytes() const { return encode(*this); }
 EnrolledRecord EnrolledRecord::from_bytes(BytesView data) {
-  Reader r(data);
-  EnrolledRecord rec;
-  rec.index.group = r.u32();
-  rec.index.member = r.u32();
-  rec.uid = r.str();
-  r.expect_end();
-  return rec;
+  return decode<EnrolledRecord>(data);
 }
 
-Bytes ReceiptArchivedRecord::to_bytes() const {
-  Writer w;
-  w.u32(index.group);
-  w.u32(index.member);
-  w.bytes(user_public_key);
-  w.bytes(signature);
-  return w.take();
-}
-
+Bytes ReceiptArchivedRecord::to_bytes() const { return encode(*this); }
 ReceiptArchivedRecord ReceiptArchivedRecord::from_bytes(BytesView data) {
-  Reader r(data);
-  ReceiptArchivedRecord rec;
-  rec.index.group = r.u32();
-  rec.index.member = r.u32();
-  rec.user_public_key = r.bytes();
-  rec.signature = r.bytes();
-  r.expect_end();
-  return rec;
+  return decode<ReceiptArchivedRecord>(data);
 }
 
 }  // namespace peace::persist

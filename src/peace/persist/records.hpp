@@ -6,6 +6,9 @@
 // therefore reconstructs state byte-identical to the uninterrupted run.
 // In particular a recovered operator continues the SAME delta chain, so
 // resyncing routers can never observe a rollback.
+//
+// Each payload's layout is its `fields` list (common/serde.hpp); lists
+// carry u64 element counts.
 #pragma once
 
 #include <cstdint>
@@ -30,8 +33,6 @@ enum class RecordType : std::uint8_t {
   kReceiptArchived = 8,   // ReceiptArchivedRecord
 };
 
-const char* record_type_name(std::uint8_t type);
-
 /// One credential minted in an issue batch: everything the three back-office
 /// parties jointly learned about key [i, j].
 struct IssuedKey {
@@ -39,6 +40,10 @@ struct IssuedKey {
   Bytes token;    // serialized RevocationToken A (NO's grt entry)
   Bytes blinded;  // A xor KDF(x), as deposited with the TTP
   Fr x;           // member secret handed to the GM
+
+  static void fields(auto& io, auto& s) {
+    io(s.index, s.token, s.blinded, s.x);
+  }
 };
 
 /// kGroupRegistered / kGroupReissued.
@@ -50,6 +55,10 @@ struct GroupIssueRecord {
   std::vector<IssuedKey> keys;
   Bytes rng_state;  // NO's DRBG after the whole compound operation
 
+  static constexpr bool kWideCounts = true;
+  static void fields(auto& io, auto& s) {
+    io(s.gid, s.name, s.grp, s.next_member_after, s.keys, s.rng_state);
+  }
   Bytes to_bytes() const;
   static GroupIssueRecord from_bytes(BytesView data);
 };
@@ -61,6 +70,9 @@ struct MasterRotatedRecord {
   Bytes url_delta;  // serialized RLDelta
   Bytes rng_state;
 
+  static void fields(auto& io, auto& s) {
+    io(s.new_gamma, s.url_delta, s.rng_state);
+  }
   Bytes to_bytes() const;
   static MasterRotatedRecord from_bytes(BytesView data);
 };
@@ -70,6 +82,7 @@ struct RevocationRecord {
   Bytes delta;  // serialized RLDelta
   Bytes rng_state;
 
+  static void fields(auto& io, auto& s) { io(s.delta, s.rng_state); }
   Bytes to_bytes() const;
   static RevocationRecord from_bytes(BytesView data);
 };
@@ -81,6 +94,7 @@ struct RouterProvisionedRecord {
   Bytes certificate;  // serialized RouterCertificate
   Bytes rng_state;
 
+  static void fields(auto& io, auto& s) { io(s.certificate, s.rng_state); }
   Bytes to_bytes() const;
   static RouterProvisionedRecord from_bytes(BytesView data);
 };
@@ -91,6 +105,7 @@ struct EnrolledRecord {
   proto::KeyIndex index;
   std::string uid;
 
+  static void fields(auto& io, auto& s) { io(s.index, s.uid); }
   Bytes to_bytes() const;
   static EnrolledRecord from_bytes(BytesView data);
 };
@@ -104,6 +119,9 @@ struct ReceiptArchivedRecord {
   Bytes user_public_key;  // serialized G1
   Bytes signature;        // serialized EcdsaSignature
 
+  static void fields(auto& io, auto& s) {
+    io(s.index, s.user_public_key, s.signature);
+  }
   Bytes to_bytes() const;
   static ReceiptArchivedRecord from_bytes(BytesView data);
 };

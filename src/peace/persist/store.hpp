@@ -32,6 +32,10 @@ struct RecordRef {
   std::uint64_t segment_base = 0;  // segment file identity
   std::uint64_t offset = 0;        // frame offset within the segment
   std::uint8_t type = 0;
+
+  static void fields(auto& io, auto& s) {
+    io(s.seq, s.segment_base, s.offset, s.type);
+  }
 };
 
 struct RecoveryReport {

@@ -29,36 +29,14 @@ Bytes puzzle_digest(BytesView server_nonce, BytesView client_binding,
 
 }  // namespace
 
-Bytes PuzzleChallenge::to_bytes() const {
-  Writer w;
-  w.bytes(server_nonce);
-  w.u8(difficulty_bits);
-  return w.take();
-}
-
+Bytes PuzzleChallenge::to_bytes() const { return encode(*this); }
 PuzzleChallenge PuzzleChallenge::from_bytes(BytesView data) {
-  Reader r(data);
-  PuzzleChallenge c;
-  c.server_nonce = r.bytes();
-  c.difficulty_bits = r.u8();
-  r.expect_end();
-  return c;
+  return decode<PuzzleChallenge>(data);
 }
 
-Bytes PuzzleSolution::to_bytes() const {
-  Writer w;
-  w.bytes(server_nonce);
-  w.u64(solution);
-  return w.take();
-}
-
+Bytes PuzzleSolution::to_bytes() const { return encode(*this); }
 PuzzleSolution PuzzleSolution::from_bytes(BytesView data) {
-  Reader r(data);
-  PuzzleSolution s;
-  s.server_nonce = r.bytes();
-  s.solution = r.u64();
-  r.expect_end();
-  return s;
+  return decode<PuzzleSolution>(data);
 }
 
 PuzzleChallenge make_puzzle(BytesView server_nonce,

@@ -17,6 +17,9 @@ struct PuzzleChallenge {
   Bytes server_nonce;            // fresh per beacon period
   std::uint8_t difficulty_bits = 0;  // required leading zero bits
 
+  static void fields(auto& io, auto& s) {
+    io(s.server_nonce, s.difficulty_bits);
+  }
   Bytes to_bytes() const;
   static PuzzleChallenge from_bytes(BytesView data);
   bool operator==(const PuzzleChallenge&) const = default;
@@ -26,6 +29,7 @@ struct PuzzleSolution {
   Bytes server_nonce;  // echoes the challenge it answers
   std::uint64_t solution = 0;
 
+  static void fields(auto& io, auto& s) { io(s.server_nonce, s.solution); }
   Bytes to_bytes() const;
   static PuzzleSolution from_bytes(BytesView data);
   bool operator==(const PuzzleSolution&) const = default;

@@ -57,11 +57,20 @@ SharedRevocationState::SharedRevocationState(curve::G1 authority)
       url_store_(ListKind::kUrl, authority),
       head_(std::make_shared<const RevocationSnapshot>()) {}
 
+std::shared_ptr<const RevocationSnapshot> SharedRevocationState::snapshot()
+    const {
+  std::lock_guard lock(head_mutex_);
+  return head_;
+}
+
 void SharedRevocationState::publish(
     std::shared_ptr<const RevocationSnapshot> next) {
-  head_.store(std::move(next), std::memory_order_release);
+  {
+    std::lock_guard lock(head_mutex_);
+    head_.swap(next);
+  }
   ++stats_.snapshots_published;
-}
+}  // the replaced snapshot is released here, outside head_mutex_
 
 void SharedRevocationState::install_full(
     const proto::SignedRevocationList& crl,

@@ -1,10 +1,10 @@
 // RCU-style shared revocation state. One SharedRevocationState serves a
 // whole mesh segment: N MeshRouters (and their VerifyPool workers) read the
-// current RevocationSnapshot through a single atomic shared_ptr load — no
-// lock, no reference-count contention beyond the shared_ptr itself — while
-// the one writer (the operator's distribution channel) validates deltas
-// against the underlying RevocationStores, builds the successor snapshot
-// off to the side, and publishes it with one atomic swap. Readers that
+// current RevocationSnapshot by copying one shared_ptr under a lock held
+// for that copy only, while the one writer (the operator's distribution
+// channel) validates deltas against the underlying RevocationStores, builds
+// the successor snapshot off to the side, and publishes it with one swap
+// under the same lock. Readers that
 // loaded the old snapshot keep a reference and finish their batch against a
 // consistent view; the old snapshot is freed when the last reader drops it.
 //
@@ -15,7 +15,6 @@
 // G2Prepared per message or per token.
 #pragma once
 
-#include <atomic>
 #include <memory>
 #include <mutex>
 
@@ -70,12 +69,10 @@ class SharedRevocationState {
   /// `authority` is the NO public key (NPK) all lists must verify under.
   explicit SharedRevocationState(curve::G1 authority);
 
-  /// Current snapshot — a single atomic load; never null, safe from any
-  /// thread concurrently with writer calls. Callers hold the returned
-  /// pointer for the duration of a batch so the view stays consistent.
-  std::shared_ptr<const RevocationSnapshot> snapshot() const {
-    return head_.load(std::memory_order_acquire);
-  }
+  /// Current snapshot; never null, safe from any thread concurrently with
+  /// writer calls. Callers hold the returned pointer for the duration of a
+  /// batch so the view stays consistent.
+  std::shared_ptr<const RevocationSnapshot> snapshot() const;
 
   /// Full-list install (provisioning or resync). Both lists are validated
   /// before either commits; throws Error("router: revocation list not
@@ -113,7 +110,12 @@ class SharedRevocationState {
   RevocationStore crl_store_;
   RevocationStore url_store_;
   SharedRevocationStats stats_;
-  std::atomic<std::shared_ptr<const RevocationSnapshot>> head_;
+  // Held only to copy or swap head_. Not std::atomic<std::shared_ptr>:
+  // libstdc++ 12 releases that type's internal lock with relaxed ordering
+  // after a load, so a reader's load races with the next store (TSan
+  // reports it in RevokeSystemTest.SnapshotSwapIsSafeUnderConcurrentReaders).
+  mutable std::mutex head_mutex_;
+  std::shared_ptr<const RevocationSnapshot> head_;
 };
 
 }  // namespace peace::revoke

@@ -428,11 +428,8 @@ MeshRouter::AccessOutcome MeshRouter::accept_request(const AccessRequest& m2,
   out.session_id = sid;
   out.confirm.g_rj = m2.g_rj;
   out.confirm.g_rr = m2.g_rr;
-  Writer payload;
-  payload.u32(id_);
-  payload.raw(g1_to_bytes(m2.g_rj));
-  payload.raw(g1_to_bytes(m2.g_rr));
-  out.confirm.ciphertext = confirm_seal(shared, sid, payload.data());
+  out.confirm.ciphertext = confirm_seal(
+      shared, sid, access_confirm_plaintext(id_, m2.g_rj, m2.g_rr));
   ++stats_.accepted;
   seen_requests_.insert(sid_hex,
                         SeenRequest{wire_key(m2.to_bytes()), out.confirm}, now);

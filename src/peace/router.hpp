@@ -115,7 +115,6 @@ class MeshRouter {
 
   /// Enables the client-puzzle defence (Sec. V.A) at the given difficulty.
   void set_under_attack(bool attacked, std::uint8_t difficulty_bits = 16);
-  bool under_attack() const { return puzzle_difficulty_ > 0; }
 
   /// M.1: a fresh beacon — new random generator g and exponent rR each
   /// period, current CRL/URL attached, optionally a puzzle challenge.

@@ -110,10 +110,9 @@ bool User::beacon_trustworthy(const BeaconMessage& beacon, Timestamp now) {
       url_tokens_.push_back(RevocationToken::from_bytes(e));
   }
   // CRL check: has this router's certificate been revoked?
-  Writer rid;
-  rid.u32(beacon.router_id);
+  const Bytes rid = crl_entry(beacon.router_id);
   for (const Bytes& e : crl_.entries)
-    if (e == rid.data()) return false;
+    if (e == rid) return false;
   // Beacon signature under the certified router key.
   if (!ecdsa_verify(cert.public_key, beacon.signed_payload(),
                     beacon.signature))
@@ -159,7 +158,7 @@ std::optional<AccessRequest> User::process_beacon(const BeaconMessage& beacon,
   reap_pending(now);
   stats_.pending_evicted += pending_access_.insert(
       to_hex(sid),
-      PendingAccess{beacon.g_rr * r_j, beacon.router_id, m2.g_rj, m2.g_rr},
+      PendingAccess{beacon.g_rr * r_j, beacon.router_id},
       now);
   return m2;
 }
@@ -175,12 +174,11 @@ std::optional<Session> User::process_access_confirm(const AccessConfirm& m3) {
 
   const auto payload = confirm_open(pending->shared, sid, m3.ciphertext);
   if (!payload.has_value()) return std::nullopt;
-  // The confirmation must name the router and echo both DH shares.
-  Writer expect;
-  expect.u32(pending->router_id);
-  expect.raw(g1_to_bytes(pending->g_rj));
-  expect.raw(g1_to_bytes(pending->g_rr));
-  if (*payload != expect.data()) return std::nullopt;
+  // The confirmation must name the router and echo both DH shares: the
+  // shares M.3 carries, which form the session id this entry is keyed by.
+  if (*payload !=
+      access_confirm_plaintext(pending->router_id, m3.g_rj, m3.g_rr))
+    return std::nullopt;
 
   Session session =
       Session::establish(pending->shared, sid, Session::Role::kInitiator);
@@ -233,9 +231,9 @@ std::vector<std::optional<PeerReply>> User::process_peer_hellos(
 
   // Idempotent resend: a byte-identical duplicate of an answered hello gets
   // the cached reply back — no new r_l, no pairing work.
-  const auto cached_reply = [&](const PeerHello& hello,
+  const auto cached_reply = [&](const std::string& key,
                                 std::optional<PeerReply>& result) {
-    const PeerReply* cached = hello_replies_.find(wire_key(hello.to_bytes()));
+    const PeerReply* cached = hello_replies_.find(key);
     if (cached == nullptr) return false;
     ++stats_.duplicate_hellos;
     result = *cached;
@@ -245,11 +243,13 @@ std::vector<std::optional<PeerReply>> User::process_peer_hellos(
   // Pass 1 (sequential): the cheap freshness gate, in input order.
   std::vector<std::size_t> pending;
   pending.reserve(hellos.size());
+  std::vector<std::string> keys(hellos.size());
   for (std::size_t i = 0; i < hellos.size(); ++i) {
     const Timestamp age =
         now >= hellos[i].ts1 ? now - hellos[i].ts1 : hellos[i].ts1 - now;
     if (age > config_.replay_window_ms) continue;
-    if (cached_reply(hellos[i], results[i])) continue;
+    keys[i] = wire_key(hellos[i].to_bytes());
+    if (cached_reply(keys[i], results[i])) continue;
     pending.push_back(i);
   }
 
@@ -279,12 +279,13 @@ std::vector<std::optional<PeerReply>> User::process_peer_hellos(
   for (std::size_t k = 0; k < pending.size(); ++k) {
     if (checked.verdicts[k] != SigVerdict::kOk) continue;
     const PeerHello& hello = hellos[pending[k]];
+    const std::string& key = keys[pending[k]];
     std::optional<PeerReply>& result = results[pending[k]];
     // An in-batch byte-identical duplicate misses the cache in pass 1 (the
     // first copy's reply doesn't exist yet) but must still be served from
     // it: the first copy populated the cache earlier in this pass, so
     // re-check before minting a second r_l.
-    if (cached_reply(hello, result)) continue;
+    if (cached_reply(key, result)) continue;
     const Fr r_l = random_fr(rng_);
     PeerReply& reply = result.emplace();
     reply.g_rj = hello.g_rj;
@@ -297,8 +298,7 @@ std::vector<std::optional<PeerReply>> User::process_peer_hellos(
     stats_.pending_evicted += pending_peer_resp_.insert(
         to_hex(sid), PendingPeerResponder{hello.g_rj * r_l, hello.ts1, now},
         now);
-    stats_.pending_evicted +=
-        hello_replies_.insert(wire_key(hello.to_bytes()), reply, now);
+    stats_.pending_evicted += hello_replies_.insert(key, reply, now);
   }
 
   if (span.active() && !hellos.empty()) {
@@ -336,12 +336,9 @@ std::optional<User::PeerEstablished> User::process_peer_reply(
   PeerEstablished out{
       PeerConfirm{reply.g_rj, reply.g_rl, {}},
       Session::establish(shared, sid, Session::Role::kInitiator)};
-  Writer payload;
-  payload.raw(g1_to_bytes(reply.g_rj));
-  payload.raw(g1_to_bytes(reply.g_rl));
-  payload.u64(pending->ts1);
-  payload.u64(reply.ts2);
-  out.confirm.ciphertext = confirm_seal(shared, sid, payload.data());
+  out.confirm.ciphertext = confirm_seal(
+      shared, sid,
+      peer_confirm_plaintext(reply.g_rj, reply.g_rl, pending->ts1, reply.ts2));
 
   reap_pending(now);
   stats_.pending_evicted +=
@@ -366,12 +363,9 @@ std::optional<Session> User::process_peer_confirm(const PeerConfirm& confirm) {
 
   const auto payload = confirm_open(pending->shared, sid, confirm.ciphertext);
   if (!payload.has_value()) return std::nullopt;
-  Writer expect;
-  expect.raw(g1_to_bytes(confirm.g_rj));
-  expect.raw(g1_to_bytes(confirm.g_rl));
-  expect.u64(pending->ts1);
-  expect.u64(pending->ts2);
-  if (*payload != expect.data()) return std::nullopt;
+  if (*payload != peer_confirm_plaintext(confirm.g_rj, confirm.g_rl,
+                                         pending->ts1, pending->ts2))
+    return std::nullopt;
 
   Session session =
       Session::establish(pending->shared, sid, Session::Role::kResponder);

@@ -211,7 +211,6 @@ class User {
   struct PendingAccess {
     G1 shared;
     RouterId router_id;
-    G1 g_rj, g_rr;
   };
   BoundedMap<std::string, PendingAccess> pending_access_;
 

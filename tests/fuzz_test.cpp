@@ -4,7 +4,10 @@
 // a message that verifies.
 #include <gtest/gtest.h>
 
+#include <filesystem>
+
 #include "baseline/plain_auth.hpp"
+#include "peace/persist/control.hpp"
 #include "peace/router.hpp"
 #include "peace/user.hpp"
 
@@ -52,7 +55,57 @@ TEST_P(FuzzTest, RandomBytesDontCrashDecoders) {
     expect_no_crash(junk, [](BytesView d) {
       baseline::PlainAccessRequest::from_bytes(d);
     });
+    expect_no_crash(junk, [](BytesView d) { PuzzleChallenge::from_bytes(d); });
+    expect_no_crash(junk, [](BytesView d) { PuzzleSolution::from_bytes(d); });
+    expect_no_crash(junk, [](BytesView d) {
+      persist::GroupIssueRecord::from_bytes(d);
+    });
+    expect_no_crash(junk, [](BytesView d) {
+      persist::MasterRotatedRecord::from_bytes(d);
+    });
+    expect_no_crash(junk, [](BytesView d) {
+      persist::RevocationRecord::from_bytes(d);
+    });
+    expect_no_crash(junk, [](BytesView d) {
+      persist::RouterProvisionedRecord::from_bytes(d);
+    });
+    expect_no_crash(junk, [](BytesView d) {
+      persist::EnrolledRecord::from_bytes(d);
+    });
+    expect_no_crash(junk, [](BytesView d) {
+      persist::ReceiptArchivedRecord::from_bytes(d);
+    });
   }
+}
+
+// The operator's snapshot decoder under bit rot that the snapshot CRC does
+// not catch (the flipped image is framed with a fresh CRC): every flip must
+// either decode or throw Error.
+TEST_P(FuzzTest, BitFlippedControlImagesDecodeOrThrow) {
+  const std::string dir =
+      ::testing::TempDir() + "/peace-fuzz-image-" + std::to_string(GetParam());
+  std::filesystem::remove_all(dir);
+  Bytes image;
+  {
+    auto cp = persist::ControlPlane::create(
+        dir, crypto::Drbg::from_string("fuzz-image"));
+    const GroupId gid = cp.register_group("G", 2);
+    cp.enroll(gid, "fuzz-user");
+    cp.revoke_user_key({gid, 0}, 5);
+    image = cp.state_bytes();
+  }
+  crypto::Drbg rng = crypto::Drbg::from_string("fuzz-image-flip", GetParam());
+  for (int i = 0; i < 64; ++i) {
+    Bytes flipped = image;
+    const std::uint64_t bit = rng.uniform(flipped.size() * 8);
+    flipped[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
+    std::filesystem::remove_all(dir);
+    persist::DurableStore::create(dir).write_snapshot(flipped);
+    expect_no_crash(flipped, [&dir](BytesView) {
+      persist::ControlPlane::recover(dir);
+    });
+  }
+  std::filesystem::remove_all(dir);
 }
 
 struct FuzzWorld {
