@@ -6,10 +6,15 @@
 // BN254-crypto cohort over a synthetic background population).
 //
 // Run: ./build/examples/metro_city [--users=N] [--cohort=N] [--shards=N]
-//        [--day-ms=N] [--budget=N] [--waves=N] [--no-flash-crowd]
+//        [--threads=N] [--day-ms=N] [--budget=N] [--waves=N]
+//        [--no-flash-crowd]
 //        [--trace=out.jsonl] [--trace-rotate=BYTES] [--metrics=out.json]
 //        [--bench-json=out.json] [--health=out.json]
 //        [--forgery-burst] [--revoked-burst]
+//
+// --threads sets how many threads run the shards' ticks and the cohort's
+// enrollment (default 0: one per core, at most one per shard); the day's
+// results are the same at any count.
 //
 // --trace streams events through the bounded-memory JSONL sink
 // (obs::Tracer::stream_to) — memory stays flat however long the day; the
@@ -77,6 +82,8 @@ int main(int argc, char** argv) {
       config.cohort_users = static_cast<std::size_t>(v);
     } else if (parse_u64(arg, "--shards=", v)) {
       config.shards = static_cast<std::size_t>(v);
+    } else if (parse_u64(arg, "--threads=", v)) {
+      config.threads = static_cast<unsigned>(v);
     } else if (parse_u64(arg, "--day-ms=", v)) {
       config.day_ms = v;
     } else if (parse_u64(arg, "--budget=", v)) {
@@ -101,7 +108,7 @@ int main(int argc, char** argv) {
     } else {
       std::fprintf(stderr,
                    "usage: metro_city [--users=N] [--cohort=N] [--shards=N] "
-                   "[--day-ms=N] [--budget=N] [--waves=N] [--no-flash-crowd] "
+                   "[--threads=N] [--day-ms=N] [--budget=N] [--waves=N] [--no-flash-crowd] "
                    "[--trace=out.jsonl] [--trace-rotate=BYTES] "
                    "[--metrics=out.json] [--bench-json=out.json] "
                    "[--health=out.json] [--forgery-burst] [--revoked-burst]\n");

@@ -1,6 +1,7 @@
 #include "mesh/metro.hpp"
 
 #include <algorithm>
+#include <thread>
 
 #include "obs/health.hpp"
 #include "obs/metrics.hpp"
@@ -25,6 +26,7 @@ ShardId MetroSimulation::add_shard(std::string name, const std::string& seed,
                                             crypto::Drbg::from_string(seed),
                                             radio, proto_config));
   shard_links_.emplace_back();
+  ticks_.emplace_back();
   return id;
 }
 
@@ -104,7 +106,7 @@ bool MetroSimulation::post_frame(ShardId from, ShardId to, BytesView payload,
   Shard& src = shard(from);
   auto frame = src.arena().acquire_copy(payload);
   if (!frame) {
-    ++stats_.frames_shed;
+    ++tally(from).frames_shed;
     return false;
   }
   CrossShardMsg msg;
@@ -115,7 +117,7 @@ bool MetroSimulation::post_frame(ShardId from, ShardId to, BytesView payload,
   msg.tag = tag;
   msg.frame = std::move(*frame);
   src.emit(std::move(msg));
-  ++stats_.frames_posted;
+  ++tally(from).frames_posted;
   return true;
 }
 
@@ -125,17 +127,17 @@ bool MetroSimulation::relay_to_internet(ShardId from, BytesView payload) {
     // The segment has its own wired exit — no inter-shard hop needed. The
     // in-segment backbone path (send_to_internet) is the caller's business;
     // the metro layer only counts the delivery.
-    ++stats_.relay_delivered;
+    ++tally(from).relay_delivered;
     return true;
   }
   const auto hop = next_hop_to_ap(from);
   if (!hop) {
-    ++stats_.relay_dropped;
+    ++tally(from).relay_dropped;
     return false;
   }
   auto frame = src.arena().acquire_copy(payload);
   if (!frame) {
-    ++stats_.frames_shed;
+    ++tally(from).frames_shed;
     return false;
   }
   CrossShardMsg msg;
@@ -156,33 +158,95 @@ void MetroSimulation::announce_rl_deltas(const proto::RLDeltaAnnounce& announce,
   for (auto& s : shards_) s->net().announce_rl_deltas(announce, no);
 }
 
+proto::VerifyPool& MetroSimulation::pool() {
+  if (pool_ == nullptr) {
+    const unsigned wanted = config_.threads != 0
+                                ? config_.threads
+                                : std::thread::hardware_concurrency();
+    const auto threads = static_cast<unsigned>(std::clamp<std::size_t>(
+        wanted, 1, std::max<std::size_t>(1, shards_.size())));
+    pool_ = std::make_unique<proto::VerifyPool>(threads,
+                                                /*verify_telemetry=*/false);
+  }
+  return *pool_;
+}
+
+void MetroSimulation::run_shard(Shard& shard, SimTime barrier) {
+  // One sample per busy shard per tick: the spread across a tick's samples
+  // is the imbalance a parallel tick waits on.
+  static obs::Histogram& tick_hist =
+      obs::Registry::global().histogram("metro.shard_tick_us");
+  ShardTick& tick = ticks_[shard.id()];
+  // Ambient attribution for the security-event stream: everything the
+  // shard's event loop emits (router rejects, timeouts, resyncs) is tagged
+  // with this shard id and captured for the barrier. Observer state only.
+  obs::set_current_shard(shard.id());
+  obs::set_sec_capture(&tick.sec_events);
+  try {
+    obs::Span span("metro.shard_tick", "metro", &tick_hist);
+    span.arg("shard", shard.id());
+    shard.sim().run_until(barrier);
+  } catch (...) {
+    tick.error = std::current_exception();
+  }
+  obs::set_sec_capture(nullptr);
+  obs::set_current_shard(0);
+}
+
+void MetroSimulation::run_shards(SimTime barrier) {
+  busy_.clear();
+  for (auto& s : shards_) {
+    if (s->sim().has_due(barrier))
+      busy_.push_back(s.get());
+    else
+      s->sim().run_until(barrier);  // nothing due: only the clock moves
+  }
+  // During a tick a shard touches only itself, read-only topology and
+  // const operator reads; what it emits for the metro (stamps, MetroStats,
+  // security events) waits in its ShardTick. So running busy shards on N
+  // threads changes no result (docs/ARCHITECTURE.md §7.2). A tick with one
+  // busy shard skips the pool's wake-up cost.
+  in_tick_ = true;
+  if (busy_.size() >= 2 && pool().threads() > 1) {
+    ++parallel_ticks_;
+    pool().run(busy_.size(),
+               [&](std::size_t k) { run_shard(*busy_[k], barrier); });
+  } else {
+    for (Shard* s : busy_) run_shard(*s, barrier);
+  }
+  in_tick_ = false;
+
+  // Fold in shard-id order: exactly the sequence one thread visiting the
+  // shards in id order would have produced.
+  std::exception_ptr error;
+  for (ShardTick& tick : ticks_) {
+    stats_ = obs::sum(stats_, tick.stats);
+    tick.stats = {};
+    obs::replay_sec_events(tick.sec_events);
+    tick.sec_events.clear();
+    if (error == nullptr) error = tick.error;
+    tick.error = nullptr;
+  }
+  if (error != nullptr) std::rethrow_exception(error);
+}
+
 void MetroSimulation::run_until(SimTime end) {
   while (now_ < end) {
     const SimTime barrier = std::min(now_ + config_.tick_ms, end);
-    // Shards run one at a time, in id order, each to the same barrier.
-    // Nothing a shard does here can observe another shard (mailboxes move
-    // only below), so this loop could run its iterations on N threads
-    // without changing one result — the contract docs/ARCHITECTURE.md §7
-    // documents and the determinism tests pin down.
-    for (auto& s : shards_) {
-      // Ambient attribution for the security-event stream: everything the
-      // shard's event loop emits (router rejects, timeouts, resyncs) is
-      // tagged with this shard id. Pure observer state — resetting it
-      // cannot affect the simulation.
-      obs::set_current_shard(s->id());
-      s->sim().run_until(barrier);
-    }
-    obs::set_current_shard(0);
+    run_shards(barrier);
     now_ = barrier;
     ++stats_.barriers;
 
-    // Barrier phase 1 — route. Collect every outbox and replay it in
-    // global emission (seq) order, so routing decisions (parking, cap
-    // drops) are independent of shard visit order.
+    // Barrier phase 1 — route. Stamp the tick's messages in (shard id,
+    // emission order) — the order one thread would have stamped them in —
+    // then replay every outbox in global seq order, so routing decisions
+    // (parking, cap drops) are independent of shard visit order.
     std::vector<CrossShardMsg> moving;
     for (auto& s : shards_) {
-      auto out = s->take_outbox();
-      std::move(out.begin(), out.end(), std::back_inserter(moving));
+      for (CrossShardMsg& msg : s->take_outbox()) {
+        if (msg.seq == kUnstamped) msg.seq = stamp();
+        moving.push_back(std::move(msg));
+      }
     }
     std::sort(moving.begin(), moving.end(),
               [](const CrossShardMsg& a, const CrossShardMsg& b) {
@@ -374,6 +438,7 @@ void MetroSimulation::publish_metrics() const {
       .set(static_cast<std::int64_t>(parked_.size()));
   reg.gauge("metro.arena.outstanding")
       .set(static_cast<std::int64_t>(outstanding));
+  reg.counter("metro.parallel_ticks").set(parallel_ticks_);
   obs::absorb(stats_);
   obs::absorb(arena);
 

@@ -7,18 +7,21 @@
 //
 //   while now < end:
 //     barrier = min(now + tick_ms, end)
-//     for shard in id order:    shard.sim().run_until(barrier)
+//     every shard with an event due: shard.sim().run_until(barrier)
+//                                   (on the metro's VerifyPool, one job each)
+//     stamp the tick's outbox messages in (shard id, emission order)
 //     route every outbox message to its destination inbox   (global seq order)
 //     for shard in id order:    apply the shard's inbox      (arrival order)
 //
 // Within a tick, shards never touch each other — all interaction funnels
-// through CrossShardMsgs stamped with a global emission sequence number, so
-// the schedule is fully deterministic regardless of how shards are later
-// parallelized (today they run sequentially on one core; the barrier
-// contract is exactly what makes a thread-per-shard driver legal without
-// changing a single result). A single-shard metro is bit-identical to the
-// plain single-loop MeshNetwork run: no mailbox traffic exists and chunked
-// run_until calls visit events in the same order as one call.
+// through CrossShardMsgs stamped with a global sequence number, and a
+// shard's security events and MetroStats bumps stay shard-local until the
+// barrier folds them in shard order — so every result is bit-identical at
+// any thread count (MetroTest.ThreadCountDoesNotChangeTheDay). A tick with
+// fewer than two busy shards runs inline. A single-shard metro is
+// bit-identical to the plain single-loop MeshNetwork run: no mailbox
+// traffic exists and chunked run_until calls visit events in the same
+// order as one call.
 //
 // Cross-shard traffic:
 //   * roam_user — a user leaves its segment (MeshNetwork::remove_user) and
@@ -35,6 +38,7 @@
 #pragma once
 
 #include <deque>
+#include <exception>
 #include <functional>
 #include <map>
 #include <optional>
@@ -42,6 +46,7 @@
 
 #include "mesh/shard.hpp"
 #include "obs/fields.hpp"
+#include "peace/verify_pool.hpp"
 
 namespace peace::obs {
 class HealthMonitor;
@@ -63,6 +68,11 @@ struct MetroConfig {
   /// Cap on handoffs parked across blocked shard links; overflow drops the
   /// oldest parked user.
   std::size_t pending_handoff_cap = 4096;
+  /// Threads running a tick's shards (MetroSimulation::pool): 0 =
+  /// hardware_concurrency; capped at the shard count. Results do not
+  /// depend on it. Routers keep their own ProtocolConfig::verify_threads
+  /// pools inside each shard, so set that to 0 or 1 when this is above 1.
+  unsigned threads = 0;
 };
 
 struct MetroStats {
@@ -167,7 +177,14 @@ class MetroSimulation {
                           proto::NetworkOperator& no);
 
   /// Runs every shard to `end` in tick-barrier lockstep (see file header).
+  /// When shards exhaust their event budgets in the same tick, the error
+  /// of the lowest shard id is rethrown.
   void run_until(SimTime end);
+  /// The pool that runs busy shards' ticks; scenario set-up may fan its own
+  /// independent jobs out over it between ticks. Built on first use with
+  /// MetroConfig::threads, so call it once every shard exists. Records no
+  /// pool.* telemetry (that family counts verify batches).
+  proto::VerifyPool& pool();
   SimTime now() const { return now_; }
   const MetroConfig& config() const { return config_; }
   const MetroStats& stats() const { return stats_; }
@@ -199,8 +216,28 @@ class MetroSimulation {
   struct ParkedHandoff {
     CrossShardMsg msg;
   };
+  /// What a shard's tick produces for the metro, kept shard-local while
+  /// the tick runs and folded in at the barrier in shard-id order.
+  struct ShardTick {
+    MetroStats stats;                     // post_frame / relay counts
+    std::vector<obs::SecEvent> sec_events;  // captured security events
+    std::exception_ptr error;             // e.g. event budget exhausted
+  };
+  /// Seq of a message emitted during a tick: stamped at the barrier.
+  static constexpr std::uint64_t kUnstamped = ~std::uint64_t{0};
 
-  std::uint64_t stamp() { return next_msg_seq_++; }
+  /// Metro-wide seq; inside a tick, kUnstamped (the barrier stamps).
+  std::uint64_t stamp() { return in_tick_ ? kUnstamped : next_msg_seq_++; }
+  /// The stats an emission from `from` counts into: its ShardTick during a
+  /// tick, the metro totals otherwise.
+  MetroStats& tally(ShardId from) {
+    return in_tick_ ? ticks_[from].stats : stats_;
+  }
+  /// Runs every shard with an event due by `barrier`, on the pool when two
+  /// or more are, then folds their ShardTicks in shard-id order.
+  void run_shards(SimTime barrier);
+  /// One shard's tick, on whichever thread the pool gives it.
+  void run_shard(Shard& shard, SimTime barrier);
   /// Routes one outbox message to its destination inbox (or parks/drops).
   void route(CrossShardMsg msg);
   /// Applies one arrived message inside `dest` at barrier time.
@@ -226,6 +263,11 @@ class MetroSimulation {
   obs::HealthMonitor* health_ = nullptr;
   SimTime now_ = 0;
   MetroStats stats_;
+  std::vector<ShardTick> ticks_;  // by shard id
+  std::vector<Shard*> busy_;      // this tick's shards with events due
+  bool in_tick_ = false;
+  std::uint64_t parallel_ticks_ = 0;  // ticks that ran on the pool
+  std::unique_ptr<proto::VerifyPool> pool_;
 };
 
 }  // namespace peace::mesh

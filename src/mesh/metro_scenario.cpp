@@ -72,6 +72,7 @@ struct City {
           MetroConfig mc;
           mc.tick_ms = c.tick_ms;
           mc.shard_event_budget = c.shard_event_budget;
+          mc.threads = c.threads;
           return mc;
         }()) {
     RadioConfig radio;
@@ -87,6 +88,10 @@ struct City {
       // other segment hop the inter-shard backbone toward one of them.
       if (i == 0 || (cfg.shards > 2 && i == cfg.shards / 2))
         net.add_access_point({200, 300});
+      if (cfg.tap)
+        net.add_tap([tap = cfg.tap, id](const WireObservation& o) {
+          tap(id, o);
+        });
       synthetic.emplace_back(
           crypto::Drbg::from_string(cfg.seed + "/synthetic-" + label));
     }
@@ -102,18 +107,32 @@ struct City {
       synthetic[i].population = per;
     synthetic[0].population += cfg.synthetic_users - per * cfg.shards;
 
-    // The real-crypto cohort, spread round-robin over home shards.
-    for (std::size_t i = 0; i < cfg.cohort_users; ++i) {
-      const std::string uid = "resident-" + std::to_string(i);
-      auto user = std::make_unique<proto::User>(
-          uid, no.params(), crypto::Drbg::from_string(cfg.seed + "/" + uid),
+    // The real-crypto cohort, spread round-robin over home shards. The
+    // group manager issues credentials in index order; each user, with its
+    // own DRBG, then builds its keys and checks its credential on the
+    // metro's pool.
+    const auto uid = [](std::size_t i) {
+      return "resident-" + std::to_string(i);
+    };
+    std::vector<proto::GroupManager::Enrollment> enrollments;
+    enrollments.reserve(cfg.cohort_users);
+    for (std::size_t i = 0; i < cfg.cohort_users; ++i)
+      enrollments.push_back(gm.enroll(uid(i), ttp));
+    const proto::SystemParams params = no.params();
+    std::vector<std::unique_ptr<proto::User>> users(cfg.cohort_users);
+    metro.pool().run(users.size(), [&](std::size_t i) {
+      users[i] = std::make_unique<proto::User>(
+          uid(i), params,
+          crypto::Drbg::from_string(cfg.seed + "/" + uid(i)),
           city_protocol_config());
-      user->complete_enrollment(gm.enroll(uid, ttp));
+      users[i]->complete_enrollment(enrollments[i]);
+    });
+    for (std::size_t i = 0; i < cfg.cohort_users; ++i) {
       const ShardId home = static_cast<ShardId>(i % cfg.shards);
       const double col = static_cast<double>(i / cfg.shards % 10);
       const MetroUserId id = metro.add_user(
           home, {30.0 + 35.0 * col, (i % 2) != 0 ? 15.0 : -15.0},
-          std::move(user));
+          std::move(users[i]));
       cohort.push_back({id, home});
     }
 

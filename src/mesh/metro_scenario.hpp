@@ -22,6 +22,7 @@
 // from MetroCityConfig::seed, so a run is bit-reproducible.
 #pragma once
 
+#include <functional>
 #include <string>
 
 #include "mesh/metro.hpp"
@@ -51,6 +52,14 @@ struct MetroCityConfig {
   SimTime synthetic_step_ms = 60'000;
   /// Radio loss for every segment.
   double loss_probability = 0.02;
+  /// Threads running shards and cohort enrollment (MetroConfig::threads:
+  /// 0 = hardware_concurrency, capped at the shard count). The day's
+  /// results do not depend on it.
+  unsigned threads = 0;
+  /// Observer only: when set, every shard's wire traffic is tapped into it
+  /// (MeshNetwork::add_tap), called on the thread running that shard's
+  /// tick — keep per-shard state apart.
+  std::function<void(ShardId, const WireObservation&)> tap;
   /// Online anomaly detection: when non-null, attached to the metro driver
   /// for the whole day (drained + ticked at every barrier). Observer only.
   obs::HealthMonitor* health = nullptr;

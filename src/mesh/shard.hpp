@@ -7,16 +7,18 @@
 //
 // Ownership and determinism contract (docs/ARCHITECTURE.md §7):
 //
-//  * Everything a shard owns is touched only while that shard's event loop
-//    runs (the metro driver executes shards one at a time; the only threads
-//    alive inside a shard are its routers' VerifyPool workers, which never
-//    escape the shard). No locks, no cross-shard references.
+//  * Everything a shard owns is touched only by the thread running that
+//    shard's tick (one metro pool job per busy shard) or by the metro
+//    driver at the barrier; the only other threads inside a shard are its
+//    routers' VerifyPool workers, which never escape it. No locks, no
+//    cross-shard references.
 //  * Shards interact ONLY through mailboxes, and mailboxes move ONLY at
 //    tick barriers (MetroSimulation::run_until): during a tick a shard may
-//    append to its outbox; at the barrier the metro layer routes every
-//    outbox message to its destination inbox and applies it before any
-//    event of the next tick runs. Message order is globally deterministic
-//    (emission order; shards execute in fixed id order within a tick).
+//    append to its own outbox; at the barrier the metro layer stamps the
+//    tick's messages in (shard id, emission order), routes every outbox
+//    message to its destination inbox and applies it before any event of
+//    the next tick runs. Message order is globally deterministic at any
+//    thread count.
 //  * A topology that fits in one shard therefore produces a bit-identical
 //    run to the pre-sharding single event loop: no mailbox traffic exists,
 //    and run_until(T) tick-by-tick visits events in exactly the order one
@@ -108,7 +110,8 @@ class Shard {
   FrameArena& arena() { return arena_; }
 
   /// Appends to the outbox (called through MetroSimulation emission APIs,
-  /// which stamp the global sequence number).
+  /// which stamp the global sequence number, or leave it for the barrier
+  /// when called during a tick).
   void emit(CrossShardMsg msg) { outbox_.push_back(std::move(msg)); }
 
   /// Enqueues an arriving message, enforcing the inbox cap. Returns false

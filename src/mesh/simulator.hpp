@@ -5,7 +5,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <queue>
 #include <string>
 #include <vector>
 
@@ -42,6 +41,12 @@ class Simulator {
     schedule(now_ + delay, std::move(fn));
   }
 
+  /// True when an event is scheduled at or before `end`, i.e. when
+  /// run_until(end) would run anything (the metro driver skips idle shards).
+  bool has_due(SimTime end) const {
+    return !queue_.empty() && queue_.front().at <= end;
+  }
+
   /// Runs events up to and including `end`; the clock then rests at `end`.
   void run_until(SimTime end);
   /// Runs until the queue drains (or `max_events` as a runaway guard; an
@@ -61,8 +66,11 @@ class Simulator {
   };
 
   [[noreturn]] void throw_budget_exhausted(std::uint64_t budget) const;
+  /// Moves the earliest event out of the queue (a binary heap ordered by
+  /// Later, so front() is the next event) and advances the clock to it.
+  Event pop_next();
 
-  std::priority_queue<Event, std::vector<Event>, Later> queue_;
+  std::vector<Event> queue_;
   SimTime now_ = 0;
   std::uint64_t next_seq_ = 0;
   std::uint64_t processed_ = 0;

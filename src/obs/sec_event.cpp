@@ -73,6 +73,21 @@ SecRing& thread_ring() {
 }
 
 thread_local std::uint32_t t_current_shard = 0;
+thread_local std::vector<SecEvent>* t_capture = nullptr;
+
+void push_record(const SecEvent& event) {
+  SecRing& ring = thread_ring();
+  const std::uint64_t head = ring.head.load(std::memory_order_relaxed);
+  const std::uint64_t tail = ring.tail.load(std::memory_order_acquire);
+  if (head - tail >= kSecRingCapacity) {
+    // Bounded memory beats completeness: shed the newest record (the
+    // counters still saw it) and account for the loss.
+    counters().shed.add(1);
+    return;
+  }
+  ring.slots[head % kSecRingCapacity] = event;
+  ring.head.store(head + 1, std::memory_order_release);
+}
 
 }  // namespace
 
@@ -93,23 +108,22 @@ void sec_emit_for_shard(SecEventKind kind, std::uint32_t shard,
   // The record half rides the runtime toggle (and folds away entirely
   // under PEACE_OBS_DISABLED, where enabled() is constexpr false).
   if (!enabled()) return;
-  SecRing& ring = thread_ring();
-  const std::uint64_t head = ring.head.load(std::memory_order_relaxed);
-  const std::uint64_t tail = ring.tail.load(std::memory_order_acquire);
-  if (head - tail >= kSecRingCapacity) {
-    // Bounded memory beats completeness: shed the newest record (the
-    // counters above still saw it) and account for the loss.
-    counters().shed.add(1);
-    return;
-  }
-  ring.slots[head % kSecRingCapacity] =
-      SecEvent{kind, shard, sim_ms, origin, detail};
-  ring.head.store(head + 1, std::memory_order_release);
+  const SecEvent event{kind, shard, sim_ms, origin, detail};
+  if (t_capture != nullptr)
+    t_capture->push_back(event);
+  else
+    push_record(event);
 }
 
 void sec_emit(SecEventKind kind, std::uint64_t sim_ms, std::uint64_t origin,
               std::uint64_t detail) {
   sec_emit_for_shard(kind, t_current_shard, sim_ms, origin, detail);
+}
+
+void set_sec_capture(std::vector<SecEvent>* sink) { t_capture = sink; }
+
+void replay_sec_events(const std::vector<SecEvent>& records) {
+  for (const SecEvent& event : records) push_record(event);
 }
 
 std::uint64_t sec_event_count(SecEventKind kind) {
@@ -132,9 +146,10 @@ std::size_t drain_sec_events(std::vector<SecEvent>* out) {
     }
   }
   if (drained.empty()) return 0;
-  // In practice all emitters share the driver thread and arrive ordered;
-  // with pool-thread emitters a stable sim-time sort keeps the exported
-  // stream monotonic (cosmetic only — counts are the invariant).
+  // Protocol code emits in its sequential passes and metro shard ticks
+  // replay their captures onto the driver's ring, so in practice one ring
+  // holds the stream in a fixed order; the stable sim-time sort keeps the
+  // export monotonic should another thread emit too.
   std::stable_sort(drained.begin(), drained.end(),
                    [](const SecEvent& a, const SecEvent& b) {
                      return a.sim_ms < b.sim_ms;

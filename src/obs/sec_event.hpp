@@ -17,10 +17,14 @@
 //    telemetry-neutrality invariant (ObsTest.
 //    PooledAndSequentialSecEventCountsMatch).
 //  * The event *records* ride a bounded lock-free (SPSC) ring per emitting
-//    thread, only when obs::enabled(). drain_sec_events() consumes every
-//    ring and forwards each record to the Tracer as a cat="sec" (or
-//    "health") instant on the sim-time track, which streams through the
-//    JSONL sink like any other event. Ring overflow sheds the NEWEST event
+//    thread, only when obs::enabled(). A metro shard tick captures its
+//    records instead (set_sec_capture) on whichever worker runs it, and
+//    the driver replays them onto its own ring in shard order at the
+//    barrier, so the stream is the same at any thread count.
+//    drain_sec_events() consumes every ring and forwards each record to
+//    the Tracer as a cat="sec" (or "health") instant on the sim-time
+//    track, which streams through the JSONL sink like any other event.
+//    Ring overflow sheds the NEWEST event
 //    and counts it (sec.events_shed) — memory stays bounded under any
 //    sustained burst. Under PEACE_OBS_DISABLED the ring push folds away
 //    entirely (enabled() is constexpr false); the counters remain.
@@ -93,6 +97,15 @@ void sec_emit(SecEventKind kind, std::uint64_t sim_ms, std::uint64_t origin,
 void sec_emit_for_shard(SecEventKind kind, std::uint32_t shard,
                         std::uint64_t sim_ms, std::uint64_t origin,
                         std::uint64_t detail = 0);
+
+/// Diverts this thread's event records into `sink` (nullptr restores its
+/// ring); the sec.<kind> counters still count at emission. Records wait in
+/// `sink` until replay_sec_events pushes them onto a ring.
+void set_sec_capture(std::vector<SecEvent>* sink);
+
+/// Pushes captured records onto this thread's ring in order, shedding at a
+/// full ring exactly as emission would.
+void replay_sec_events(const std::vector<SecEvent>& records);
 
 /// Value of the always-on per-kind counter.
 std::uint64_t sec_event_count(SecEventKind kind);

@@ -1,10 +1,13 @@
 #include "peace/verify_pool.hpp"
 
+#include <optional>
+
 #include "obs/trace.hpp"
 
 namespace peace::proto {
 
-VerifyPool::VerifyPool(unsigned threads) {
+VerifyPool::VerifyPool(unsigned threads, bool verify_telemetry)
+    : telemetry_(verify_telemetry) {
   if (threads <= 1) return;
   workers_.reserve(threads - 1);
   for (unsigned i = 0; i + 1 < threads; ++i)
@@ -16,18 +19,22 @@ std::size_t VerifyPool::drain(Batch& batch, std::exception_ptr& error) {
   // so traces show per-worker occupancy (by tid) and each job's crypto-op
   // attribution for free. pool.* metrics describe execution shape (who ran
   // what, for how long) — they are expected to differ between pooled and
-  // sequential runs, unlike the protocol counters.
-  static obs::Histogram& job_hist =
-      obs::Registry::global().histogram("pool.job_us");
-  static obs::Counter& jobs = obs::Registry::global().counter("pool.jobs");
+  // sequential runs, unlike the protocol counters. A pool built without
+  // verify telemetry never registers the names.
   std::size_t done = 0;
   for (;;) {
     const std::size_t i =
         batch.next_index.fetch_add(1, std::memory_order_relaxed);
     if (i >= batch.count) return done;
-    jobs.add(1);
-    obs::Span span("pool.job", "pool", &job_hist);
-    span.arg("index", i);
+    std::optional<obs::Span> span;
+    if (telemetry_) {
+      static obs::Histogram& job_hist =
+          obs::Registry::global().histogram("pool.job_us");
+      static obs::Counter& jobs = obs::Registry::global().counter("pool.jobs");
+      jobs.add(1);
+      span.emplace("pool.job", "pool", &job_hist);
+      span->arg("index", i);
+    }
     // Exception barrier: a throwing body (e.g. an Error escaping groupsig
     // code) must neither std::terminate a worker thread nor let run()
     // unwind while other participants still execute the body. The index
@@ -80,12 +87,15 @@ void VerifyPool::run(std::size_t count,
     for (std::size_t i = 0; i < count; ++i) body(i);
     return;
   }
-  static obs::Counter& batches =
-      obs::Registry::global().counter("pool.batches");
-  batches.add(1);
-  obs::Span span("pool.batch", "pool");
-  span.arg("jobs", count);
-  span.arg("workers", workers_.size() + 1);
+  std::optional<obs::Span> span;
+  if (telemetry_) {
+    static obs::Counter& batches =
+        obs::Registry::global().counter("pool.batches");
+    batches.add(1);
+    span.emplace("pool.batch", "pool");
+    span->arg("jobs", count);
+    span->arg("workers", workers_.size() + 1);
+  }
   auto batch = std::make_shared<Batch>();
   batch->body = body;  // copied: workers never see the caller's temporary
   batch->count = count;

@@ -1,7 +1,9 @@
 // Fixed worker pool for pairing-heavy batch work, and the one group-
 // signature batch check both handshake responders run on it: the router's
 // M.2 pipeline and the user's M~.1 pipeline. Pooled results stay
-// bit-identical to sequential execution regardless of thread count.
+// bit-identical to sequential execution regardless of thread count. The
+// metro driver runs its shard ticks and the metro_city cohort's
+// enrollment on a pool of its own (docs/ARCHITECTURE.md §3).
 //
 // verify_group_signatures decides how a batch is verified: the
 // embarrassingly-parallel groupsig::BatchVerifier::prepare(i) calls fan
@@ -33,10 +35,15 @@ namespace peace::proto {
 /// only used to park idle workers between batches and to signal completion.
 /// The calling thread participates in the batch, so a pool built with
 /// `threads` runs at most `threads` jobs concurrently.
+///
+/// Nesting: a job may run a batch on a *different* pool (a metro shard
+/// tick runs its routers' verify batches), never on the pool it runs in.
 class VerifyPool {
  public:
   /// `threads` <= 1 spawns no workers: run() then executes inline.
-  explicit VerifyPool(unsigned threads);
+  /// `verify_telemetry` false drops the pool.* counters and spans, which
+  /// count verify batches only (the metro driver's shard pool).
+  explicit VerifyPool(unsigned threads, bool verify_telemetry = true);
   VerifyPool(const VerifyPool&) = delete;
   VerifyPool& operator=(const VerifyPool&) = delete;
 
@@ -81,6 +88,7 @@ class VerifyPool {
   std::uint64_t generation_ = 0;  // bumps once per batch; wakes workers
   std::shared_ptr<Batch> current_batch_;  // guarded by mutex_
   std::vector<std::jthread> workers_;
+  bool telemetry_;
 };
 
 /// Outcome of one group signature under verify_group_signatures.

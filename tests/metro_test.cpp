@@ -2,15 +2,20 @@
 // the bit-identity contract (a 1-shard metro replays the pre-sharding
 // single event loop exactly), cross-shard roaming through mailbox
 // handoffs, partition park-and-retry, backbone internet relay, the
-// bounded inbox/arena caps, per-shard event budgets, and the
-// order-independent cross-shard stats merges the obs layer relies on.
+// bounded inbox/arena caps, per-shard event budgets, the order-independent
+// cross-shard stats merges the obs layer relies on, and thread-count
+// independence of a whole metro_city day.
+#include <array>
 #include <cstring>
 #include <string>
 
 #include <gtest/gtest.h>
 
 #include "mesh/metro.hpp"
+#include "mesh/metro_scenario.hpp"
+#include "obs/health.hpp"
 #include "obs/metrics.hpp"
+#include "obs/trace.hpp"
 
 namespace peace::mesh {
 namespace {
@@ -227,14 +232,18 @@ TEST_F(MetroTest, PartitionParksHandoffsUntilHealed) {
 TEST_F(MetroTest, CrossShardRunsAreReproducible) {
   // Two-shard determinism: the mailbox/barrier machinery adds no hidden
   // nondeterminism — identical seeds give byte-identical wire traffic on
-  // every shard, including across a roaming handoff.
-  const auto run = [](const std::string& seed) {
+  // every shard, including across a roaming handoff, whether both shards
+  // tick on one thread or on two. A tap runs on the thread running its
+  // shard's tick, so each shard logs into its own vector.
+  const auto run = [](const std::string& seed, unsigned threads) {
     World w(seed);
     const RadioConfig radio{.router_range = 250,
                             .user_range = 80,
                             .loss_probability = 0.1,
                             .latency_ms = 2};
-    MetroSimulation metro;
+    MetroConfig mc;
+    mc.threads = threads;
+    MetroSimulation metro(mc);
     const ShardId s0 = metro.add_shard("s0", seed + "/s0", radio);
     const ShardId s1 = metro.add_shard("s1", seed + "/s1", radio);
     metro.connect_shards(s0, s1);
@@ -242,21 +251,23 @@ TEST_F(MetroTest, CrossShardRunsAreReproducible) {
     metro.shard(s1).net().add_router({0, 0}, w.no, kFarFuture);
     const MetroUserId uid =
         metro.add_user(s0, {50, 0}, w.make_user(seed, "u"));
-    std::vector<Frame> log;
-    log_frames(metro.shard(s0).net(), log);
-    log_frames(metro.shard(s1).net(), log);
+    std::array<std::vector<Frame>, 2> logs;
+    log_frames(metro.shard(s0).net(), logs[0]);
+    log_frames(metro.shard(s1).net(), logs[1]);
     metro.shard(s0).net().start_beaconing(100, 500, 6000);
     metro.shard(s1).net().start_beaconing(100, 500, 6000);
     metro.run_until(2000);
     metro.roam_user(uid, s1, {30, 0});
     metro.run_until(7000);
-    return std::pair{std::move(log), metro.sim_events_total()};
+    return std::pair{std::move(logs), metro.sim_events_total()};
   };
-  const auto first = run("metro-repro");
-  const auto second = run("metro-repro");
-  ASSERT_FALSE(first.first.empty());
-  EXPECT_EQ(first.first, second.first);
-  EXPECT_EQ(first.second, second.second);
+  const auto first = run("metro-repro", 1);
+  const auto second = run("metro-repro", 1);
+  const auto parallel = run("metro-repro", 2);
+  ASSERT_FALSE(first.first[0].empty());
+  ASSERT_FALSE(first.first[1].empty());
+  EXPECT_EQ(first, second);
+  EXPECT_EQ(first, parallel);
 }
 
 TEST_F(MetroTest, InboxCapShedsOverflow) {
@@ -322,22 +333,32 @@ TEST_F(MetroTest, InternetRelayHopsTowardApShard) {
 }
 
 TEST_F(MetroTest, EventBudgetExhaustionNamesShard) {
-  MetroConfig mc;
-  mc.shard_event_budget = 25;
-  MetroSimulation metro(mc);
-  metro.add_shard("quiet-seg", "budget-quiet");
-  const ShardId noisy = metro.add_shard("overload-seg", "budget-noisy");
-  Simulator& sim = metro.shard(noisy).sim();
-  std::function<void()> forever = [&] { sim.schedule_in(1, forever); };
-  sim.schedule(0, forever);
-  try {
-    metro.run_until(1000);
-    FAIL() << "expected the per-shard event budget to throw";
-  } catch (const Error& e) {
-    const std::string msg = e.what();
-    EXPECT_NE(msg.find("overload-seg"), std::string::npos) << msg;
-    EXPECT_NE(msg.find("event budget exhausted"), std::string::npos) << msg;
-    EXPECT_EQ(msg.find("quiet-seg"), std::string::npos) << msg;
+  // Two shards run away in the same tick: at any thread count the error
+  // names the lower shard id, never the other runaway or the quiet one.
+  for (const unsigned threads : {1u, 3u}) {
+    MetroConfig mc;
+    mc.shard_event_budget = 25;
+    mc.threads = threads;
+    MetroSimulation metro(mc);
+    metro.add_shard("quiet-seg", "budget-quiet");
+    const ShardId noisy = metro.add_shard("overload-seg", "budget-noisy");
+    const ShardId other = metro.add_shard("runaway-seg", "budget-runaway");
+    std::array<std::function<void()>, 2> forever;
+    for (std::size_t k = 0; k < 2; ++k) {
+      Simulator& sim = metro.shard(k == 0 ? noisy : other).sim();
+      forever[k] = [&sim, &f = forever[k]] { sim.schedule_in(1, f); };
+      sim.schedule(0, forever[k]);
+    }
+    try {
+      metro.run_until(1000);
+      FAIL() << "expected the per-shard event budget to throw";
+    } catch (const Error& e) {
+      const std::string msg = e.what();
+      EXPECT_NE(msg.find("overload-seg"), std::string::npos) << msg;
+      EXPECT_NE(msg.find("event budget exhausted"), std::string::npos) << msg;
+      EXPECT_EQ(msg.find("quiet-seg"), std::string::npos) << msg;
+      EXPECT_EQ(msg.find("runaway-seg"), std::string::npos) << msg;
+    }
   }
 }
 
@@ -421,6 +442,187 @@ TEST_F(MetroTest, StatsMergeOrderIndependence) {
   const std::string once = reg.to_json();
   metro.publish_metrics();
   EXPECT_EQ(reg.to_json(), once);
+}
+
+TEST_F(MetroTest, TickMessagesRouteInSerialOrderAtAnyThreadCount) {
+  // Three segments post frames to a fourth in the same ticks, past its
+  // inbox cap. Stamping the tick's messages at the barrier in (shard id,
+  // emission order) gives the one-thread arrival order — and sheds the
+  // same frames — at any thread count.
+  const auto run = [](unsigned threads) {
+    MetroConfig mc;
+    mc.threads = threads;
+    mc.shard_inbox_cap = 24;
+    MetroSimulation metro(mc);
+    const ShardId dst = metro.add_shard("dst", "order-dst");
+    for (std::uint32_t k = 1; k <= 3; ++k) {
+      const ShardId src = metro.add_shard("src-" + std::to_string(k),
+                                          "order-src-" + std::to_string(k));
+      metro.connect_shards(src, dst);
+      Simulator& sim = metro.shard(src).sim();
+      for (std::uint32_t i = 0; i < 140; ++i)
+        sim.schedule(1 + 7 * i, [&metro, src, dst, tag = 1000 * k + i] {
+          (void)metro.post_frame(src, dst, as_bytes("ordered"), tag);
+        });
+    }
+    std::vector<std::uint32_t> arrivals;
+    metro.set_frame_handler([&arrivals](ShardId, std::uint32_t tag,
+                                        BytesView) { arrivals.push_back(tag); });
+    metro.run_until(1000);
+    return std::pair{arrivals, metro.stats().inbox_dropped};
+  };
+  const auto serial = run(1);
+  ASSERT_GT(serial.second, 0u);
+  EXPECT_EQ(run(4), serial);
+}
+
+/// The security events drained since the tracer was last cleared, in drain
+/// order: the drain forwards each one to the tracer as a "sec" or "health"
+/// instant on the sim-time track. Clears the tracer.
+std::vector<std::string> take_sec_stream() {
+  std::vector<std::string> stream;
+  for (const obs::TraceEvent& e : obs::Tracer::global().events()) {
+    const std::string cat = e.cat;
+    if (e.pid != obs::Tracer::kSimPid || (cat != "sec" && cat != "health"))
+      continue;
+    std::string line = cat + " " + e.name + " @" + std::to_string(e.ts_us);
+    for (std::size_t i = 0; i < e.nargs; ++i)
+      line += std::string(" ") + e.args[i].key + "=" +
+              std::to_string(e.args[i].value);
+    stream.push_back(std::move(line));
+  }
+  obs::Tracer::global().clear();
+  return stream;
+}
+
+#ifndef PEACE_OBS_DISABLED  // the stream carries records only with obs on
+
+TEST_F(MetroTest, TiedSecurityEventsDrainInShardOrder) {
+  // Four shards emit a security event at the same sim times in every tick.
+  // Whichever threads run the shards, the drained stream lists each tie in
+  // shard-id order — the order one thread visiting the shards would emit.
+  const auto run = [](unsigned threads) {
+    MetroConfig mc;
+    mc.threads = threads;
+    MetroSimulation metro(mc);
+    for (int k = 0; k < 4; ++k) {
+      const ShardId id = metro.add_shard("tie-" + std::to_string(k),
+                                         "tie-" + std::to_string(k));
+      Simulator& sim = metro.shard(id).sim();
+      for (SimTime t = 5; t < 3000; t += 10)
+        sim.schedule(t, [&sim, id] {
+          obs::sec_emit(obs::SecEventKind::kSessionRekey, sim.now(), id);
+        });
+    }
+    obs::drain_sec_events();
+    obs::Tracer::global().clear();
+    obs::enable(true);
+    metro.run_until(3000);
+    obs::enable(false);
+    return take_sec_stream();
+  };
+  const std::vector<std::string> serial = run(1);
+  ASSERT_EQ(serial.size(), 4u * 300);
+  EXPECT_EQ(run(4), serial);
+}
+
+#endif  // PEACE_OBS_DISABLED
+
+/// Everything a metro_city day produces that must not depend on threads.
+struct CityDay {
+  MetroCityReport report;
+  std::string counters_and_gauges;  // registry export, histograms cut
+  std::uint64_t parallel_ticks = 0;
+  std::vector<std::string> sec_stream;  // drained events, in drain order
+  std::vector<std::string> alerts;
+  std::vector<std::vector<Frame>> taps;  // by shard
+};
+
+CityDay run_city_day(unsigned threads) {
+  MetroCityConfig config;
+  config.shards = 4;
+  config.synthetic_users = 2'000;
+  config.cohort_users = 8;
+  config.day_ms = 8'640'000;
+  config.revocation_waves = 2;
+  config.seed = "metro-threads";
+  config.forgery_burst = true;
+  config.revoked_burst = true;
+  config.threads = threads;
+  obs::HealthMonitor monitor;
+  config.health = &monitor;
+  CityDay day;
+  day.taps.resize(config.shards);
+  config.tap = [&day](ShardId shard, const WireObservation& o) {
+    day.taps[shard].push_back(Frame{o.kind, o.payload});
+  };
+
+  // The process computes the GT generator (one pairing) on first use; do
+  // it before the reset so the counters hold the day alone.
+  (void)curve::gt_generator();
+  auto& reg = obs::Registry::global();
+  reg.reset();
+  obs::drain_sec_events();
+  obs::Tracer::global().clear();
+  obs::enable(true);
+  day.report = run_metro_city(config);
+  obs::enable(false);
+
+  day.sec_stream = take_sec_stream();
+  for (const obs::HealthAlert& a : monitor.alerts())
+    day.alerts.push_back(std::string(a.rule) + " " + a.label + " shard=" +
+                         std::to_string(a.shard) + " @" +
+                         std::to_string(a.sim_ms) + " n=" +
+                         std::to_string(a.window_count) + " ewma=" +
+                         std::to_string(a.ewma));
+
+  // Counters and gauges, minus the one counter that reports how the ticks
+  // were scheduled; histograms hold wall-clock timings.
+  day.parallel_ticks = reg.counter("metro.parallel_ticks").value();
+  reg.counter("metro.parallel_ticks").reset();
+  const std::string json = reg.to_json();
+  day.counters_and_gauges = json.substr(0, json.find("\"histograms\""));
+  reg.reset();
+  return day;
+}
+
+TEST_F(MetroTest, ThreadCountDoesNotChangeTheDay) {
+  // The thread-per-shard contract on a whole day — commute roams, the
+  // flash crowd, revocation waves, a forged-M.2 burst and a revoked mole
+  // with an armed HealthMonitor: every report field (but wall time), every
+  // counter and gauge, the drained security-event stream, the health
+  // alerts and each shard's wire bytes are identical at 1 to 4 threads.
+  const CityDay base = run_city_day(1);
+  EXPECT_EQ(base.parallel_ticks, 0u);
+  ASSERT_EQ(base.report.cohort_connected, base.report.cohort_users);
+  for (const auto& tap : base.taps) ASSERT_FALSE(tap.empty());
+#ifndef PEACE_OBS_DISABLED  // PEACE_OBS=OFF records no stream or alerts
+  ASSERT_FALSE(base.sec_stream.empty());
+  ASSERT_FALSE(base.alerts.empty());
+#endif
+  for (const unsigned threads : {2u, 3u, 4u}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    const CityDay day = run_city_day(threads);
+    EXPECT_GT(day.parallel_ticks, 0u);
+    const MetroCityReport& a = base.report;
+    const MetroCityReport& b = day.report;
+    EXPECT_EQ(a.total_users, b.total_users);
+    EXPECT_EQ(a.cohort_connected, b.cohort_connected);
+    EXPECT_EQ(a.cohort_roams, b.cohort_roams);
+    EXPECT_EQ(a.sim_ms, b.sim_ms);
+    EXPECT_EQ(a.events, b.events);
+    EXPECT_EQ(a.revocation_waves, b.revocation_waves);
+    EXPECT_EQ(a.url_version, b.url_version);
+    EXPECT_EQ(a.health_alerts, b.health_alerts);
+    EXPECT_EQ(std::memcmp(&a.metro, &b.metro, sizeof(MetroStats)), 0);
+    EXPECT_EQ(std::memcmp(&a.net, &b.net, sizeof(NetworkStats)), 0);
+    EXPECT_EQ(std::memcmp(&a.synthetic, &b.synthetic, sizeof(SyntheticStats)),
+              0);
+    EXPECT_EQ(base.counters_and_gauges, day.counters_and_gauges);
+    EXPECT_EQ(base.sec_stream, day.sec_stream);
+    EXPECT_EQ(base.alerts, day.alerts);
+    EXPECT_EQ(base.taps, day.taps);
+  }
 }
 
 }  // namespace
