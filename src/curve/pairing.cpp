@@ -568,10 +568,7 @@ GT pairing_reference(const G1& p, const G2& q) {
   return final_exponentiation(f);
 }
 
-const GT& gt_generator() {
-  static const GT g = pairing(Bn254::get().g1_gen, Bn254::get().g2_gen);
-  return g;
-}
+const GT& gt_generator() { return Bn254::get().gt_gen; }
 
 std::uint64_t pairing_op_count() {
   return obs::op_count(obs::Op::kPairing);

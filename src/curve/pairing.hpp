@@ -155,7 +155,7 @@ GT multi_pairing(const std::vector<std::pair<G1, G2>>& pairs);
 /// Reference Tate pairing (independent algorithm; slow).
 GT pairing_reference(const G1& p, const G2& q);
 
-/// e(g1_gen, g2_gen), cached.
+/// e(g1_gen, g2_gen), computed once by Bn254::init().
 const GT& gt_generator();
 
 /// Frobenius x -> x^p on Fp12 using the global BN254 coefficients.

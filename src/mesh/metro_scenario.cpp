@@ -17,6 +17,10 @@ constexpr std::uint32_t kTagData = 2;  // modeled background data frame
 
 constexpr proto::Timestamp kCertLifetimeMs = 1000ull * 86400 * 365;
 
+constexpr SimTime kSyntheticStepMs = 60'000;  // each shard's activity step
+constexpr std::size_t kForgeryBurstSize = 48;  // forged M.2s in one batch
+constexpr std::size_t kRevokedBurstSize = 24;  // the mole's handshakes
+
 Bytes encode_u64(std::uint64_t v) {
   Bytes out(8);
   for (int i = 0; i < 8; ++i) out[i] = static_cast<std::uint8_t>(v >> (8 * i));
@@ -180,8 +184,8 @@ struct City {
         (void)metro.relay_to_internet(i, as_bytes("synthetic internet"));
     }
     Simulator& sim = metro.shard(i).sim();
-    if (sim.now() + cfg.synthetic_step_ms < cfg.day_ms)
-      sim.schedule_in(cfg.synthetic_step_ms, [this, i] { synthetic_step(i); });
+    if (sim.now() + kSyntheticStepMs < cfg.day_ms)
+      sim.schedule_in(kSyntheticStepMs, [this, i] { synthetic_step(i); });
   }
 
   /// Moves `fraction` of `from`'s synthetic population to `to` through a
@@ -222,14 +226,14 @@ struct City {
     }
   }
 
-  /// Chaos injection: `n` forged M.2s — minted by an enrolled attacker
-  /// against a real beacon, then broken post-signing (ts2 shift, so they
-  /// parse and stay fresh but the group signature no longer covers the
-  /// payload) — hit `target`'s first router as ONE batch. The randomized
-  /// batch check fails, bisection pinpoints every forgery, and each
-  /// rejection emits batch_forgery_attributed + auth_reject events
-  /// attributed to `target`.
-  void forgery_burst(ShardId target, std::size_t n) {
+  /// Chaos injection: kForgeryBurstSize forged M.2s — minted by an
+  /// enrolled attacker against a real beacon, then broken post-signing
+  /// (ts2 shift, so they parse and stay fresh but the group signature no
+  /// longer covers the payload) — hit `target`'s first router as ONE
+  /// batch. The randomized batch check fails, bisection pinpoints every
+  /// forgery, and each rejection emits batch_forgery_attributed +
+  /// auth_reject events attributed to `target`.
+  void forgery_burst(ShardId target) {
     MeshNetwork& net = metro.shard(target).net();
     proto::MeshRouter& router = net.router(net.router_ids().front());
     const auto now = static_cast<proto::Timestamp>(
@@ -241,8 +245,8 @@ struct City {
         city_protocol_config());
     attacker.complete_enrollment(gm.enroll("attacker", ttp));
     std::vector<proto::AccessRequest> batch;
-    batch.reserve(n);
-    for (std::size_t i = 0; i < n; ++i) {
+    batch.reserve(kForgeryBurstSize);
+    for (std::size_t i = 0; i < kForgeryBurstSize; ++i) {
       auto m2 = attacker.process_beacon(beacon, now);
       if (!m2.has_value()) continue;
       m2->ts2 += 1;  // signature no longer covers the message
@@ -255,9 +259,10 @@ struct City {
   }
 
   /// Chaos injection: a mole's credential is revoked, the fresh URL is
-  /// installed at `target`, and the mole then attempts `n` valid-signature
-  /// handshakes — each one a revocation_hit at the scanning router.
-  void revoked_burst(ShardId target, std::size_t n) {
+  /// installed at `target`, and the mole then attempts kRevokedBurstSize
+  /// valid-signature handshakes — each one a revocation_hit at the
+  /// scanning router.
+  void revoked_burst(ShardId target) {
     proto::User mole("mole", no.params(),
                      crypto::Drbg::from_string(cfg.seed + "/mole"),
                      city_protocol_config());
@@ -271,8 +276,8 @@ struct City {
         metro.shard(target).sim().now());
     const proto::BeaconMessage beacon = router.make_beacon(now);
     std::vector<proto::AccessRequest> batch;
-    batch.reserve(n);
-    for (std::size_t i = 0; i < n; ++i) {
+    batch.reserve(kRevokedBurstSize);
+    for (std::size_t i = 0; i < kRevokedBurstSize; ++i) {
       auto m2 = mole.process_beacon(beacon, now);
       if (m2.has_value()) batch.push_back(std::move(*m2));
     }
@@ -319,7 +324,7 @@ MetroCityReport run_metro_city(const MetroCityConfig& config) {
   for (std::size_t i = 0; i < config.shards; ++i)
     city.metro.shard(static_cast<ShardId>(i))
         .sim()
-        .schedule_in(config.synthetic_step_ms, [&city, i] {
+        .schedule_in(kSyntheticStepMs, [&city, i] {
           city.synthetic_step(static_cast<ShardId>(i));
         });
 
@@ -362,14 +367,10 @@ MetroCityReport run_metro_city(const MetroCityConfig& config) {
   // Chaos injections: forged batch at the stadium during the flash crowd,
   // the revoked mole at downtown shortly after.
   if (config.forgery_burst && config.shards > 0) {
-    timeline.push_back({frac(0.50), [&] {
-      city.forgery_burst(stadium, config.forgery_burst_size);
-    }});
+    timeline.push_back({frac(0.50), [&] { city.forgery_burst(stadium); }});
   }
   if (config.revoked_burst && config.shards > 0) {
-    timeline.push_back({frac(0.62), [&] {
-      city.revoked_burst(downtown, config.revoked_burst_size);
-    }});
+    timeline.push_back({frac(0.62), [&] { city.revoked_burst(downtown); }});
   }
 
   // Rolling revocation waves across the day.

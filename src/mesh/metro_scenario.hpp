@@ -48,8 +48,6 @@ struct MetroCityConfig {
   unsigned revocation_waves = 4;
   /// Stadium flash crowd at midday (synthetic surge + cohort roams).
   bool flash_crowd = true;
-  /// Spacing of each shard's synthetic activity step.
-  SimTime synthetic_step_ms = 60'000;
   /// Radio loss for every segment.
   double loss_probability = 0.02;
   /// Threads running shards and cohort enrollment (MetroConfig::threads:
@@ -68,12 +66,10 @@ struct MetroCityConfig {
   /// in one batch — exercising batch bisection attribution and the
   /// forgery_spike detector.
   bool forgery_burst = false;
-  std::size_t forgery_burst_size = 48;
   /// Chaos injection: a revoked credential ("the mole") replays valid
   /// handshakes at downtown after its key lands on the URL — exercising
   /// revocation scanning and the revocation_storm detector.
   bool revoked_burst = false;
-  std::size_t revoked_burst_size = 24;
 };
 
 /// Synthetic-population counters (per shard, summed for the report).

@@ -838,11 +838,11 @@ std::vector<NodeId> MeshNetwork::backbone_neighbors(NodeId node) const {
   }
   std::vector<NodeId> out;
   for (const auto& [id, rn] : routers_) {
-    if (id != node && distance(pos, rn.pos) <= radio_.backbone_range)
+    if (id != node && distance(pos, rn.pos) <= kBackboneRange)
       out.push_back(id);
   }
   for (const auto& [id, ap_pos] : access_points_) {
-    if (id != node && distance(pos, ap_pos) <= radio_.backbone_range)
+    if (id != node && distance(pos, ap_pos) <= kBackboneRange)
       out.push_back(id);
   }
   return out;

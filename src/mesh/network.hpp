@@ -30,13 +30,14 @@ struct Vec2 {
 
 double distance(const Vec2& a, const Vec2& b);
 
+/// Long-range backbone links (WiMAX-class, paper Fig. 1): router-router
+/// and router-AP edges exist within this distance and ride the operator's
+/// pre-established secure channels.
+inline constexpr double kBackboneRange = 500.0;
+
 struct RadioConfig {
   double router_range = 250.0;  // downlink coverage (one hop, paper III.A)
   double user_range = 80.0;     // user-user data radio
-  /// Long-range backbone links (WiMAX-class, paper Fig. 1): router-router
-  /// and router-AP edges exist within this distance and ride the
-  /// operator's pre-established secure channels.
-  double backbone_range = 500.0;
   double loss_probability = 0.0;
   SimTime latency_ms = 2;
 };
@@ -149,7 +150,7 @@ class MeshNetwork {
   std::unique_ptr<proto::User> remove_user(NodeId id);
   std::size_t user_count() const { return users_.size(); }
   /// Layer-1 of Fig. 1: a wired Internet entry point, reachable from
-  /// routers within backbone_range over a secure channel.
+  /// routers within kBackboneRange over a secure channel.
   NodeId add_access_point(Vec2 pos);
   std::size_t access_point_count() const { return access_points_.size(); }
 
@@ -367,7 +368,7 @@ class MeshNetwork {
   /// Pre-established secure channel between two backbone nodes: a shared
   /// MAC key (paper III.A assumes these exist out of band).
   const Bytes& backbone_key(NodeId a, NodeId b);
-  /// Backbone adjacency (router/AP nodes within backbone_range).
+  /// Backbone adjacency (router/AP nodes within kBackboneRange).
   std::vector<NodeId> backbone_neighbors(NodeId node) const;
   /// BFS shortest backbone path from `router_node` to the nearest access
   /// point, both ends included; empty when no AP is reachable.

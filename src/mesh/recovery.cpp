@@ -39,11 +39,10 @@ class DrillRun {
     setup();
     enroll_wave();
     revocation_wave();
-    if (cfg_.rotate_mid_wave) {
-      rotate();
-      enroll_wave();
-      revocation_wave();
-    }
+    // Mid-wave rotation: a second era (reissue + re-enroll) and wave.
+    rotate();
+    enroll_wave();
+    revocation_wave();
     announce();
     check_convergence();
     return cp_->state_bytes();

@@ -1,7 +1,7 @@
 // Recovery drill: the headline crash scenario of docs/ARCHITECTURE.md §8.
 //
 // An operator control plane runs a rolling revocation wave (enrollments,
-// user-key and router revocations, optionally a master-key rotation in the
+// user-key and router revocations, and a master-key rotation in the
 // middle) while mesh router segments consume its delta chain. At a
 // configurable record cadence the operator "dies" — the in-memory site is
 // destroyed and rebuilt from its durable log — and the routers then resync
@@ -32,8 +32,6 @@ struct RecoveryDrillConfig {
   std::size_t crash_every = 3;
   std::size_t router_segments = 3; // independent delta-chain receivers
   std::size_t snapshot_every = 8;  // control-plane auto-snapshot cadence
-  /// Rotate the master key mid-wave (second era: reissue + re-enroll).
-  bool rotate_mid_wave = true;
 };
 
 struct RecoveryDrillReport {

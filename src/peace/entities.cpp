@@ -148,19 +148,7 @@ void GroupManager::replay_enroll(const KeyIndex& idx, const std::string& uid) {
 
 void GroupManager::store_receipt(const KeyIndex& idx,
                                  EnrollmentReceipt receipt) {
-  const std::pair<GroupId, std::uint32_t> key{idx.group, idx.member};
-  if (receipts_.emplace(key, std::move(receipt)).second)
-    receipt_order_.push_back(key);
-}
-
-std::size_t GroupManager::evict_receipts_over(std::size_t cap) {
-  std::size_t evicted = 0;
-  while (receipts_.size() > cap && !receipt_order_.empty()) {
-    receipts_.erase(receipt_order_.front());
-    receipt_order_.erase(receipt_order_.begin());
-    ++evicted;
-  }
-  return evicted;
+  receipts_.emplace(std::pair{idx.group, idx.member}, std::move(receipt));
 }
 
 std::optional<GroupManager::EnrollmentReceipt> GroupManager::receipt_for(
@@ -228,8 +216,7 @@ void NetworkOperator::rotate_master_key(Timestamp now) {
   obs::Span span("no.rotate_master_key", "peace");
   span.arg("archived_tokens", grt_.size());
   span.arg("era", past_eras_.size() + 1);
-  const std::size_t archived = grt_.size();
-  past_eras_.push_back({issuer_.gpk(), std::move(grt_), false, archived});
+  past_eras_.push_back({issuer_.gpk(), std::move(grt_)});
   grt_.clear();
   issuer_ = groupsig::Issuer::create(rng_);
   group_secrets_.clear();
@@ -389,32 +376,6 @@ std::optional<AuditResult> NetworkOperator::audit(
   return finish(std::nullopt);
 }
 
-const GroupPublicKey& NetworkOperator::archived_gpk(std::size_t era) const {
-  if (era >= past_eras_.size()) throw Error("no: unknown archived era");
-  return past_eras_[era].gpk;
-}
-
-bool NetworkOperator::era_spilled(std::size_t era) const {
-  if (era >= past_eras_.size()) throw Error("no: unknown archived era");
-  return past_eras_[era].spilled;
-}
-
-std::size_t NetworkOperator::era_token_count(std::size_t era) const {
-  if (era >= past_eras_.size()) throw Error("no: unknown archived era");
-  return past_eras_[era].total;
-}
-
-std::size_t NetworkOperator::spill_archived_era(std::size_t era) {
-  if (era >= past_eras_.size()) throw Error("no: unknown archived era");
-  Era& e = past_eras_[era];
-  if (e.spilled) return 0;
-  const std::size_t freed = e.grt.size();
-  e.grt.clear();
-  e.grt.shrink_to_fit();
-  e.spilled = true;
-  return freed;
-}
-
 void NetworkOperator::replay_issue(GroupId gid, const Fr& grp,
                                    std::uint32_t next_member_after,
                                    std::vector<GrtEntry> entries) {
@@ -425,8 +386,7 @@ void NetworkOperator::replay_issue(GroupId gid, const Fr& grp,
 }
 
 void NetworkOperator::replay_rotation(const Fr& new_gamma) {
-  const std::size_t archived = grt_.size();
-  past_eras_.push_back({issuer_.gpk(), std::move(grt_), false, archived});
+  past_eras_.push_back({issuer_.gpk(), std::move(grt_)});
   grt_.clear();
   issuer_ = groupsig::Issuer::from_secret(new_gamma);
   group_secrets_.clear();

@@ -159,11 +159,6 @@ class GroupManager {
   // this class.
   const Fr& group_secret() const { return grp_; }
 
-  /// Receipts currently resident in memory (evicted ones stay in the
-  /// operator's durable log and are fetched back on demand by the control
-  /// plane — see DurableControlPlane::receipt_for).
-  std::size_t receipts_in_memory() const { return receipts_.size(); }
-
   /// Full-state image for operator snapshots (docs/ARCHITECTURE.md §8);
   /// its layout is the private `fields` list.
   Bytes state_bytes() const;
@@ -175,14 +170,11 @@ class GroupManager {
   void replay_enroll(const KeyIndex& idx, const std::string& uid);
   /// Inserts a receipt that was signature-checked when first recorded.
   void store_receipt(const KeyIndex& idx, EnrollmentReceipt receipt);
-  /// Evicts oldest-first until at most `cap` receipts stay resident;
-  /// returns how many were dropped (they remain in the durable log).
-  std::size_t evict_receipts_over(std::size_t cap);
 
   friend struct peace::FieldAccess;
   static void fields(auto& io, auto& s) {
-    io(Tag{"peace/gm-state-v1"}, s.id_, s.name_, s.grp_, s.unassigned_,
-       s.assigned_, s.assigned_x_, s.receipts_, s.receipt_order_);
+    io(Tag{"peace/gm-state-v2"}, s.id_, s.name_, s.grp_, s.unassigned_,
+       s.assigned_, s.assigned_x_, s.receipts_);
   }
 
   GroupId id_;
@@ -192,8 +184,6 @@ class GroupManager {
   std::map<std::pair<GroupId, std::uint32_t>, std::string> assigned_;
   std::map<std::pair<GroupId, std::uint32_t>, Fr> assigned_x_;
   std::map<std::pair<GroupId, std::uint32_t>, EnrollmentReceipt> receipts_;
-  /// Insertion order of receipts_, oldest first — the spill policy.
-  std::vector<std::pair<GroupId, std::uint32_t>> receipt_order_;
 };
 
 /// What NO's audit of a session yields (paper IV.D): the credential and the
@@ -298,17 +288,6 @@ class NetworkOperator {
   };
   const std::vector<GrtEntry>& grt_entries() const { return grt_; }
 
-  // --- archived-era introspection (spill / audit-index path) -------------
-  std::size_t archived_era_count() const { return past_eras_.size(); }
-  const GroupPublicKey& archived_gpk(std::size_t era) const;
-  bool era_spilled(std::size_t era) const;
-  /// GRT entries the era holds (resident + spilled).
-  std::size_t era_token_count(std::size_t era) const;
-  /// Drops the in-memory GRT of archived era `era` (the control plane
-  /// spills oldest rotations first); the tokens stay recoverable from the
-  /// durable log. Returns the number of entries freed.
-  std::size_t spill_archived_era(std::size_t era);
-
   /// Full-state image for operator snapshots (docs/ARCHITECTURE.md §8);
   /// its layout is the private `fields` list.
   Bytes state_bytes() const;
@@ -357,14 +336,8 @@ class NetworkOperator {
   struct Era {
     GroupPublicKey gpk;
     std::vector<GrtEntry> grt;
-    /// True once the entries were dropped from memory; the durable log
-    /// still holds them and the control plane scans them from disk.
-    bool spilled = false;
-    std::size_t total = 0;  // entry count including spilled ones
 
-    static void fields(auto& io, auto& s) {
-      io(s.gpk, s.spilled, s.total, s.grt);
-    }
+    static void fields(auto& io, auto& s) { io(s.gpk, s.grt); }
   };
   std::vector<Era> past_eras_;
   std::map<GroupId, Fr> group_secrets_;
@@ -382,7 +355,7 @@ class NetworkOperator {
   // of the signed lists and from_state restores them from there.
   friend struct peace::FieldAccess;
   static void fields(auto& io, auto& s) {
-    io(Tag{"peace/no-state-v1"}, s.rng_, s.issuer_, s.nsk_, s.grt_,
+    io(Tag{"peace/no-state-v2"}, s.rng_, s.issuer_, s.nsk_, s.grt_,
        s.past_eras_, s.group_secrets_, s.next_member_, s.next_group_id_,
        s.url_, s.crl_, s.url_deltas_, s.crl_deltas_);
   }

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/serde.hpp"
-#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
 namespace peace {
@@ -39,18 +38,8 @@ using proto::GroupManager;
 using proto::NetworkOperator;
 using proto::TrustedThirdParty;
 
-namespace {
-
-std::pair<proto::GroupId, std::uint32_t> key_of(const proto::KeyIndex& idx) {
-  return {idx.group, idx.member};
-}
-
-}  // namespace
-
 ControlPlane::ControlPlane(DurableStore store, ControlPlaneOptions opts)
-    : store_(std::move(store)), opts_(opts) {
-  era_issue_refs_.push_back({});
-}
+    : store_(std::move(store)), opts_(opts) {}
 
 ControlPlane ControlPlane::create(const std::string& dir, crypto::Drbg rng,
                                   ControlPlaneOptions opts) {
@@ -72,11 +61,11 @@ ControlPlane ControlPlane::recover(const std::string& dir,
   cp.report_ = std::move(rec.report);
   if (rec.snapshot.empty())
     throw Error("persist: control plane requires a genesis snapshot");
-  cp.load_state(rec.snapshot);
-  for (const TailRecord& t : rec.tail) cp.apply_record(t.ref, t.record);
+  decode_into(rec.snapshot, cp);
+  for (const WalRecord& r : rec.tail) cp.apply_record(r);
   cp.records_since_snapshot_ = rec.tail.size();
   span.arg("tail_records", rec.tail.size());
-  obs::Registry::global().counter("persist.control_recoveries").add(1);
+  count(Counter::kControlRecoveries);
   return cp;
 }
 
@@ -84,18 +73,11 @@ ControlPlane ControlPlane::recover(const std::string& dir,
 
 Bytes ControlPlane::state_bytes() const { return encode(*this); }
 
-void ControlPlane::load_state(BytesView payload) {
-  decode_into(payload, *this);
-  if (era_issue_refs_.empty()) era_issue_refs_.push_back({});
-}
-
 // --- write path --------------------------------------------------------------
 
-RecordRef ControlPlane::append(RecordType type, BytesView payload) {
-  const RecordRef ref =
-      store_.append(static_cast<std::uint8_t>(type), payload);
+void ControlPlane::append(RecordType type, BytesView payload) {
+  store_.append(static_cast<std::uint8_t>(type), payload);
   ++records_since_snapshot_;
-  return ref;
 }
 
 void ControlPlane::maybe_snapshot() {
@@ -107,34 +89,6 @@ void ControlPlane::maybe_snapshot() {
 void ControlPlane::snapshot() {
   store_.write_snapshot(state_bytes());
   records_since_snapshot_ = 0;
-}
-
-void ControlPlane::enforce_caps() {
-  auto& reg = obs::Registry::global();
-  if (opts_.gm_receipt_cache_cap != std::size_t(-1)) {
-    for (auto& [gid, gm] : gms_) {
-      const std::size_t evicted =
-          gm.evict_receipts_over(opts_.gm_receipt_cache_cap);
-      if (evicted != 0) {
-        receipts_spilled_ += evicted;
-        reg.counter("persist.receipts_spilled").add(evicted);
-      }
-    }
-  }
-  if (opts_.archived_era_cache_cap != std::size_t(-1)) {
-    std::size_t resident = 0;
-    for (std::size_t i = 0; i < no_->archived_era_count(); ++i)
-      if (!no_->era_spilled(i)) ++resident;
-    for (std::size_t i = 0; i < no_->archived_era_count() &&
-                            resident > opts_.archived_era_cache_cap;
-         ++i) {
-      if (no_->era_spilled(i)) continue;
-      const std::size_t freed = no_->spill_archived_era(i);
-      grt_spilled_ += freed;
-      reg.counter("persist.grt_spilled").add(freed);
-      --resident;
-    }
-  }
 }
 
 // Builds the issue record for the batch the GM currently holds unassigned
@@ -151,7 +105,7 @@ GroupIssueRecord ControlPlane::build_issue_record(
     IssuedKey k;
     k.index = idx;
     k.x = x;
-    k.blinded = ttp_.blinded_store().at(key_of(idx));
+    k.blinded = ttp_.blinded_store().at({idx.group, idx.member});
     const auto& grt = no_->grt_entries();
     const auto it = std::find_if(
         grt.rbegin(), grt.rend(),
@@ -174,10 +128,7 @@ proto::GroupId ControlPlane::register_group(const std::string& name,
   const proto::GroupId gid = gm.id();
   const GroupIssueRecord rec = build_issue_record(gm, name);
   gms_.emplace(gid, std::move(gm));
-  const RecordRef ref =
-      append(RecordType::kGroupRegistered, rec.to_bytes());
-  era_issue_refs_.back().push_back(ref);
-  enforce_caps();
+  append(RecordType::kGroupRegistered, rec.to_bytes());
   maybe_snapshot();
   span.arg("gid", gid);
   span.arg("keys", num_keys);
@@ -189,9 +140,7 @@ void ControlPlane::reissue_group(proto::GroupId gid, std::size_t num_keys) {
   GroupManager& gm = this->gm(gid);
   no_->reissue_group(gm, num_keys, ttp_);
   const GroupIssueRecord rec = build_issue_record(gm, "");
-  const RecordRef ref = append(RecordType::kGroupReissued, rec.to_bytes());
-  era_issue_refs_.back().push_back(ref);
-  enforce_caps();
+  append(RecordType::kGroupReissued, rec.to_bytes());
   maybe_snapshot();
   span.arg("gid", gid);
   span.arg("keys", num_keys);
@@ -205,8 +154,6 @@ void ControlPlane::rotate_master_key(proto::Timestamp now) {
   rec.url_delta = no_->url_deltas_.back().to_bytes();
   rec.rng_state = no_->rng_.export_state();
   append(RecordType::kMasterRotated, rec.to_bytes());
-  era_issue_refs_.push_back({});
-  enforce_caps();
   maybe_snapshot();
 }
 
@@ -219,7 +166,6 @@ bool ControlPlane::revoke_user_key(const proto::KeyIndex& idx,
   rec.delta = no_->url_deltas_.back().to_bytes();
   rec.rng_state = no_->rng_.export_state();
   append(RecordType::kUserRevoked, rec.to_bytes());
-  enforce_caps();
   maybe_snapshot();
   return true;
 }
@@ -232,7 +178,6 @@ bool ControlPlane::revoke_router(proto::RouterId id, proto::Timestamp now) {
   rec.delta = no_->crl_deltas_.back().to_bytes();
   rec.rng_state = no_->rng_.export_state();
   append(RecordType::kRouterRevoked, rec.to_bytes());
-  enforce_caps();
   maybe_snapshot();
   return true;
 }
@@ -268,16 +213,13 @@ void ControlPlane::record_receipt(const GroupManager::Enrollment& enrollment,
   rec.index = enrollment.index;
   rec.user_public_key = curve::g1_to_bytes(user_public_key);
   rec.signature = signature.to_bytes();
-  const RecordRef ref =
-      append(RecordType::kReceiptArchived, rec.to_bytes());
-  receipt_refs_[key_of(enrollment.index)] = ref;
-  enforce_caps();
+  append(RecordType::kReceiptArchived, rec.to_bytes());
   maybe_snapshot();
 }
 
 // --- replay ------------------------------------------------------------------
 
-void ControlPlane::apply_record(const RecordRef& ref, const WalRecord& rec) {
+void ControlPlane::apply_record(const WalRecord& rec) {
   switch (static_cast<RecordType>(rec.type)) {
     case RecordType::kGroupRegistered:
     case RecordType::kGroupReissued: {
@@ -299,7 +241,6 @@ void ControlPlane::apply_record(const RecordRef& ref, const WalRecord& rec) {
       } else {
         gm(r.gid).rekey(r.grp, std::move(keys));
       }
-      era_issue_refs_.back().push_back(ref);
       break;
     }
     case RecordType::kMasterRotated: {
@@ -307,7 +248,6 @@ void ControlPlane::apply_record(const RecordRef& ref, const WalRecord& rec) {
       no_->replay_rotation(r.new_gamma);
       no_->replay_revocation(proto::RLDelta::from_bytes(r.url_delta));
       no_->restore_rng(r.rng_state);
-      era_issue_refs_.push_back({});
       break;
     }
     case RecordType::kUserRevoked:
@@ -336,15 +276,11 @@ void ControlPlane::apply_record(const RecordRef& ref, const WalRecord& rec) {
       receipt.user_public_key = curve::g1_from_bytes(r.user_public_key);
       receipt.signature = curve::EcdsaSignature::from_bytes(r.signature);
       gm(r.index.group).store_receipt(r.index, std::move(receipt));
-      receipt_refs_[key_of(r.index)] = ref;
       break;
     }
     default:
       throw Error("persist: unknown record type in wal");
   }
-  // Mirror the live write path: caps are enforced after every operation,
-  // so the recovered trajectory matches the uninterrupted one exactly.
-  enforce_caps();
 }
 
 // --- entity access -----------------------------------------------------------
@@ -366,77 +302,6 @@ std::vector<const GroupManager*> ControlPlane::group_managers() const {
   out.reserve(gms_.size());
   for (const auto& [gid, gm] : gms_) out.push_back(&gm);
   return out;
-}
-
-// --- spill-aware reads -------------------------------------------------------
-
-std::optional<GroupManager::EnrollmentReceipt> ControlPlane::receipt_for(
-    const proto::KeyIndex& idx) const {
-  const auto it = gms_.find(idx.group);
-  if (it != gms_.end()) {
-    if (auto receipt = it->second.receipt_for(idx)) return receipt;
-  }
-  const auto rit = receipt_refs_.find(key_of(idx));
-  if (rit == receipt_refs_.end()) return std::nullopt;
-  const auto rec = store_.read(rit->second);
-  if (!rec.has_value()) return std::nullopt;
-  const ReceiptArchivedRecord r = ReceiptArchivedRecord::from_bytes(rec->payload);
-  GroupManager::EnrollmentReceipt receipt;
-  receipt.user_public_key = curve::g1_from_bytes(r.user_public_key);
-  receipt.signature = curve::EcdsaSignature::from_bytes(r.signature);
-  return receipt;
-}
-
-std::vector<NetworkOperator::GrtEntry> ControlPlane::spilled_era_entries(
-    std::size_t era) const {
-  std::vector<NetworkOperator::GrtEntry> entries;
-  if (era >= era_issue_refs_.size()) return entries;
-  for (const RecordRef& ref : era_issue_refs_[era]) {
-    const auto rec = store_.read(ref);
-    if (!rec.has_value()) continue;  // archive damage: reported at recovery
-    const GroupIssueRecord r = GroupIssueRecord::from_bytes(rec->payload);
-    for (const IssuedKey& k : r.keys)
-      entries.push_back({groupsig::RevocationToken::from_bytes(k.token),
-                         r.gid, k.index});
-  }
-  return entries;
-}
-
-std::optional<proto::AuditResult> ControlPlane::audit(
-    const proto::AccessRequest& m2) const {
-  if (auto hit = no_->audit(m2)) return hit;
-  // Spilled archived eras: stream their GRT back from the log and scan
-  // with that era's gpk — newest rotation first, like the resident path.
-  const Bytes payload = m2.signed_payload();
-  for (std::size_t era = no_->archived_era_count(); era-- > 0;) {
-    if (!no_->era_spilled(era)) continue;
-    const auto entries = spilled_era_entries(era);
-    if (entries.empty()) continue;
-    obs::Span span("control.audit_spilled_era", "persist");
-    span.arg("era", era);
-    span.arg("tokens", entries.size());
-    const groupsig::PreparedBases prepared =
-        groupsig::prepare_bases(no_->archived_gpk(era), payload, m2.signature);
-    groupsig::TokenScan scan(prepared, m2.signature);
-    for (const auto& e : entries) scan.add(e.token);
-    const std::size_t hit = scan.first_match();
-    if (hit != groupsig::TokenScan::npos)
-      return proto::AuditResult{entries[hit].token, entries[hit].group_id,
-                                entries[hit].index, hit + 1};
-  }
-  return std::nullopt;
-}
-
-std::optional<proto::LawAuthority::TraceResult> ControlPlane::trace(
-    const proto::AccessRequest& m2) const {
-  const auto hit = audit(m2);
-  if (!hit.has_value()) return std::nullopt;
-  const auto it = gms_.find(hit->group_id);
-  if (it == gms_.end()) return std::nullopt;
-  const auto uid = it->second.uid_for_index(hit->index);
-  if (!uid.has_value()) return std::nullopt;
-  return proto::LawAuthority::TraceResult{
-      *uid, hit->group_id, hit->index, receipt_for(hit->index).has_value()};
 }
 
 }  // namespace peace::persist

@@ -17,15 +17,14 @@
 // parties (an issue batch holds x's AND blinded A's); a multi-site split of
 // the log itself is out of scope here (PROTOCOL.md §12).
 //
-// The log doubles as the accountability archive: enrollment receipts and
-// GRT entries evicted from memory (bounded caches) are re-read from their
-// WAL records on demand via the audit index, so law-authority traces keep
-// working over spilled history.
+// Every receipt and GRT entry stays resident, so audits and law-authority
+// traces run against the entities directly: `no().audit(m2)` and
+// `LawAuthority::trace(no(), group_managers(), m2)`. The log is the
+// evidence archive on disk; rotated segments are never deleted.
 #pragma once
 
 #include <map>
 #include <memory>
-#include <optional>
 
 #include "peace/entities.hpp"
 #include "peace/persist/records.hpp"
@@ -37,12 +36,6 @@ struct ControlPlaneOptions {
   StoreOptions store;
   /// Records between automatic snapshots (0 = snapshot only on demand).
   std::size_t snapshot_every = 256;
-  /// Enrollment receipts each GM keeps resident; older ones spill to the
-  /// log (read back via receipt_for). SIZE_MAX = unbounded.
-  std::size_t gm_receipt_cache_cap = std::size_t(-1);
-  /// Archived (pre-rotation) eras whose GRT stays resident; older eras
-  /// spill and are audited by streaming their issue records from the log.
-  std::size_t archived_era_cache_cap = std::size_t(-1);
 };
 
 class ControlPlane {
@@ -89,18 +82,6 @@ class ControlPlane {
   const proto::GroupManager& gm(proto::GroupId gid) const;
   std::vector<const proto::GroupManager*> group_managers() const;
 
-  // --- spill-aware reads --------------------------------------------------
-  /// Like GroupManager::receipt_for, but falls back to the WAL record when
-  /// the receipt was evicted from the GM's cache.
-  std::optional<proto::GroupManager::EnrollmentReceipt> receipt_for(
-      const proto::KeyIndex& idx) const;
-  /// Like NetworkOperator::audit, but also scans spilled archived eras by
-  /// streaming their issue records from the log.
-  std::optional<proto::AuditResult> audit(const proto::AccessRequest& m2) const;
-  /// Law-authority trace over the whole site, spilled history included.
-  std::optional<proto::LawAuthority::TraceResult> trace(
-      const proto::AccessRequest& m2) const;
-
   // --- introspection ------------------------------------------------------
   /// Canonical full-state image (equals the snapshot payload); equal bytes
   /// iff equal operator state — the differential crash tests rely on this.
@@ -108,23 +89,15 @@ class ControlPlane {
   const RecoveryReport& recovery_report() const { return report_; }
   const DurableStore& store() const { return store_; }
   std::uint64_t last_seq() const { return store_.last_seq(); }
-  std::size_t receipts_spilled() const { return receipts_spilled_; }
-  std::size_t grt_entries_spilled() const { return grt_spilled_; }
 
  private:
   ControlPlane(DurableStore store, ControlPlaneOptions opts);
 
-  void apply_record(const RecordRef& ref, const WalRecord& rec);
-  void load_state(BytesView payload);
-  RecordRef append(RecordType type, BytesView payload);
-  /// Registers a just-written (or replayed) record in the audit index.
-  void index_record(const RecordRef& ref);
-  void enforce_caps();
+  void apply_record(const WalRecord& rec);
+  void append(RecordType type, BytesView payload);
   void maybe_snapshot();
   GroupIssueRecord build_issue_record(const proto::GroupManager& gm,
                                       const std::string& name) const;
-  std::vector<proto::NetworkOperator::GrtEntry> spilled_era_entries(
-      std::size_t era) const;
 
   DurableStore store_;
   ControlPlaneOptions opts_;
@@ -136,22 +109,12 @@ class ControlPlane {
   proto::TrustedThirdParty ttp_;
   std::map<proto::GroupId, proto::GroupManager> gms_;
 
-  // --- audit index (persisted in every snapshot) -------------------------
-  /// era -> refs of the GroupIssueRecords minted during it; index
-  /// past_eras_.size() is the current era.
-  std::vector<std::vector<RecordRef>> era_issue_refs_;
-  /// (group, member) -> ref of the kReceiptArchived record.
-  std::map<std::pair<proto::GroupId, std::uint32_t>, RecordRef> receipt_refs_;
-
   friend struct peace::FieldAccess;
   static void fields(auto& io, auto& s) {
-    io(Tag{"peace/control-state-v1"}, s.no_, s.ttp_, s.gms_,
-       s.era_issue_refs_, s.receipt_refs_);
+    io(Tag{"peace/control-state-v2"}, s.no_, s.ttp_, s.gms_);
   }
 
   std::size_t records_since_snapshot_ = 0;
-  std::size_t receipts_spilled_ = 0;
-  std::size_t grt_spilled_ = 0;
 };
 
 }  // namespace peace::persist

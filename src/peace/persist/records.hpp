@@ -112,8 +112,7 @@ struct EnrolledRecord {
 
 /// kReceiptArchived: the user's signed proof of receipt — the
 /// non-repudiation evidence a law-authority trace leans on. Verified
-/// before it was written; the log keeps it forever (spilled GM caches
-/// re-read it from here).
+/// before it was written; the log keeps it forever.
 struct ReceiptArchivedRecord {
   proto::KeyIndex index;
   Bytes user_public_key;  // serialized G1

@@ -67,7 +67,21 @@ void orphan_segment(const std::string& path) {
   fs::rename(path, target);
 }
 
+constexpr bool counters_in_enum_order() {
+  for (std::size_t i = 0; i < kCounters.size(); ++i)
+    if (static_cast<std::size_t>(kCounters[i].counter) != i) return false;
+  return true;
+}
+static_assert(counters_in_enum_order(),
+              "kCounters rows must follow the Counter order");
+
 }  // namespace
+
+void count(Counter c, std::uint64_t n) {
+  obs::Registry::global()
+      .counter(kCounters[static_cast<std::size_t>(c)].metric)
+      .add(n);
+}
 
 std::string DurableStore::segment_path(std::uint64_t base_seq) const {
   return dir_ + "/wal-" + padded(base_seq) + ".wal";
@@ -88,11 +102,9 @@ DurableStore DurableStore::create(const std::string& dir, StoreOptions opts) {
   return DurableStore(dir, opts, std::move(active));
 }
 
-DurableStore::Recovered DurableStore::open(
-    const std::string& dir, StoreOptions opts,
-    const std::function<void(const RecordRef&, const WalRecord&)>& on_record) {
+DurableStore::Recovered DurableStore::open(const std::string& dir,
+                                           StoreOptions opts) {
   obs::Span span("persist.recover", "persist");
-  auto& reg = obs::Registry::global();
   const DirListing listing = list_dir(dir);
   if (listing.segments.empty())
     throw Error("persist: no wal segments in " + dir);
@@ -120,7 +132,7 @@ DurableStore::Recovered DurableStore::open(
     std::string path;
     WalScanResult scan;
     bool linked = false;  // chains from the previous segment (or genesis)
-    std::vector<TailRecord> records;  // kept only for base >= min_snap_seq
+    std::vector<WalRecord> records;  // kept only for base >= min_snap_seq
   };
   std::vector<SegState> segs;
   for (const auto& [base, path] : listing.segments) {
@@ -130,10 +142,8 @@ DurableStore::Recovered DurableStore::open(
     const bool keep_payloads = base >= min_snap_seq;
     try {
       s.scan = WalSegment::scan_file(
-          path, [&](const WalRecord& rec, std::uint64_t offset) {
-            RecordRef ref{rec.seq, base, offset, rec.type};
-            if (on_record) on_record(ref, rec);
-            if (keep_payloads) s.records.push_back({ref, rec});
+          path, [&](const WalRecord& rec, std::uint64_t) {
+            if (keep_payloads) s.records.push_back(rec);
           });
     } catch (const Error&) {
       // Unreadable header: the segment contributes nothing.
@@ -210,18 +220,18 @@ DurableStore::Recovered DurableStore::open(
 
   // Walk forward from the anchor while segments stay linked; collect the
   // replay tail and find the segment that becomes the active one.
-  std::vector<TailRecord> tail;
+  std::vector<WalRecord> tail;
   std::size_t active_idx = anchor_idx;
   for (std::size_t i = anchor_idx; i < segs.size(); ++i) {
     if (i > anchor_idx && !segs[i].linked) break;
     active_idx = i;
-    for (const TailRecord& rec : segs[i].records)
-      if (rec.record.seq > snapshot_seq) tail.push_back(rec);
+    for (const WalRecord& rec : segs[i].records)
+      if (rec.seq > snapshot_seq) tail.push_back(rec);
     if (segs[i].scan.damage != WalDamage::kNone) break;  // truncated tail
   }
   (void)anchor_at_end;
 
-  // Damage before the replay region is archive damage: spilled records in
+  // Damage before the replay region is archive damage: evidence records in
   // that area are unreadable, but recovered state is unaffected.
   for (std::size_t i = 0; i < active_idx; ++i) {
     if (segs[i].scan.damage != WalDamage::kNone || !segs[i].linked)
@@ -249,10 +259,10 @@ DurableStore::Recovered DurableStore::open(
   span.arg("snapshot_seq", snapshot_seq);
   span.arg("tail_records", report.tail_records);
   span.arg("bytes_truncated", report.bytes_truncated);
-  reg.counter("persist.records_recovered").add(report.tail_records);
-  reg.counter("persist.bytes_truncated").add(report.bytes_truncated);
-  reg.counter("persist.snapshots_discarded").add(report.snapshots_discarded);
-  if (report.archive_damage) reg.counter("persist.archive_damage").add(1);
+  count(Counter::kRecordsRecovered, report.tail_records);
+  count(Counter::kBytesTruncated, report.bytes_truncated);
+  count(Counter::kSnapshotsDiscarded, report.snapshots_discarded);
+  if (report.archive_damage) count(Counter::kArchiveDamage);
 
   DurableStore store(dir, opts, std::move(active));
   store.last_snapshot_seq_ = snapshot_seq;
@@ -260,18 +270,16 @@ DurableStore::Recovered DurableStore::open(
                    std::move(tail), std::move(report)};
 }
 
-RecordRef DurableStore::append(std::uint8_t type, BytesView payload) {
-  const std::uint64_t seq = active_.append(type, payload);
+void DurableStore::append(std::uint8_t type, BytesView payload) {
+  active_.append(type, payload);
   if (opts_.sync_each_append) sync();
-  auto& reg = obs::Registry::global();
-  reg.counter("persist.wal_appends").add(1);
-  reg.counter("persist.wal_bytes").add(payload.size() + 53);
-  return RecordRef{seq, active_.base_seq(), active_.last_offset(), type};
+  count(Counter::kWalAppends);
+  count(Counter::kWalBytes, payload.size() + 53);
 }
 
 void DurableStore::sync() {
   active_.sync();
-  obs::Registry::global().counter("persist.wal_syncs").add(1);
+  count(Counter::kWalSyncs);
 }
 
 void DurableStore::write_snapshot(BytesView payload) {
@@ -291,22 +299,12 @@ void DurableStore::write_snapshot(BytesView payload) {
   last_snapshot_seq_ = seq;
   span.arg("seq", seq);
   span.arg("bytes", payload.size());
-  auto& reg = obs::Registry::global();
-  reg.counter("persist.snapshots_written").add(1);
-  reg.counter("persist.snapshot_bytes").add(payload.size());
+  count(Counter::kSnapshotsWritten);
+  count(Counter::kSnapshotBytes, payload.size());
   // Prune old snapshot files (segments are the permanent archive).
   DirListing listing = list_dir(dir_);
   for (std::size_t i = opts_.keep_snapshots; i < listing.snapshots.size(); ++i)
     fs::remove(listing.snapshots[i].second);
-}
-
-std::optional<WalRecord> DurableStore::read(const RecordRef& ref) const {
-  const std::string path = segment_path(ref.segment_base);
-  auto rec = WalSegment::read_at(path, ref.offset);
-  if (!rec.has_value() || rec->seq != ref.seq || rec->type != ref.type)
-    return std::nullopt;
-  obs::Registry::global().counter("persist.spill_reads").add(1);
-  return rec;
 }
 
 }  // namespace peace::persist

@@ -9,14 +9,14 @@
 // anchored at (seq, chain) starts. Rotated segments are never deleted — in
 // an accountability system the log IS the evidence archive (enrollment
 // receipts, GRT entries, delta chains), so compaction bounds *recovery
-// replay* and *memory*, not disk. Recovery picks the newest intact
-// snapshot, replays the chain-verified records after it, and truncates any
-// damaged tail; damage confined to pre-snapshot archive segments is
-// reported but does not block state recovery.
+// replay*, not disk. Recovery picks the newest intact snapshot, replays
+// the chain-verified records after it, and truncates any damaged tail;
+// damage confined to pre-snapshot archive segments is reported but does
+// not block state recovery.
 #pragma once
 
+#include <array>
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -25,18 +25,44 @@
 
 namespace peace::persist {
 
-/// Durable location of a record — stable across restarts, used by the
-/// spill/audit index to stream archived records back from disk.
-struct RecordRef {
-  std::uint64_t seq = 0;
-  std::uint64_t segment_base = 0;  // segment file identity
-  std::uint64_t offset = 0;        // frame offset within the segment
-  std::uint8_t type = 0;
-
-  static void fields(auto& io, auto& s) {
-    io(s.seq, s.segment_base, s.offset, s.type);
-  }
+/// The persist.* registry counters (docs/OBSERVABILITY.md).
+enum class Counter : std::uint8_t {
+  kWalAppends,
+  kWalBytes,
+  kWalSyncs,
+  kSnapshotsWritten,
+  kSnapshotBytes,
+  kControlRecoveries,
+  kRecordsRecovered,
+  kBytesTruncated,
+  kSnapshotsDiscarded,
+  kArchiveDamage,
+  kCount,  // sentinel — not a counter
 };
+
+struct CounterRow {
+  Counter counter;
+  const char* metric;
+};
+
+/// The one definition of every persist.* counter name, in Counter order.
+inline constexpr std::array<CounterRow, static_cast<std::size_t>(
+                                            Counter::kCount)>
+    kCounters{{
+        {Counter::kWalAppends, "persist.wal_appends"},
+        {Counter::kWalBytes, "persist.wal_bytes"},
+        {Counter::kWalSyncs, "persist.wal_syncs"},
+        {Counter::kSnapshotsWritten, "persist.snapshots_written"},
+        {Counter::kSnapshotBytes, "persist.snapshot_bytes"},
+        {Counter::kControlRecoveries, "persist.control_recoveries"},
+        {Counter::kRecordsRecovered, "persist.records_recovered"},
+        {Counter::kBytesTruncated, "persist.bytes_truncated"},
+        {Counter::kSnapshotsDiscarded, "persist.snapshots_discarded"},
+        {Counter::kArchiveDamage, "persist.archive_damage"},
+    }};
+
+/// Adds `n` to counter `c` in the global registry.
+void count(Counter c, std::uint64_t n = 1);
 
 struct RecoveryReport {
   std::uint64_t snapshot_seq = 0;       // seq of the snapshot restored from
@@ -45,7 +71,9 @@ struct RecoveryReport {
   std::uint64_t tail_records = 0;       // records replayed after the snapshot
   std::uint64_t bytes_truncated = 0;    // damaged suffix dropped from the log
   std::uint64_t segments = 0;
-  bool archive_damage = false;  // damage before the snapshot (state intact)
+  /// The log is damaged before the snapshot: some archived evidence is
+  /// unreadable, but the recovered state is intact.
+  bool archive_damage = false;
   std::string damage;           // first damage kind, "" when clean
 };
 
@@ -68,28 +96,20 @@ class DurableStore {
   static DurableStore create(const std::string& dir, StoreOptions opts = {});
 
   /// Opens an existing store: validates snapshots newest-first, scans every
-  /// segment (rebuild hook `on_record` sees each intact record with its
-  /// ref), truncates damaged tails, and returns the newest usable snapshot
-  /// plus the chain-verified records after it.
-  static StoreRecovery open(
-      const std::string& dir, StoreOptions opts = {},
-      const std::function<void(const RecordRef&, const WalRecord&)>&
-          on_record = {});
+  /// segment, truncates damaged tails, and returns the newest usable
+  /// snapshot plus the chain-verified records after it.
+  static StoreRecovery open(const std::string& dir, StoreOptions opts = {});
 
   DurableStore(DurableStore&&) = default;
   DurableStore& operator=(DurableStore&&) = default;
 
-  /// Appends one record (fsynced per StoreOptions); returns its ref.
-  RecordRef append(std::uint8_t type, BytesView payload);
+  /// Appends one record (fsynced per StoreOptions).
+  void append(std::uint8_t type, BytesView payload);
   void sync();
 
   /// Writes a snapshot of the current position and rotates to a fresh
   /// segment. Older snapshots beyond keep_snapshots are pruned.
   void write_snapshot(BytesView payload);
-
-  /// Validated random-access read (spill path). Nullopt if the record's
-  /// segment or frame is damaged or the ref is unknown.
-  std::optional<WalRecord> read(const RecordRef& ref) const;
 
   std::uint64_t last_seq() const { return active_.last_seq(); }
   std::uint64_t last_snapshot_seq() const { return last_snapshot_seq_; }
@@ -109,17 +129,10 @@ class DurableStore {
   std::uint64_t last_snapshot_seq_ = 0;
 };
 
-/// A replay-tail record together with its durable location (the ref feeds
-/// the spill/audit index rebuild).
-struct TailRecord {
-  RecordRef ref;
-  WalRecord record;
-};
-
 struct StoreRecovery {
   DurableStore store;
   Bytes snapshot;  // payload of the snapshot restored from
-  std::vector<TailRecord> tail;
+  std::vector<WalRecord> tail;
   RecoveryReport report;
 };
 

@@ -199,9 +199,7 @@ WalSegment::WalSegment(WalSegment&& o) noexcept
       path_(std::move(o.path_)),
       base_seq_(o.base_seq_),
       last_seq_(o.last_seq_),
-      chain_(std::move(o.chain_)),
-      size_(o.size_),
-      last_offset_(o.last_offset_) {}
+      chain_(std::move(o.chain_)) {}
 
 WalSegment& WalSegment::operator=(WalSegment&& o) noexcept {
   if (this != &o) {
@@ -211,8 +209,6 @@ WalSegment& WalSegment::operator=(WalSegment&& o) noexcept {
     base_seq_ = o.base_seq_;
     last_seq_ = o.last_seq_;
     chain_ = std::move(o.chain_);
-    size_ = o.size_;
-    last_offset_ = o.last_offset_;
   }
   return *this;
 }
@@ -239,8 +235,6 @@ WalSegment WalSegment::create(const std::string& path, std::uint64_t base_seq,
   w.path_ = path;
   w.base_seq_ = w.last_seq_ = base_seq;
   w.chain_.assign(base_chain.begin(), base_chain.end());
-  w.size_ = kHeaderSize;
-  w.last_offset_ = kHeaderSize;
   return w;
 }
 
@@ -249,12 +243,7 @@ WalSegment WalSegment::open(
     const std::function<void(const WalRecord&, std::uint64_t)>& on_record) {
   const Bytes data = read_whole_file(path);
   const HeaderInfo header = parse_header(data, path);
-  std::uint64_t last_off = kHeaderSize;
-  scan = scan_bytes(data, header,
-                    [&](const WalRecord& rec, std::uint64_t off) {
-                      last_off = off;
-                      if (on_record) on_record(rec, off);
-                    });
+  scan = scan_bytes(data, header, on_record);
   const int fd = ::open(path.c_str(), O_WRONLY | O_CLOEXEC);
   if (fd < 0) throw Error("persist: cannot reopen " + path);
   if (scan.dropped_bytes > 0 &&
@@ -272,8 +261,6 @@ WalSegment WalSegment::open(
   w.base_seq_ = header.base_seq;
   w.last_seq_ = scan.last_seq;
   w.chain_ = scan.last_chain;
-  w.size_ = scan.good_bytes;
-  w.last_offset_ = scan.records > 0 ? last_off : kHeaderSize;
   return w;
 }
 
@@ -282,24 +269,6 @@ WalScanResult WalSegment::scan_file(
     const std::function<void(const WalRecord&, std::uint64_t)>& on_record) {
   const Bytes data = read_whole_file(path);
   return scan_bytes(data, parse_header(data, path), on_record);
-}
-
-std::optional<WalRecord> WalSegment::read_at(const std::string& path,
-                                             std::uint64_t offset) {
-  // Spill reads are rare (law-authority traces over archived eras), so a
-  // whole-file read keeps this simple; the frame is still CRC-validated.
-  Bytes data;
-  try {
-    data = read_whole_file(path);
-  } catch (const Error&) {
-    return std::nullopt;
-  }
-  if (offset >= data.size()) return std::nullopt;
-  WalRecord rec;
-  std::size_t frame_len = 0;
-  if (parse_frame(data, offset, rec, frame_len) != WalDamage::kNone)
-    return std::nullopt;
-  return rec;
 }
 
 std::uint64_t WalSegment::append(std::uint8_t type, BytesView payload) {
@@ -317,8 +286,6 @@ std::uint64_t WalSegment::append(std::uint8_t type, BytesView payload) {
   write_all(fd_, frame, path_);
   last_seq_ = seq;
   chain_ = chain;
-  last_offset_ = size_;
-  size_ += frame.size();
   return seq;
 }
 

@@ -24,7 +24,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -107,12 +106,6 @@ class WalSegment {
       const std::function<void(const WalRecord&, std::uint64_t offset)>&
           on_record = {});
 
-  /// Random-access read of the record at `offset`; validates framing, CRC
-  /// and seq but not the chain (the chain was verified by the open scan).
-  /// Returns nullopt if the frame is damaged.
-  static std::optional<WalRecord> read_at(const std::string& path,
-                                          std::uint64_t offset);
-
   /// Appends one record; returns its seq. The frame is written with a
   /// single write(2); sync() makes it durable.
   std::uint64_t append(std::uint8_t type, BytesView payload);
@@ -122,10 +115,6 @@ class WalSegment {
   std::uint64_t last_seq() const { return last_seq_; }
   const Bytes& chain() const { return chain_; }
   const std::string& path() const { return path_; }
-  /// Byte offset the next append would start at.
-  std::uint64_t size() const { return size_; }
-  /// File offset of the most recently appended record.
-  std::uint64_t last_offset() const { return last_offset_; }
 
  private:
   WalSegment() = default;
@@ -135,8 +124,6 @@ class WalSegment {
   std::uint64_t base_seq_ = 0;
   std::uint64_t last_seq_ = 0;
   Bytes chain_;
-  std::uint64_t size_ = 0;
-  std::uint64_t last_offset_ = 0;
 };
 
 }  // namespace peace::persist

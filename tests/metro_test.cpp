@@ -2,9 +2,9 @@
 // the bit-identity contract (a 1-shard metro replays the pre-sharding
 // single event loop exactly), cross-shard roaming through mailbox
 // handoffs, partition park-and-retry, backbone internet relay, the
-// bounded inbox/arena caps, per-shard event budgets, the order-independent
-// cross-shard stats merges the obs layer relies on, and thread-count
-// independence of a whole metro_city day.
+// bounded inbox/arena/parked-handoff caps, per-shard event budgets, the
+// order-independent cross-shard stats merges the obs layer relies on, and
+// thread-count independence of a whole metro_city day.
 #include <array>
 #include <cstring>
 #include <string>
@@ -227,6 +227,45 @@ TEST_F(MetroTest, PartitionParksHandoffsUntilHealed) {
   metro.run_until(metro.now() + 5000);
   EXPECT_TRUE(metro.shard(b).net().is_connected(loc->node));
   EXPECT_EQ(metro.stats().handoffs_dropped, 0u);
+}
+
+TEST_F(MetroTest, ParkedHandoffCapDropsOldestUser) {
+  // cap + 1 handoffs park behind a blocked link: the oldest parked user
+  // leaves the metro, the rest arrive once the link heals.
+  const std::string seed = "metro-park-cap";
+  World w(seed);
+  MetroConfig mc;
+  mc.pending_handoff_cap = 2;
+  MetroSimulation metro(mc);
+  const ShardId a = metro.add_shard("seg-a", seed + "/a");
+  const ShardId b = metro.add_shard("seg-b", seed + "/b");
+  metro.connect_shards(a, b);
+  std::vector<MetroUserId> users;
+  for (std::size_t i = 0; i <= mc.pending_handoff_cap; ++i)
+    users.push_back(metro.add_user(
+        a, {10.0 * static_cast<double>(i), 0},
+        w.make_user(seed, "u" + std::to_string(i))));
+
+  metro.set_shard_link_blocked(a, b, true);
+  for (const MetroUserId uid : users) metro.roam_user(uid, b, {20, 0});
+  metro.run_until(3 * metro.config().tick_ms);
+  EXPECT_EQ(metro.stats().handoffs_parked, users.size());
+  EXPECT_EQ(metro.stats().handoffs_dropped, 1u);
+  EXPECT_FALSE(metro.locate_user(users[0]).has_value());
+  EXPECT_FALSE(metro.user_in_transit(users[0]));
+  EXPECT_EQ(metro.user_count(), mc.pending_handoff_cap);
+  for (std::size_t i = 1; i < users.size(); ++i)
+    EXPECT_TRUE(metro.user_in_transit(users[i])) << "user " << i;
+
+  metro.set_shard_link_blocked(a, b, false);
+  metro.run_until(metro.now() + metro.config().tick_ms);
+  EXPECT_EQ(metro.stats().handoffs_completed, mc.pending_handoff_cap);
+  EXPECT_EQ(metro.stats().handoffs_dropped, 1u);
+  for (std::size_t i = 1; i < users.size(); ++i) {
+    const auto loc = metro.locate_user(users[i]);
+    ASSERT_TRUE(loc.has_value()) << "user " << i;
+    EXPECT_EQ(loc->shard, b);
+  }
 }
 
 TEST_F(MetroTest, CrossShardRunsAreReproducible) {
@@ -557,9 +596,6 @@ CityDay run_city_day(unsigned threads) {
     day.taps[shard].push_back(Frame{o.kind, o.payload});
   };
 
-  // The process computes the GT generator (one pairing) on first use; do
-  // it before the reset so the counters hold the day alone.
-  (void)curve::gt_generator();
   auto& reg = obs::Registry::global();
   reg.reset();
   obs::drain_sec_events();

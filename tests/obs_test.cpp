@@ -18,6 +18,7 @@
 #include "obs/sec_event.hpp"
 #include "obs/trace.hpp"
 #include "peace/entities.hpp"
+#include "peace/persist/store.hpp"
 #include "peace/router.hpp"
 #include "peace/user.hpp"
 
@@ -401,9 +402,9 @@ TEST_F(ObsTest, StatsAbsorptionIsIdempotent) {
 }
 
 TEST_F(ObsTest, FieldTablesAreCatalogued) {
-  // Every counter a table exports — the field tables, the crypto op table
-  // and the per-kind sec.* counters — has its backticked name in the
-  // docs/OBSERVABILITY.md catalogue.
+  // Every counter a table exports — the field tables, the crypto op table,
+  // the persist.* table and the per-kind sec.* counters — has its
+  // backticked name in the docs/OBSERVABILITY.md catalogue.
   std::ifstream in(PEACE_OBSERVABILITY_MD);
   ASSERT_TRUE(in) << PEACE_OBSERVABILITY_MD;
   const std::string doc{std::istreambuf_iterator<char>(in), {}};
@@ -423,6 +424,7 @@ TEST_F(ObsTest, FieldTablesAreCatalogued) {
   check(obs::kFields<mesh::FrameArenaStats>);
   check(obs::kFields<mesh::SyntheticStats>);
   for (const obs::OpRow& op : obs::kOps) catalogued(op.metric);
+  for (const persist::CounterRow& c : persist::kCounters) catalogued(c.metric);
   for (std::size_t k = 0; k < obs::kSecEventKindCount; ++k)
     catalogued(std::string("sec.") +
                obs::sec_event_name(static_cast<obs::SecEventKind>(k)));
@@ -581,7 +583,9 @@ TEST_F(ObsTest, StreamRotationNeverSplitsSecEventLines) {
     std::string content(1 << 16, '\0');
     content.resize(std::fread(content.data(), 1, content.size(), f));
     std::fclose(f);
-    if (!content.empty()) EXPECT_EQ(content.back(), '\n') << file;
+    if (!content.empty()) {
+      EXPECT_EQ(content.back(), '\n') << file;
+    }
     // Whole lines only: each is one complete {...} JSON object.
     std::size_t start = 0;
     while (start < content.size()) {

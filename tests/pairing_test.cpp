@@ -5,6 +5,7 @@
 #include "crypto/drbg.hpp"
 #include "curve/ecdsa.hpp"
 #include "curve/pairing.hpp"
+#include "obs/metrics.hpp"
 
 namespace peace::curve {
 namespace {
@@ -26,6 +27,17 @@ TEST_F(PairingTest, NonDegenerate) {
 TEST_F(PairingTest, GtHasOrderR) {
   const GT e = gt_generator();
   EXPECT_TRUE(e.pow(Bn254::get().r).is_one());
+}
+
+TEST_F(PairingTest, GtGeneratorAddsNoPairingAfterInit) {
+  // init() pairs the generators, so the first gt_generator() call in a
+  // process adds nothing to the op counters a run reads after a reset.
+  obs::Registry::global().reset();
+  (void)gt_generator();
+  EXPECT_EQ(pairing_op_count(), 0u);
+  EXPECT_EQ(obs::op_count(obs::Op::kMillerLoop), 0u);
+  EXPECT_EQ(obs::op_count(obs::Op::kFinalExp), 0u);
+  EXPECT_EQ(obs::op_count(obs::Op::kFieldInversion), 0u);
 }
 
 TEST_F(PairingTest, InfinityMapsToOne) {

@@ -282,23 +282,6 @@ TEST_F(PointSerdeTest, FlagBytesOtherThanZeroOrOneRejected) {
   EXPECT_NO_THROW(proto::TrustedThirdParty::from_state(t));
   EXPECT_THROW(proto::TrustedThirdParty::from_state(flag_set_to(t, t_flag, 2)),
                Error);
-
-  // The NO's per-era spilled flag follows the era's group key.
-  proto::NetworkOperator no(crypto::Drbg::from_string("flag-no"));
-  no.rotate_master_key(1);
-  const Bytes n = no.state_bytes();
-  Reader walk(n, true);
-  walk.str();                    // tag
-  walk.bytes();                  // DRBG state
-  walk.raw(2 * curve::kFrSize);  // gamma, NSK
-  ASSERT_EQ(walk.count(), 0u);   // current GRT
-  ASSERT_EQ(walk.count(), 1u);   // one archived era...
-  walk.bytes();                  // ...its group key
-  const std::size_t n_flag = n.size() - walk.remaining();
-  ASSERT_EQ(n[n_flag], 0);
-  EXPECT_NO_THROW(proto::NetworkOperator::from_state(n));
-  EXPECT_THROW(proto::NetworkOperator::from_state(flag_set_to(n, n_flag, 2)),
-               Error);
 }
 
 // --- Golden bytes -------------------------------------------------------------
@@ -391,13 +374,13 @@ TEST(Serde, FormatsArePinned) {
   }
   // Each of the six record types, as the control plane logged them.
   using persist::RecordType;
-  for (const persist::TailRecord& t : persist::DurableStore::open(dir).tail) {
-    const BytesView p = t.record.payload;
+  for (const persist::WalRecord& t : persist::DurableStore::open(dir).tail) {
+    const BytesView p = t.payload;
     const auto pin = [&](const char* name, Bytes encoded) {
-      EXPECT_EQ(encoded, t.record.payload) << name;
+      EXPECT_EQ(encoded, t.payload) << name;
       got[name] = std::move(encoded);
     };
-    switch (static_cast<RecordType>(t.record.type)) {
+    switch (static_cast<RecordType>(t.type)) {
       case RecordType::kGroupRegistered:
         pin("rec.group_issue", persist::GroupIssueRecord::from_bytes(p).to_bytes());
         break;
@@ -439,9 +422,9 @@ TEST(Serde, FormatsArePinned) {
       {"delta.signed", "d232767be80dbb13d88e4c1d3af9134d440b2a1bb84ff542447b6fbc59876e5f"},
       {"frame", "e1d5e76dea21a9c7123f900fd57f0eaeb3a0ae0c1d431d7e4af0025256e6c7f7"},
       {"groupsig", "9e210aaa666b4c358bc0f0b1d0d3d59933c773e5faf71c7418d5a8b932e763ab"},
-      {"image.control", "7f2a23f8b243e62ea7b841ab7785465ca2ec3a6a5fd6dd0c0ccf82969da7c178"},
-      {"image.gm", "934c7f26989e657c6df366f47fa1c9fb2a95fe1f98aff498cb1a18a6fa3ad82a"},
-      {"image.no", "5f411290b56feb9f4bc98179909e33b54b93040986860de8ca1d895e0dc6b9ae"},
+      {"image.control", "148f1c6a0cd08c4cdf5727cb6053daf7c07c471fe50bdef11a00ed901fc1b1cb"},
+      {"image.gm", "969a397adbb006459ca1b5a831c056e0928b22c979e2175ac28db7f9690aa7aa"},
+      {"image.no", "0dc3a8060db4d8b354e3c9193c5b00d3bc3f00a8ff82ff6cdb575a4ab57cf5f9"},
       {"image.ttp", "4b6ba01d7785bc2b0567ebacf1d75350f9779562a7512fa209f036c5d0288199"},
       {"m2", "cc523a5d2b1bfa307e8e9dbd8a6a057912645046ecf1bef1b1b282295a1b3389"},
       {"m2+puzzle", "a50613fe2533adf867048475737f0fa69e9b5038dcb9dddc49558251299a44ff"},
