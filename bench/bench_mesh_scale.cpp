@@ -4,7 +4,6 @@
 // cost vs chain depth, on the discrete-event WMN substrate.
 #include <benchmark/benchmark.h>
 
-#include "mesh/metro_scenario.hpp"
 #include "mesh/network.hpp"
 
 namespace peace::mesh {
@@ -134,41 +133,6 @@ BENCHMARK(BM_PeerLinkEstablishment)
     ->Arg(2)
     ->Arg(3)
     ->Arg(4)
-    ->Unit(benchmark::kMillisecond)
-    ->Iterations(1);
-
-void BM_MetroCityThroughput(benchmark::State& state) {
-  // The sharded engine's headline metric: users × simulated seconds
-  // advanced per wall-clock second, over one simulated hour of the
-  // metro_city scenario (hybrid population: a small real-crypto cohort
-  // plus N synthetic background users; see mesh/metro_scenario.hpp).
-  curve::Bn254::init();
-  const auto users = static_cast<std::uint64_t>(state.range(0));
-  MetroCityReport report;
-  for (auto _ : state) {
-    MetroCityConfig config;
-    config.shards = 8;
-    config.cohort_users = 8;
-    config.synthetic_users = users - config.cohort_users;
-    config.day_ms = 3'600'000;  // one simulated hour (rate metric)
-    config.revocation_waves = 2;
-    config.seed = "bench-metro-" + std::to_string(users);
-    report = run_metro_city(config);
-  }
-  state.counters["users"] = static_cast<double>(report.total_users);
-  state.counters["sim_seconds"] =
-      static_cast<double>(report.sim_ms) / 1000.0;
-  state.counters["events"] = static_cast<double>(report.events);
-  state.counters["cohort_connected"] =
-      static_cast<double>(report.cohort_connected);
-  state.counters["msgs_routed"] = static_cast<double>(report.metro.msgs_routed);
-  state.counters["users_sim_s_per_wall_s"] =
-      report.users_sim_seconds_per_wall_second;
-}
-BENCHMARK(BM_MetroCityThroughput)
-    ->Arg(1'000)
-    ->Arg(10'000)
-    ->Arg(100'000)
     ->Unit(benchmark::kMillisecond)
     ->Iterations(1);
 

@@ -9,8 +9,7 @@
 //        [--threads=N] [--day-ms=N] [--budget=N] [--waves=N]
 //        [--no-flash-crowd]
 //        [--trace=out.jsonl] [--trace-rotate=BYTES] [--metrics=out.json]
-//        [--bench-json=out.json] [--health=out.json]
-//        [--forgery-burst] [--revoked-burst]
+//        [--health=out.json] [--forgery-burst] [--revoked-burst]
 //
 // --threads sets how many threads run the shards' ticks and the cohort's
 // enrollment (default 0: one per core, at most one per shard); the day's
@@ -18,8 +17,9 @@
 //
 // --trace streams events through the bounded-memory JSONL sink
 // (obs::Tracer::stream_to) — memory stays flat however long the day; the
-// file is valid input for tools/trace_report.py. --bench-json writes the
-// throughput summary (users×sim-s/wall-s) as a small JSON report.
+// file is valid input for tools/trace_report.py. The summary's throughput
+// line counts the handshakes routers accepted per wall-clock second; the
+// repo benchmark's metro_day workload (perfbench/) is the measured form.
 //
 // --health arms the obs::HealthMonitor for the whole day (drained and
 // evaluated at every tick barrier) and writes its summary JSON — input for
@@ -31,6 +31,7 @@
 
 #include "mesh/metro_scenario.hpp"
 #include "obs/health.hpp"
+#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
 using namespace peace;
@@ -43,20 +44,6 @@ bool write_text_file(const std::string& path, const std::string& content) {
   const bool ok =
       std::fwrite(content.data(), 1, content.size(), f) == content.size();
   return std::fclose(f) == 0 && ok;
-}
-
-std::string bench_json(const mesh::MetroCityReport& r) {
-  char buf[512];
-  std::snprintf(
-      buf, sizeof(buf),
-      "{\"benchmark\": \"metro_city\", \"users\": %llu, \"shards\": %zu, "
-      "\"sim_ms\": %llu, \"wall_seconds\": %.3f, \"events\": %llu, "
-      "\"users_sim_s_per_wall_s\": %.0f}\n",
-      static_cast<unsigned long long>(r.total_users), r.shards,
-      static_cast<unsigned long long>(r.sim_ms), r.wall_seconds,
-      static_cast<unsigned long long>(r.events),
-      r.users_sim_seconds_per_wall_second);
-  return buf;
 }
 
 bool parse_u64(const std::string& arg, const char* prefix, std::uint64_t& out) {
@@ -73,7 +60,7 @@ int main(int argc, char** argv) {
   mesh::MetroCityConfig config;
   std::uint64_t total_users = 100'000;
   std::uint64_t trace_rotate = 0;
-  std::string trace_path, metrics_path, bench_path, health_path;
+  std::string trace_path, metrics_path, health_path;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     std::uint64_t v = 0;
@@ -101,8 +88,6 @@ int main(int argc, char** argv) {
       trace_path = arg.substr(8);
     } else if (arg.rfind("--metrics=", 0) == 0) {
       metrics_path = arg.substr(10);
-    } else if (arg.rfind("--bench-json=", 0) == 0) {
-      bench_path = arg.substr(13);
     } else if (arg.rfind("--health=", 0) == 0) {
       health_path = arg.substr(9);
     } else {
@@ -110,8 +95,8 @@ int main(int argc, char** argv) {
                    "usage: metro_city [--users=N] [--cohort=N] [--shards=N] "
                    "[--threads=N] [--day-ms=N] [--budget=N] [--waves=N] [--no-flash-crowd] "
                    "[--trace=out.jsonl] [--trace-rotate=BYTES] "
-                   "[--metrics=out.json] [--bench-json=out.json] "
-                   "[--health=out.json] [--forgery-burst] [--revoked-burst]\n");
+                   "[--metrics=out.json] [--health=out.json] "
+                   "[--forgery-burst] [--revoked-burst]\n");
       return 2;
     }
   }
@@ -152,11 +137,17 @@ int main(int argc, char** argv) {
     return 1;
   }
 
+  // run_metro_city publishes the metro's merged totals to the registry.
+  const std::uint64_t accepted =
+      obs::Registry::global().counter("router.accepted").value();
   std::printf(
-      "day complete: %llu sim-ms in %.1f s wall — %.0f users x sim-s / "
-      "wall-s\n",
+      "day complete: %llu sim-ms in %.1f s wall — %llu handshakes accepted, "
+      "%.1f per wall-s\n",
       static_cast<unsigned long long>(report.sim_ms), report.wall_seconds,
-      report.users_sim_seconds_per_wall_second);
+      static_cast<unsigned long long>(accepted),
+      report.wall_seconds > 0
+          ? static_cast<double>(accepted) / report.wall_seconds
+          : 0.0);
   std::printf("  events ............ %llu across %zu shards\n",
               static_cast<unsigned long long>(report.events), report.shards);
   std::printf("  cohort ............ %zu/%zu connected at day end, "
@@ -201,10 +192,6 @@ int main(int argc, char** argv) {
   if (!metrics_path.empty() &&
       !write_text_file(metrics_path, obs::Registry::global().to_json())) {
     std::fprintf(stderr, "metro_city: cannot write %s\n", metrics_path.c_str());
-    ok = false;
-  }
-  if (!bench_path.empty() && !write_text_file(bench_path, bench_json(report))) {
-    std::fprintf(stderr, "metro_city: cannot write %s\n", bench_path.c_str());
     ok = false;
   }
   if (!health_path.empty() &&

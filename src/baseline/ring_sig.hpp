@@ -3,7 +3,7 @@
 // ad-hoc ring but is structurally unopenable (no manager, no tokens, no
 // Eq.3), so accountability and revocation are impossible; and the
 // signature grows linearly with the ring. Implemented as a baseline so the
-// comparison is executable: see `ring_sig_test.cpp` and `bench_sig_size`.
+// comparison is executable: see tests/altsig_test.cpp.
 #pragma once
 
 #include <vector>

@@ -436,11 +436,6 @@ MetroCityReport run_metro_city(const MetroCityConfig& config) {
   report.sim_ms = city.metro.now();
   report.wall_seconds = wall_seconds;
   report.events = city.metro.sim_events_total();
-  report.users_sim_seconds_per_wall_second =
-      wall_seconds > 0
-          ? static_cast<double>(report.total_users) *
-                (static_cast<double>(report.sim_ms) / 1000.0) / wall_seconds
-          : 0;
   report.revocation_waves = city.waves_pushed;
   report.url_version = url_version;
   if (config.health != nullptr)

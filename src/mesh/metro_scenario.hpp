@@ -100,9 +100,6 @@ struct MetroCityReport {
   SimTime sim_ms = 0;
   double wall_seconds = 0;
   std::uint64_t events = 0;          // summed over shard simulators
-  /// The headline scale metric: total_users × simulated seconds advanced
-  /// per wall-clock second (users×sim-s/wall-s).
-  double users_sim_seconds_per_wall_second = 0;
   unsigned revocation_waves = 0;
   std::uint64_t url_version = 0;     // max URL version any shard reached
   std::uint64_t health_alerts = 0;   // HealthMonitor firings (0 = detached)

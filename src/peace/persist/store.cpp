@@ -83,8 +83,9 @@ void count(Counter c, std::uint64_t n) {
       .add(n);
 }
 
-std::string DurableStore::segment_path(std::uint64_t base_seq) const {
-  return dir_ + "/wal-" + padded(base_seq) + ".wal";
+std::string DurableStore::segment_path(const std::string& dir,
+                                       std::uint64_t base_seq) {
+  return dir + "/wal-" + padded(base_seq) + ".wal";
 }
 
 std::string DurableStore::snapshot_path(std::uint64_t seq) const {
@@ -97,8 +98,7 @@ DurableStore DurableStore::create(const std::string& dir, StoreOptions opts) {
   if (!listing.segments.empty() || !listing.snapshots.empty())
     throw Error("persist: directory already contains a store: " + dir);
   WalSegment active =
-      WalSegment::create(dir + "/wal-" + padded(0) + ".wal", 0,
-                         genesis_chain());
+      WalSegment::create(segment_path(dir, 0), 0, genesis_chain());
   return DurableStore(dir, opts, std::move(active));
 }
 
@@ -229,7 +229,6 @@ DurableStore::Recovered DurableStore::open(const std::string& dir,
       if (rec.seq > snapshot_seq) tail.push_back(rec);
     if (segs[i].scan.damage != WalDamage::kNone) break;  // truncated tail
   }
-  (void)anchor_at_end;
 
   // Damage before the replay region is archive damage: evidence records in
   // that area are unreadable, but recovered state is unaffected.
@@ -250,9 +249,16 @@ DurableStore::Recovered DurableStore::open(const std::string& dir,
     report.damage = "segment_chain_break";
 
   // Re-open the active segment for appending (this truncates its damaged
-  // tail, if any).
+  // tail, if any). A snapshot cut at the end of the active segment means the
+  // crash came before its rotated segment existed: finish the rotation, so
+  // new records land past the snapshot's anchor and it still anchors on the
+  // next open.
   WalScanResult active_scan;
-  WalSegment active = WalSegment::open(segs[active_idx].path, active_scan);
+  WalSegment active =
+      anchor_at_end && active_idx == anchor_idx
+          ? WalSegment::create(segment_path(dir, snapshot_seq), snapshot_seq,
+                               chosen->wal_chain)
+          : WalSegment::open(segs[active_idx].path, active_scan);
   report.bytes_truncated += active_scan.dropped_bytes;
 
   report.tail_records = tail.size();
@@ -295,7 +301,7 @@ void DurableStore::write_snapshot(BytesView payload) {
   // snapshot, or back-to-back snapshots) — rotating would collide with its
   // own file name.
   if (seq != active_.base_seq())
-    active_ = WalSegment::create(segment_path(seq), seq, chain);
+    active_ = WalSegment::create(segment_path(dir_, seq), seq, chain);
   last_snapshot_seq_ = seq;
   span.arg("seq", seq);
   span.arg("bytes", payload.size());

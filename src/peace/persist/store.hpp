@@ -120,7 +120,8 @@ class DurableStore {
   DurableStore(std::string dir, StoreOptions opts, WalSegment active)
       : dir_(std::move(dir)), opts_(opts), active_(std::move(active)) {}
 
-  std::string segment_path(std::uint64_t base_seq) const;
+  static std::string segment_path(const std::string& dir,
+                                  std::uint64_t base_seq);
   std::string snapshot_path(std::uint64_t seq) const;
 
   std::string dir_;

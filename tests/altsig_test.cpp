@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "baseline/blind_sig.hpp"
+#include "baseline/plain_auth.hpp"
 #include "baseline/ring_sig.hpp"
 #include "groupsig/groupsig.hpp"
 
@@ -157,9 +158,22 @@ TEST_F(BlindSigTest, IssuerCannotLinkIssuanceToSignature) {
 
 TEST_F(BlindSigTest, SerializationRoundTrip) {
   const auto sig = issue(as_bytes("m"));
+  EXPECT_EQ(sig.to_bytes().size(), 64u);  // EXPERIMENTS.md E1
   const auto again = BlindSignature::from_bytes(sig.to_bytes());
   EXPECT_TRUE(blind_verify(issuer_.public_key(), as_bytes("m"), again));
   EXPECT_THROW(BlindSignature::from_bytes(Bytes(63, 0)), Error);
+}
+
+// EXPERIMENTS.md E1: the identity-revealing baseline's access request (two
+// DH shares, a timestamp, the user's certificate and an ECDSA signature) is
+// 264 bytes.
+TEST(DesignSpace, PlainBaselineRequestIs264Bytes) {
+  curve::Bn254::init();
+  crypto::Drbg rng = crypto::Drbg::from_string("e1-plain");
+  PlainAuthority authority(crypto::Drbg::from_string("e1-auth"));
+  const auto user = authority.issue_user("alice@example", ~0ull);
+  const G1 g = curve::Bn254::get().g1_gen;
+  EXPECT_EQ(make_plain_request(user, g, g, 1000, rng).to_bytes().size(), 264u);
 }
 
 // The point of the whole comparison, pinned as a compile-visible fact: the

@@ -571,17 +571,23 @@ TEST_F(AuthTest, PeerReplyDelayWindowEnforced) {
 }
 
 TEST_F(AuthTest, MessagesRoundTripOnWire) {
-  // Every protocol message survives serialize -> parse intact.
+  // Every protocol message survives serialize -> parse intact, at the
+  // EXPERIMENTS.md E1 sizes: a fresh operator's empty CRL and URL make M.1
+  // 432 B, M.2 857 B and M.3 156 B, and M.1's ECDSA signature 64 B.
   const BeaconMessage beacon = router_->make_beacon(1000);
+  EXPECT_EQ(beacon.to_bytes().size(), 432u);
+  EXPECT_EQ(beacon.signature.to_bytes().size(), 64u);
   const BeaconMessage beacon2 =
       BeaconMessage::from_bytes(beacon.to_bytes());
   EXPECT_EQ(beacon2.to_bytes(), beacon.to_bytes());
   auto m2 = alice_->process_beacon(beacon2, 1000);
   ASSERT_TRUE(m2.has_value());
+  EXPECT_EQ(m2->to_bytes().size(), 857u);
   const AccessRequest m2_wire = AccessRequest::from_bytes(m2->to_bytes());
   EXPECT_EQ(m2_wire.to_bytes(), m2->to_bytes());
   auto outcome = router_->handle_access_request(m2_wire, 1010);
   ASSERT_TRUE(outcome.has_value());
+  EXPECT_EQ(outcome->confirm.to_bytes().size(), 156u);
   const AccessConfirm m3 = AccessConfirm::from_bytes(outcome->confirm.to_bytes());
   EXPECT_TRUE(alice_->process_access_confirm(m3).has_value());
 }

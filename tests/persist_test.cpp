@@ -284,6 +284,34 @@ TEST_F(PersistTest, StoreSnapshotRotatesSegmentsAndRecovers) {
   EXPECT_EQ(rec.report.damage, "");
 }
 
+TEST_F(PersistTest, SnapshotWithoutRotatedSegmentStillAnchorsAfterReopen) {
+  // Crash between writing a snapshot and creating its rotated segment: open
+  // must finish the rotation, or the next record lands in the old segment
+  // and the snapshot no longer anchors on the following open.
+  const std::string dir = fresh_dir("unrotated");
+  const Bytes snap = to_bytes("state-after-three");
+  {
+    auto store = DurableStore::create(dir);
+    for (int i = 0; i < 3; ++i) store.append(1, to_bytes("r" + std::to_string(i)));
+    store.write_snapshot(snap);
+  }
+  ASSERT_TRUE(fs::remove(dir + "/wal-00000000000000000003.wal"));
+  {
+    auto rec = DurableStore::open(dir);
+    EXPECT_EQ(rec.report.snapshot_seq, 3u);
+    EXPECT_TRUE(rec.tail.empty());
+    rec.store.append(2, to_bytes("tail-0"));
+  }
+  auto rec = DurableStore::open(dir);
+  EXPECT_EQ(rec.report.snapshot_seq, 3u);
+  EXPECT_EQ(rec.snapshot, snap);
+  ASSERT_EQ(rec.tail.size(), 1u);
+  EXPECT_EQ(rec.tail[0].seq, 4u);
+  EXPECT_EQ(rec.tail[0].payload, to_bytes("tail-0"));
+  EXPECT_EQ(rec.report.snapshots_discarded, 0u);
+  EXPECT_EQ(rec.report.damage, "");
+}
+
 // --- differential crash recovery -----------------------------------------
 
 TEST_F(PersistTest, DifferentialRecoveryAtEveryRecordBoundary) {
