@@ -1,6 +1,7 @@
 #include "curve/pairing.hpp"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 
 #include "obs/trace.hpp"
@@ -42,27 +43,6 @@ AffineG2 to_affine2(const G2& q) {
   return {x, y};
 }
 
-/// Doubling step: returns the line and replaces t with 2t (affine).
-PreparedLine double_step(AffineG2& t) {
-  const Fp2 three_x2 = t.x.square() * Fp::from_u64(3);
-  const Fp2 lambda = three_x2 * t.y.dbl().inverse();
-  const PreparedLine l{lambda, lambda * t.x - t.y};
-  const Fp2 x3 = lambda.square() - t.x.dbl();
-  const Fp2 y3 = lambda * (t.x - x3) - t.y;
-  t = {x3, y3};
-  return l;
-}
-
-/// Addition step: returns the line through t and q and replaces t with t+q.
-PreparedLine add_step(AffineG2& t, const AffineG2& q) {
-  const Fp2 lambda = (q.y - t.y) * (q.x - t.x).inverse();
-  const PreparedLine l{lambda, lambda * t.x - t.y};
-  const Fp2 x3 = lambda.square() - t.x - q.x;
-  const Fp2 y3 = lambda * (t.x - x3) - t.y;
-  t = {x3, y3};
-  return l;
-}
-
 /// Frobenius endomorphism on twist coordinates:
 ///   pi(x, y) = (conj(x) * xi^{(p-1)/3}, conj(y) * xi^{(p-1)/2}).
 AffineG2 frobenius_twist(const AffineG2& q) {
@@ -79,25 +59,79 @@ AffineG2 frobenius2_twist(const AffineG2& q) {
   return {q.x * eta2, q.y * eta3};
 }
 
-/// Runs the shared ate step schedule (doublings, conditional additions, the
-/// two Frobenius correction lines), handing every produced line to `sink`.
-/// Both the direct Miller loop and G2Prepared consume exactly this sequence,
-/// so the two paths cannot drift apart.
-template <class Sink>
-void ate_line_schedule(const AffineG2& qa, Sink&& sink) {
+/// The ate line table of Q: every step's affine (lambda, c), in the order
+/// of ate_consume_schedule. The running point T stays Jacobian, so a step
+/// stores its line numerators and the factor m with Z3 = Z m, the new
+/// point's Z (docs/CRYPTO.md §6.5):
+///   doubling:   m = 2Y, lambda = 3X^2 / Z3, c = (3X^3 - 2Y^2) / (Z3 Z^2)
+///   mixed add:  m = H = xa Z^2 - X, R = ya Z^3 - Y,
+///               lambda = R / Z3, c = (R X - Y H) / (Z3 Z^2)
+/// Q itself is affine (Z = 1), so the last Z3 is the product of every m:
+/// one inversion of it, then 1/Z3 of step k-1 = m_k / Z3 of step k walking
+/// back. Field inverses are unique, so each line is the exact element the
+/// per-step affine formulas give. A zero denominator (T = -T or T = -A,
+/// never hit by an order-r Q) throws, as an affine inversion of zero would.
+std::vector<PreparedLine> ate_lines(const AffineG2& q) {
   const auto& bn = Bn254::get();
-  AffineG2 t = qa;
+  // 64-bit u: at most 65 doublings, an addition per set bit, and the two
+  // correction lines.
+  constexpr std::size_t kMaxSteps = 2 * 64 + 8;
   const unsigned nbits = bn.ate_loop.bit_length();
+  if (2 * static_cast<std::size_t>(nbits) + 2 > kMaxSteps)
+    throw Error("pairing: ate loop longer than the line table");
+  std::vector<PreparedLine> lines;  // numerators until the recovery pass
+  lines.reserve(kMaxSteps);
+  std::array<Fp2, kMaxSteps> ms;  // each step's Z3 / Z
+  Fp2 x = q.x, y = q.y, z = Fp2::one();
+
+  const auto double_step = [&] {
+    const Fp2 xx = x.square();
+    const Fp2 yy = y.square();
+    const Fp2 xyy = x * yy;
+    const Fp2 e = xx.dbl() + xx;  // 3X^2
+    const Fp2 m = y.dbl();
+    ms[lines.size()] = m;
+    lines.push_back({e, e * x - yy.dbl()});
+    const Fp2 x3 = e.square() - xyy.dbl().dbl().dbl();
+    y = e * (xyy.dbl().dbl() - x3) - yy.square().dbl().dbl().dbl();
+    x = x3;
+    z *= m;
+  };
+  const auto add_step = [&](const AffineG2& a) {
+    const Fp2 zz = z.square();
+    const Fp2 h = a.x * zz - x;
+    const Fp2 r = a.y * zz * z - y;
+    ms[lines.size()] = h;
+    lines.push_back({r, r * x - y * h});
+    const Fp2 hh = h.square();
+    const Fp2 hhh = hh * h;
+    const Fp2 xhh = x * hh;
+    const Fp2 x3 = r.square() - hhh - xhh.dbl();
+    y = r * (xhh - x3) - y * hhh;
+    x = x3;
+    z *= h;
+  };
+
   for (int i = static_cast<int>(nbits) - 2; i >= 0; --i) {
-    sink(double_step(t), /*doubling=*/true);
-    if (bn.ate_loop.bit(static_cast<unsigned>(i)))
-      sink(add_step(t, qa), /*doubling=*/false);
+    double_step();
+    if (bn.ate_loop.bit(static_cast<unsigned>(i))) add_step(q);
   }
-  const AffineG2 q1 = frobenius_twist(qa);
-  AffineG2 q2 = frobenius2_twist(qa);
+  AffineG2 q2 = frobenius2_twist(q);
   q2.y = -q2.y;
-  sink(add_step(t, q1), false);
-  sink(add_step(t, q2), false);
+  add_step(frobenius_twist(q));
+  add_step(q2);
+
+  if (z.is_zero())
+    throw Error("pairing: zero denominator in a Miller-loop line");
+  obs::note(obs::Op::kFieldInversion);
+  Fp2 z3_inv = z.inverse();
+  for (std::size_t i = lines.size(); i-- > 0;) {
+    const Fp2 z_inv = z3_inv * ms[i];  // 1/Z of step i's input point
+    lines[i].lambda *= z3_inv;
+    lines[i].c *= z3_inv * z_inv.square();
+    z3_inv = z_inv;
+  }
+  return lines;
 }
 
 /// Folds an already-produced line sequence into the Miller accumulator.
@@ -108,10 +142,10 @@ void absorb_line(Fp12& f, const LineCoeffs& l, bool doubling) {
   f = f.mul_by_line(l.a, l.b, l.c);
 }
 
-/// Replays the step pattern of ate_line_schedule without any point
-/// arithmetic: one doubling per loop bit, one addition per set bit, and the
-/// two trailing Frobenius-correction additions. Consumers index into a
-/// G2Prepared line table in this exact order.
+/// Replays the step pattern of ate_lines without any point arithmetic: one
+/// doubling per loop bit, one addition per set bit, and the two trailing
+/// Frobenius-correction additions. Consumers index into a line table in
+/// this exact order.
 template <class Step>
 void ate_consume_schedule(Step&& step) {
   const auto& bn = Bn254::get();
@@ -122,6 +156,19 @@ void ate_consume_schedule(Step&& step) {
   }
   step(false);
   step(false);
+}
+
+/// The Miller loop of a finite P against a finite Q's ate_lines table.
+Fp12 miller_loop_table(const G1& p, const std::vector<PreparedLine>& lines) {
+  Fp xp, yp;
+  p.to_affine(xp, yp);
+
+  Fp12 f = Fp12::one();
+  std::size_t next = 0;
+  ate_consume_schedule([&](bool doubling) {
+    absorb_line(f, eval_line(lines[next++], xp, yp), doubling);
+  });
+  return f;
 }
 
 Fp12 pow_bigint(const Fp12& base, const math::BigInt& exp) {
@@ -257,41 +304,19 @@ void untwist(const G2& q, Fp12& x_out, Fp12& y_out) {
 Fp12 miller_loop(const G1& p, const G2& q) {
   obs::note(obs::Op::kMillerLoop);
   if (p.is_infinity() || q.is_infinity()) return Fp12::one();
-
-  Fp xp, yp;
-  p.to_affine(xp, yp);
-
-  Fp12 f = Fp12::one();
-  ate_line_schedule(to_affine2(q), [&](const PreparedLine& l, bool doubling) {
-    absorb_line(f, eval_line(l, xp, yp), doubling);
-  });
-  return f;
+  return miller_loop_table(p, ate_lines(to_affine2(q)));
 }
 
 G2Prepared::G2Prepared(const G2& q) {
   if (q.is_infinity()) return;
   obs::note(obs::Op::kG2Prepared);
-  // 64-bit u: the ate loop has ~65 doublings plus the additions its set bits
-  // trigger, plus the two correction lines.
-  lines_.reserve(2 * 64 + 8);
-  ate_line_schedule(to_affine2(q),
-                    [&](const PreparedLine& l, bool) { lines_.push_back(l); });
+  lines_ = ate_lines(to_affine2(q));
 }
 
 Fp12 miller_loop(const G1& p, const G2Prepared& prepared) {
   obs::note(obs::Op::kMillerLoop);
   if (p.is_infinity() || prepared.is_infinity()) return Fp12::one();
-
-  Fp xp, yp;
-  p.to_affine(xp, yp);
-
-  Fp12 f = Fp12::one();
-  std::size_t next = 0;
-  const auto& lines = prepared.lines();
-  ate_consume_schedule([&](bool doubling) {
-    absorb_line(f, eval_line(lines[next++], xp, yp), doubling);
-  });
-  return f;
+  return miller_loop_table(p, prepared.lines());
 }
 
 namespace {
@@ -391,88 +416,56 @@ GT multi_pairing(std::span<const std::pair<G1, const G2Prepared*>> prepared,
   // each pair's line. Exactly equal to the product of individual loops —
   // (f_a f_b)^2 = f_a^2 f_b^2 holds per step by induction — while paying
   // the ~|ate_loop| Fp12 squarings once instead of once per pair. Prepared
-  // pairs consume the next stored line; unprepared pairs produce it with a
-  // live curve step, allocating nothing. The table order matches because
-  // G2Prepared records exactly ate_line_schedule's sequence.
-  struct ActiveP {
+  // pairs read their stored table; each unprepared pair gets a transient
+  // table from ate_lines, the same lines a G2Prepared would hold.
+  struct Active {
     Fp xp, yp;
     const std::vector<PreparedLine>* lines;
   };
-  struct ActiveU {
-    Fp xp, yp;
-    AffineG2 q;  // original point, re-added on set loop bits
-    AffineG2 t;  // running point
-  };
-  std::vector<ActiveP> ap;
-  ap.reserve(prepared.size());
+  std::vector<Active> active;
+  active.reserve(prepared.size() + unprepared.size());
   std::vector<G1> g1s;
   g1s.reserve(prepared.size() + unprepared.size());
   for (const auto& [p, q] : prepared) {
     obs::note(obs::Op::kPairing);
     obs::note(obs::Op::kMillerLoop);
     if (p.is_infinity() || q->is_infinity()) continue;
-    ActiveP a;
-    a.lines = &q->lines();
-    ap.push_back(a);
+    active.push_back({Fp::zero(), Fp::zero(), &q->lines()});
     g1s.push_back(p);
   }
-  std::vector<ActiveU> au;
-  au.reserve(unprepared.size());
+  std::vector<std::vector<PreparedLine>> tables;
+  tables.reserve(unprepared.size());  // Active holds pointers into it
   for (const auto& [p, q] : unprepared) {
     obs::note(obs::Op::kPairing);
     obs::note(obs::Op::kMillerLoop);
     if (p.is_infinity() || q.is_infinity()) continue;
-    ActiveU a;
-    a.q = to_affine2(q);
-    a.t = a.q;
-    au.push_back(a);
+    tables.push_back(ate_lines(to_affine2(q)));
+    active.push_back({Fp::zero(), Fp::zero(), &tables.back()});
     g1s.push_back(p);
   }
   // One batched normalization for every finite G1 input — a single Fp
   // inversion replaces the per-pair to_affine inversions (docs/CRYPTO.md
-  // §6.4; curve.field_inversions counts the difference). The G2 sides keep
-  // their own cost profile: prepared pairs did theirs at G2Prepared build,
-  // unprepared pairs pay per-step affine inversions by design.
+  // §6.4; curve.field_inversions counts the difference). Each G2 side pays
+  // one batched inversion for its line table: prepared pairs at G2Prepared
+  // build, unprepared pairs here (§6.5).
   std::vector<AffinePoint<G1Traits>> g1_aff(g1s.size());
   batch_normalize<G1Traits>(g1s, g1_aff);
-  for (std::size_t i = 0; i < ap.size(); ++i) {
-    ap[i].xp = g1_aff[i].x;
-    ap[i].yp = g1_aff[i].y;
-  }
-  for (std::size_t i = 0; i < au.size(); ++i) {
-    au[i].xp = g1_aff[ap.size() + i].x;
-    au[i].yp = g1_aff[ap.size() + i].y;
+  for (std::size_t i = 0; i < active.size(); ++i) {
+    active[i].xp = g1_aff[i].x;
+    active[i].yp = g1_aff[i].y;
   }
 
   Fp12 f = Fp12::one();
-  if (ap.empty() && au.empty()) return final_exponentiation(f);
+  if (active.empty()) return final_exponentiation(f);
 
   std::size_t next = 0;
-  const auto step_all = [&](bool doubling, auto&& unprep_line) {
+  ate_consume_schedule([&](bool doubling) {
     if (doubling) f = f.square();
-    for (const ActiveP& a : ap) {
+    for (const Active& a : active) {
       const LineCoeffs l = eval_line((*a.lines)[next], a.xp, a.yp);
       f = f.mul_by_line(l.a, l.b, l.c);
     }
-    for (ActiveU& a : au) {
-      const LineCoeffs l = eval_line(unprep_line(a), a.xp, a.yp);
-      f = f.mul_by_line(l.a, l.b, l.c);
-    }
     ++next;
-  };
-  const auto& bn = Bn254::get();
-  const unsigned nbits = bn.ate_loop.bit_length();
-  for (int i = static_cast<int>(nbits) - 2; i >= 0; --i) {
-    step_all(true, [](ActiveU& a) { return double_step(a.t); });
-    if (bn.ate_loop.bit(static_cast<unsigned>(i)))
-      step_all(false, [](ActiveU& a) { return add_step(a.t, a.q); });
-  }
-  step_all(false,
-           [](ActiveU& a) { return add_step(a.t, frobenius_twist(a.q)); });
-  step_all(false, [](ActiveU& a) {
-    AffineG2 q2 = frobenius2_twist(a.q);
-    q2.y = -q2.y;
-    return add_step(a.t, q2);
   });
   return final_exponentiation(f);
 }
@@ -538,6 +531,7 @@ GT pairing_reference(const G1& p, const G2& q) {
       if (yt.is_zero()) {
         t_infinity = true;  // vertical tangent; line lies in a subfield
       } else {
+        obs::note(obs::Op::kFieldInversion);
         const Fp lambda =
             xt.square() * Fp::from_u64(3) * (yt + yt).inverse();
         // l = (yq - yt) - lambda (xq - xt)
@@ -556,6 +550,7 @@ GT pairing_reference(const G1& p, const G2& q) {
       } else if (xt == xp && yt == yp) {
         throw Error("tate: unexpected doubling in addition step");
       } else {
+        obs::note(obs::Op::kFieldInversion);
         const Fp lambda = (yp - yt) * (xp - xt).inverse();
         f *= (yq - embed(yt)) - embed(lambda) * (xq - embed(xt));
         const Fp x3 = lambda.square() - xt - xp;

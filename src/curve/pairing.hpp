@@ -29,13 +29,15 @@ Fp12 miller_loop(const G1& p, const G2& q);
 
 /// A G2 point with its ate Miller-loop line coefficients precomputed.
 ///
-/// The twist-point arithmetic of the Miller loop (one Fp2 inversion plus a
-/// handful of Fp2 multiplications per doubling/addition step) depends only
-/// on Q, never on P. For fixed verification arguments — the BN generator
-/// g2, the group public key w, and the per-epoch base v_hat — preparing Q
-/// once amortises that work across every subsequent pairing: evaluation at
-/// a fresh P costs two Fp multiplications per stored line instead of a full
-/// curve step. This is the router-side hot-path lever of Sec. V.C.
+/// The twist-point arithmetic of the Miller loop (a dozen Fp2
+/// multiplications per doubling/addition step in Jacobian coordinates, and
+/// one batched inversion for the whole table — docs/CRYPTO.md §6.5)
+/// depends only on Q, never on P. For fixed verification arguments — the
+/// BN generator g2, the group public key w, and the per-epoch base v_hat —
+/// preparing Q once amortises that work across every subsequent pairing:
+/// evaluation at a fresh P costs two Fp multiplications per stored line
+/// instead of a full curve step. This is the router-side hot-path lever of
+/// Sec. V.C.
 class G2Prepared {
  public:
   /// One stored line: the twist slope and the P-independent constant
@@ -71,10 +73,10 @@ GT multi_pairing(std::span<const std::pair<G1, const G2Prepared*>> pairs);
 
 /// Mixed-argument product: prod e(p, *q) over `prepared` times prod e(p, q)
 /// over `unprepared`, fused into one Miller accumulator with a single final
-/// exponentiation. The unprepared points run the twist arithmetic inline —
-/// no line table is allocated — so a one-shot G2 argument (e.g. a
-/// signature's T_hat) pairs against long-lived prepared bases without
-/// paying a G2Prepared build per call.
+/// exponentiation. Each unprepared point gets a transient line table, built
+/// exactly as G2Prepared builds one but not counted as a G2Prepared build,
+/// so a one-shot G2 argument (e.g. a signature's T_hat) pairs against
+/// long-lived prepared bases without keeping a table alive.
 GT multi_pairing(std::span<const std::pair<G1, const G2Prepared*>> prepared,
                  std::span<const std::pair<G1, G2>> unprepared);
 

@@ -53,10 +53,16 @@ struct CurvePoint {
     return y.square() == x.square() * x + Traits::b() * z6;
   }
 
-  /// Affine coordinates; throws on infinity. One field inversion — batch
-  /// callers should prefer batch_normalize (one inversion for any count).
+  /// Affine coordinates; throws on infinity. One field inversion unless Z
+  /// is already one (decoded and batch-normalized points) — batch callers
+  /// should prefer batch_normalize (one inversion for any count).
   void to_affine(F& ax, F& ay) const {
     if (is_infinity()) throw Error("CurvePoint: affine of infinity");
+    if (z == Traits::field_one()) {
+      ax = x;
+      ay = y;
+      return;
+    }
     obs::note(obs::Op::kFieldInversion);
     const F zinv = z.inverse();
     const F zinv2 = zinv.square();

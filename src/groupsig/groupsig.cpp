@@ -1,5 +1,7 @@
 #include "groupsig/groupsig.hpp"
 
+#include <array>
+
 #include "common/serde.hpp"
 #include "curve/ecdsa.hpp"
 #include "obs/trace.hpp"
@@ -120,7 +122,9 @@ Issuer Issuer::from_secret(const Fr& gamma) {
   if (gamma.is_zero()) throw Error("groupsig: zero master secret");
   Issuer issuer;
   issuer.gamma_ = gamma;
-  issuer.gpk_.w = Bn254::get().g2_gen * gamma;
+  // Z = 1, so every encoding of the key (bases seed, challenge hash) skips
+  // its inversion.
+  issuer.gpk_.w = (Bn254::get().g2_gen * gamma).normalized();
   return issuer;
 }
 
@@ -145,6 +149,19 @@ MemberKey Issuer::derive(const Fr& grp, const Fr& x) const {
 }
 
 namespace {
+
+/// Rewrites each finite point to its Z = 1 representative with one
+/// batch_normalize pass (one inversion for all of them). Same group
+/// elements, so no encoding changes; later to_affine calls are free.
+template <class Traits, std::size_t N>
+void normalize(const std::array<curve::CurvePoint<Traits>*, N>& points) {
+  std::array<curve::CurvePoint<Traits>, N> in;
+  for (std::size_t i = 0; i < N; ++i) in[i] = *points[i];
+  std::array<curve::AffinePoint<Traits>, N> out;
+  curve::batch_normalize<Traits>(in, out);
+  for (std::size_t i = 0; i < N; ++i)
+    if (!out[i].infinity) *points[i] = {out[i].x, out[i].y};
+}
 
 /// Steps 2.2.1) - 2.2.4) for both sign overloads. They differ only in R2's
 /// pairing product: through `pgpk`'s prepared g2 / w lines when it is
@@ -200,6 +217,11 @@ Signature sign_impl(const GroupPublicKey& gpk,
   count(ops, &OpCounters::g1_exp, 2);
   sig.r4 = curve::g2_mul_gls(bases.v_hat, r_alpha.to_u256());
   count(ops, &OpCounters::g2_exp, 1);
+
+  // The challenge hash and every later encoding of the signature read these
+  // points' affine forms: two inversions here instead of one per point.
+  normalize<curve::G1Traits, 4>({&sig.t1, &sig.t2, &sig.r1, &sig.r3});
+  normalize<curve::G2Traits, 2>({&sig.t_hat, &sig.r4});
 
   const Fr c = challenge(gpk, message, sig, sig.r1, sig.r2, sig.r3, sig.r4);
 
@@ -608,7 +630,7 @@ bool matches_token(const PreparedBases& prepared, const Signature& sig,
                    const RevocationToken& token, OpCounters* ops) {
   count(ops, &OpCounters::pairings, 2);
   // Same fused product as the re-deriving overload; v_hat consumes its
-  // stored lines, T_hat (used once) runs the twist arithmetic inline.
+  // stored lines, T_hat (used once) gets a line table for this call only.
   const std::pair<curve::G1, const curve::G2Prepared*> prep[] = {
       {sig.t2 - token.a, &prepared.v_hat}};
   const std::pair<curve::G1, curve::G2> unprep[] = {
@@ -740,9 +762,8 @@ bool EpochRevocationIndex::is_revoked(const Signature& sig,
   // homomorphism, so FE(m1) * FE(m2)^-1 == FE(m1 * ML(-v, T_hat)).
   if (sig.epoch != epoch_) throw Error("groupsig: epoch mismatch");
   count(ops, &OpCounters::pairings, 2);
-  // T_hat is used exactly once, so it runs the Miller loop inline via the
-  // mixed overload — building a G2Prepared line table for it would spend
-  // the full twist arithmetic plus a heap allocation on a one-shot point.
+  // T_hat is used exactly once, so it goes through the mixed overload: its
+  // line table lives only for this call instead of in a G2Prepared.
   const std::pair<curve::G1, const curve::G2Prepared*> prep[] = {
       {sig.t2, &v_hat_prep_}};
   const std::pair<curve::G1, curve::G2> unprep[] = {{-v_, sig.t_hat}};

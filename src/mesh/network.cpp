@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <memory>
+#include <optional>
 
 #include "crypto/aead.hpp"
 #include "obs/sec_event.hpp"
@@ -368,17 +370,33 @@ void MeshNetwork::start_beaconing(SimTime start, SimTime period,
 void MeshNetwork::deliver_beacon(NodeId router_node,
                                  const BeaconMessage& beacon) {
   // One broadcast observation; each listener in range then gets an
-  // independently-faulted copy (per-listener loss, as before).
-  const Bytes wire = beacon.to_bytes();
-  observe("beacon", wire);
+  // independently-faulted copy (per-listener loss, as before). Copies that
+  // arrive byte-identical to the sent wire share one decode; a fault-altered
+  // copy goes through parse on its own.
+  struct Broadcast {
+    Bytes wire;
+    std::optional<BeaconMessage> decoded;
+  };
+  const auto sent = std::make_shared<Broadcast>();
+  sent->wire = beacon.to_bytes();
+  observe("beacon", sent->wire);
   const Vec2 rpos = routers_.at(router_node).pos;
   for (auto& [uid, unode] : users_) {
     if (distance(rpos, unode.pos) > radio_.router_range) continue;
     const NodeId user_node = uid;
-    unicast(wire, router_node, user_node,
-            [this, user_node, router_node](const Bytes& w) {
-              const auto b = parse<BeaconMessage>(w);
-              if (b.has_value()) user_hears_beacon(user_node, router_node, *b);
+    unicast(sent->wire, router_node, user_node,
+            [this, sent, user_node, router_node](const Bytes& w) {
+              const bool clean = w == sent->wire;
+              if (!clean || !sent->decoded) {
+                auto b = parse<BeaconMessage>(w);
+                if (!b.has_value()) return;
+                if (!clean) {
+                  user_hears_beacon(user_node, router_node, *b);
+                  return;
+                }
+                sent->decoded = std::move(b);
+              }
+              user_hears_beacon(user_node, router_node, *sent->decoded);
             });
   }
 }

@@ -62,8 +62,9 @@ enum class Op : std::uint8_t {
   kMsmTerm,
   kGtPow,
   kFp12Inverse,
-  /// One Jacobian->affine normalization inversion (a to_affine call or one
-  /// batch_normalize pass — however many points the batch covers).
+  /// One coordinate-field (Fp/Fp2) inversion on the curve path: a to_affine
+  /// of a Z != 1 point, a batch_normalize pass (however many points it
+  /// covers), a Miller-loop line table, or a reference-Tate step.
   kFieldInversion,
   kGlvDecomposition,
   kGlsDecomposition,

@@ -241,6 +241,60 @@ TEST_F(CurveSpeedTest, OneInversionPerMsmNormalization) {
   EXPECT_EQ(glv_count() - gb, 1u);
 }
 
+TEST_F(CurveSpeedTest, OneInversionPerLineTable) {
+  const auto inversions = [] {
+    return obs::Registry::global().counter("curve.field_inversions").value();
+  };
+  // A Z = 1 point (decoded, or the generator): the table's one batched
+  // inversion and nothing else.
+  const G2 decoded = g2_from_bytes(g2_to_bytes(rand_g2()));
+  std::uint64_t before = inversions();
+  const G2Prepared prep(decoded);
+  EXPECT_EQ(inversions() - before, 1u);
+  before = inversions();
+  (void)G2Prepared(Bn254::get().g2_gen);
+  EXPECT_EQ(inversions() - before, 1u);
+  // A Jacobian point pays its to_affine on top.
+  const G2 jacobian = rand_g2();
+  before = inversions();
+  (void)G2Prepared(jacobian);
+  EXPECT_EQ(inversions() - before, 2u);
+  // The unprepared Miller loop builds the same table: one for Q, none for
+  // the Z = 1 P.
+  before = inversions();
+  (void)miller_loop(Bn254::get().g1_gen, decoded);
+  EXPECT_EQ(inversions() - before, 1u);
+}
+
+TEST_F(CurveSpeedTest, SignNormalizesItsPointsWithTwoInversions) {
+  const auto inversions = [] {
+    return obs::Registry::global().counter("curve.field_inversions").value();
+  };
+  crypto::Drbg setup = crypto::Drbg::from_string("sign-inversions-setup");
+  const groupsig::Issuer issuer = groupsig::Issuer::create(setup);
+  const groupsig::MemberKey key =
+      issuer.issue(issuer.new_group_secret(setup), setup);
+  const groupsig::PreparedGroupPublicKey pgpk(issuer.gpk());
+  const Bytes message = {0x42};
+  for (const groupsig::Epoch epoch : {groupsig::Epoch{0}, groupsig::Epoch{3}}) {
+    std::uint64_t before = inversions();
+    const groupsig::Signature sig =
+        groupsig::sign(pgpk, key, message, rng_, epoch);
+    // 1 for hash_to_g2's cofactor clearing, 8 scalar-multiplication and MSM
+    // tables (T1, T2, T_hat, R1, R2's two G1 terms, R3, R4), 1 for R2's
+    // batched G1 normalization, and 2 batch_normalize passes over the six
+    // carried points. The group key has Z = 1 and costs none.
+    EXPECT_EQ(inversions() - before, 12u) << "epoch " << epoch;
+    before = inversions();
+    const Bytes wire = sig.to_bytes();
+    EXPECT_EQ(inversions() - before, 0u);  // already normalized
+    const groupsig::Signature decoded = groupsig::Signature::from_bytes(wire);
+    before = inversions();
+    EXPECT_EQ(decoded.to_bytes(), wire);
+    EXPECT_EQ(inversions() - before, 0u);  // decoded points have Z = 1
+  }
+}
+
 TEST_F(CurveSpeedTest, LazyFp2MulMatchesEager) {
   for (int i = 0; i < 32; ++i) {
     const Fp2 a = rand_fp2(), b = rand_fp2();

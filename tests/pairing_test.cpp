@@ -12,6 +12,62 @@ namespace {
 
 using math::U256;
 
+using math::Fp;
+using math::Fp12;
+using math::Fp2;
+
+/// One line of the affine oracle below, with its step kind.
+struct AffineLine {
+  Fp2 lambda, c;
+  bool doubling;
+};
+
+/// The ate line schedule with T in affine coordinates: one Fp2 inversion
+/// per step, the textbook formulas. The library builds its line tables
+/// with a Jacobian T and one batched inversion (docs/CRYPTO.md §6.5); the
+/// two must agree line for line, because field inverses are unique.
+std::vector<AffineLine> affine_ate_lines(const G2& q) {
+  const auto& bn = Bn254::get();
+  Fp2 qx, qy;
+  q.to_affine(qx, qy);
+  Fp2 tx = qx, ty = qy;
+  std::vector<AffineLine> lines;
+  const auto chord = [&](const Fp2& lambda, const Fp2& ax, bool doubling) {
+    lines.push_back({lambda, lambda * tx - ty, doubling});
+    const Fp2 x3 = lambda.square() - tx - ax;
+    ty = lambda * (tx - x3) - ty;
+    tx = x3;
+  };
+  const auto double_step = [&] {
+    chord(tx.square() * Fp::from_u64(3) * ty.dbl().inverse(), tx, true);
+  };
+  const auto add_step = [&](const Fp2& ax, const Fp2& ay) {
+    chord((ay - ty) * (ax - tx).inverse(), ax, false);
+  };
+  for (int i = static_cast<int>(bn.ate_loop.bit_length()) - 2; i >= 0; --i) {
+    double_step();
+    if (bn.ate_loop.bit(static_cast<unsigned>(i))) add_step(qx, qy);
+  }
+  // Frobenius correction lines: pi(Q), then -pi^2(Q).
+  add_step(qx.conjugate() * bn.frob_gamma[2],
+           qy.conjugate() * bn.frob_gamma[3]);
+  const Fp2 eta2 = bn.frob2_eta.square();
+  add_step(qx * eta2, -(qy * eta2 * bn.frob2_eta));
+  return lines;
+}
+
+/// The raw Miller value of P against the oracle's lines.
+Fp12 affine_miller_loop(const G1& p, const std::vector<AffineLine>& lines) {
+  Fp xp, yp;
+  p.to_affine(xp, yp);
+  Fp12 f = Fp12::one();
+  for (const AffineLine& l : lines) {
+    if (l.doubling) f = f.square();
+    f = f.mul_by_line(Fp2(yp, Fp::zero()), -(l.lambda * xp), l.c);
+  }
+  return f;
+}
+
 class PairingTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() { Bn254::init(); }
@@ -129,6 +185,38 @@ TEST_F(PairingTest, PreparedMillerLoopBitIdentical) {
     EXPECT_EQ(miller_loop(p, prep), miller_loop(p, q));
     EXPECT_EQ(pairing(p, prep), pairing(p, q));
   }
+}
+
+TEST_F(PairingTest, LineTablesMatchAffineOracle) {
+  // Batched Jacobian tables against the per-step affine schedule: every
+  // stored line and every raw Miller value equal, for the generator, random
+  // Jacobian points (Z != 1), a decoded point (Z = 1) and a negation.
+  const G2 g2 = Bn254::get().g2_gen;
+  std::vector<G2> qs = {g2};
+  for (int i = 0; i < 3; ++i) qs.push_back(g2 * random_fr(rng_));
+  qs.push_back(g2_from_bytes(g2_to_bytes(qs[1])));
+  qs.push_back(-qs[2]);
+  for (const G2& q : qs) {
+    const std::vector<AffineLine> want = affine_ate_lines(q);
+    const G2Prepared prep(q);
+    const std::vector<G2Prepared::Line>& got = prep.lines();
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t i = 0; i < want.size(); ++i) {
+      EXPECT_EQ(got[i].lambda, want[i].lambda) << "line " << i;
+      EXPECT_EQ(got[i].c, want[i].c) << "line " << i;
+    }
+    const G1 p = Bn254::get().g1_gen * random_fr(rng_);
+    EXPECT_EQ(miller_loop(p, q), affine_miller_loop(p, want));
+  }
+}
+
+TEST_F(PairingTest, ZeroLineDenominatorThrows) {
+  // (x, 0) is off the curve; its first doubling has a zero denominator,
+  // which the affine oracle and the batched tables both refuse.
+  const G2 bad(Fp2(Fp::from_u64(5), Fp::from_u64(7)), Fp2::zero());
+  EXPECT_THROW(affine_ate_lines(bad), Error);
+  EXPECT_THROW(G2Prepared{bad}, Error);
+  EXPECT_THROW(miller_loop(Bn254::get().g1_gen, bad), Error);
 }
 
 TEST_F(PairingTest, PreparedHandlesInfinity) {
