@@ -34,9 +34,15 @@ std::uint64_t decode_u64(BytesView b) {
   return v;
 }
 
+/// Revocation epochs of 15 simulated minutes: the city trades linkability
+/// within an epoch for O(1) revocation checks (PROTOCOL.md §3.1), and an
+/// hour-long day crosses several epoch boundaries.
+constexpr proto::Timestamp kRevocationEpochMs = 15 * 60'000;
+
 proto::ProtocolConfig city_protocol_config() {
   proto::ProtocolConfig config;
   config.replay_window_ms = 60'000;
+  config.revocation_epoch_ms = kRevocationEpochMs;
   return config;
 }
 

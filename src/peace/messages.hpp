@@ -57,6 +57,22 @@ struct ProtocolConfig {
   /// eviction. Entries that age out of the cache are still protected by
   /// the timestamp window.
   std::size_t replay_cache_cap = 1 << 16;
+
+  // --- revocation epochs (PROTOCOL.md §3.1) ------------------------------
+  /// Epoch length in ms; the privacy knob. 0 (the default) signs every M.2
+  /// over per-message bases: M.2s are unlinkable and routers scan the URL.
+  /// Nonzero signs each M.2 at epoch_at(ts1) of the beacon it answers, and
+  /// routers roll their revocation index to epoch_at(now) at each beacon
+  /// and check revocation in O(1); one member's M.2s are then linkable
+  /// within an epoch. Peer handshakes stay at epoch 0 either way.
+  Timestamp revocation_epoch_ms = 0;
+
+  /// The revocation epoch of time `ts`: 0 when epochs are off, else
+  /// ts / revocation_epoch_ms + 1 (epoch 0 is reserved for per-message
+  /// bases).
+  groupsig::Epoch epoch_at(Timestamp ts) const {
+    return revocation_epoch_ms == 0 ? 0 : ts / revocation_epoch_ms + 1;
+  }
 };
 
 using RouterId = std::uint32_t;

@@ -160,8 +160,21 @@ DeltaResult SharedRevocationState::apply_delta(const proto::RLDelta& delta) {
 void SharedRevocationState::set_epoch(const groupsig::GroupPublicKey& gpk,
                                       groupsig::Epoch epoch) {
   std::lock_guard lock(mutex_);
+  roll_locked(gpk, epoch);
+}
+
+void SharedRevocationState::advance_epoch(const groupsig::GroupPublicKey& gpk,
+                                          groupsig::Epoch epoch) {
+  std::lock_guard lock(mutex_);
+  if (epoch >= snapshot()->epoch) roll_locked(gpk, epoch);
+}
+
+void SharedRevocationState::roll_locked(const groupsig::GroupPublicKey& gpk,
+                                        groupsig::Epoch epoch) {
   const auto prev = snapshot();
-  if (prev->epoch == epoch) return;
+  if (prev->epoch == epoch &&
+      (epoch == 0 || prev->index->covers(gpk, epoch)))
+    return;
   auto next = std::make_shared<RevocationSnapshot>(*prev);
   next->epoch = epoch;
   if (epoch == 0) {
@@ -176,6 +189,7 @@ void SharedRevocationState::set_epoch(const groupsig::GroupPublicKey& gpk,
         gpk, epoch, next->url_tokens);
     stats_.tokens_retagged += next->url_tokens.size();
   }
+  ++stats_.epoch_rolls;
   publish(std::move(next));
 }
 

@@ -48,6 +48,7 @@ struct SharedRevocationStats {
   std::uint64_t deltas_rejected = 0;  // bad signature / chain / kind
   std::uint64_t snapshots_published = 0;
   std::uint64_t tokens_retagged = 0;  // pairings spent updating the index
+  std::uint64_t epoch_rolls = 0;  // index built, rolled or dropped
 };
 
 /// The registry counter each field is exported as (obs/fields.hpp).
@@ -61,6 +62,7 @@ constexpr auto field_table(const SharedRevocationStats*) {
       {&SharedRevocationStats::snapshots_published,
        "revocation.snapshots_published"},
       {&SharedRevocationStats::tokens_retagged, "revocation.tokens_retagged"},
+      {&SharedRevocationStats::epoch_rolls, "revocation.epoch_rolls"},
   });
 }
 
@@ -92,8 +94,16 @@ class SharedRevocationState {
 
   /// Switches revocation-check mode: epoch 0 drops the index; a nonzero
   /// epoch builds it from the current URL (first call) or rolls the
-  /// existing one in place (one pairing per stored token).
+  /// existing one in place (one pairing per stored token). A no-op when
+  /// the index already covers (gpk, epoch).
   void set_epoch(const groupsig::GroupPublicKey& gpk, groupsig::Epoch epoch);
+
+  /// set_epoch that only moves forward: an `epoch` older than the
+  /// published one changes nothing. Routers call it at every beacon, so
+  /// whichever of a segment's routers crosses an epoch boundary first rolls
+  /// the shared index and the rest find it rolled.
+  void advance_epoch(const groupsig::GroupPublicKey& gpk,
+                     groupsig::Epoch epoch);
 
   std::uint64_t crl_version() const;
   std::uint64_t url_version() const;
@@ -105,6 +115,9 @@ class SharedRevocationState {
  private:
   /// Swaps in `next` (writer mutex held by caller).
   void publish(std::shared_ptr<const RevocationSnapshot> next);
+  /// The body of set_epoch (writer mutex held by caller).
+  void roll_locked(const groupsig::GroupPublicKey& gpk,
+                   groupsig::Epoch epoch);
 
   mutable std::mutex mutex_;  // serializes writers; readers never take it
   RevocationStore crl_store_;

@@ -142,7 +142,8 @@ SigBatch verify_group_signatures(
   out.verdicts.assign(items.size(), SigVerdict::kBadProof);
   std::vector<std::size_t> survivors;
   if (items.size() == 1) {
-    if (groupsig::verify_proof(pgpk, items[0].message, *items[0].sig, ops(0)))
+    if (groupsig::verify_proof(pgpk, items[0].message, *items[0].sig, ops(0),
+                               items[0].bases))
       survivors.push_back(0);
   } else if (items.size() > 1) {
     // Per-item preparation fans out; the combined checks plus bisection

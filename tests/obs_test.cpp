@@ -305,6 +305,7 @@ TEST_F(ObsTest, StatsAbsorptionIsIdempotent) {
   put(r.rl_resyncs_requested, "router.rl_resyncs_requested");
   put(r.rl_resyncs_completed, "router.rl_resyncs_completed");
   put(r.confirms_resent, "router.confirms_resent");
+  put(r.epoch_fallback_scans, "router.epoch_fallback_scans");
   proto::UserStats u;
   put(u.beacons_seen, "user.beacons_seen");
   put(u.beacons_rejected, "user.beacons_rejected");
@@ -331,6 +332,7 @@ TEST_F(ObsTest, StatsAbsorptionIsIdempotent) {
   put(rv.deltas_rejected, "revocation.deltas_rejected");
   put(rv.snapshots_published, "revocation.snapshots_published");
   put(rv.tokens_retagged, "revocation.tokens_retagged");
+  put(rv.epoch_rolls, "revocation.epoch_rolls");
   mesh::NetworkStats net;
   put(net.frames_transmitted, "mesh.frames_transmitted");
   put(net.users_removed, "mesh.users_removed");

@@ -155,6 +155,33 @@ TEST_F(PrivacyTest, EpochModeLeaksExactlyLinkability) {
   EXPECT_NE(curve::g1_to_bytes(d1.t2), curve::g1_to_bytes(d2.t2));
 }
 
+TEST_F(PrivacyTest, CrossEpochSignaturesUnlinkable) {
+  // ProtocolConfig::revocation_epoch_ms is the privacy knob: one member's
+  // M.2s carry the same linkability tag within an epoch and unrelated tags
+  // across epochs, and two members never share one.
+  ProtocolConfig config;
+  config.revocation_epoch_ms = 60'000;
+  const auto epoch_user = [&](const std::string& uid) {
+    User user(uid, no_.params(), crypto::Drbg::from_string("epoch-" + uid),
+              config);
+    user.complete_enrollment(gm_->enroll(uid, ttp_));
+    return user;
+  };
+  User alice = epoch_user("alice");
+  User bob = epoch_user("bob");
+  const auto tag = [&](User& user, Timestamp now) {
+    const AccessRequest m2 = handshake_m2(user, now);
+    EXPECT_EQ(m2.signature.epoch, config.epoch_at(now));
+    return groupsig::epoch_linkability_tag(no_.params().gpk, m2.signature);
+  };
+  const curve::GT first = tag(alice, 1'000);
+  EXPECT_TRUE(first == tag(alice, 59'000));   // epoch 1 twice: linked
+  const curve::GT second = tag(alice, 61'000);
+  EXPECT_FALSE(first == second);              // epoch 1 vs 2: unlinked
+  EXPECT_TRUE(second == tag(alice, 119'000));
+  EXPECT_FALSE(second == tag(bob, 61'000));   // another member
+}
+
 TEST_F(PrivacyTest, TtpStateContainsNoCredential) {
   // TTP's store is blinded blobs only; unblinding any entry with the wrong
   // secret fails or yields a non-credential.
