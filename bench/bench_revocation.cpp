@@ -4,7 +4,6 @@
 // is independent of |URL|" trades per-epoch linkability for O(1) lookups.
 // This bench regenerates both curves and their crossover.
 #include "bench_common.hpp"
-#include "peace/url_scan.hpp"
 
 namespace peace::bench {
 namespace {
@@ -298,39 +297,6 @@ BENCHMARK(BM_UrlScanBatched)
     ->Arg(10000)
     ->Arg(100000)
     ->Unit(benchmark::kMillisecond);
-
-void BM_ShardedUrlScan(benchmark::State& state) {
-  // One large-URL scan sharded across VerifyPool workers with early exit
-  // (peace::proto::url_scan_revoked) — the router's batch-of-one path for
-  // production URL sizes. Clean list, so every shard runs its full range:
-  // the worst case, and the only deterministic one.
-  World& w = World::instance();
-  crypto::Drbg rng = crypto::Drbg::from_string("e4sh");
-  const auto& key = w.user->credential(w.gm.id());
-  const auto sig = groupsig::sign(w.no.params().gpk, key, as_bytes("m"), rng);
-  const auto url = make_url_fast(static_cast<std::size_t>(state.range(0)));
-  const groupsig::PreparedBases prepared =
-      groupsig::prepare_bases(w.no.params().gpk, as_bytes("m"), sig);
-  proto::VerifyPool pool(static_cast<unsigned>(state.range(1)));
-  for (auto _ : state) {
-    const bool revoked = proto::url_scan_revoked(prepared, sig, url, &pool);
-    if (revoked) state.SkipWithError("clean URL reported a match");
-    benchmark::DoNotOptimize(revoked);
-  }
-  state.counters["url_size"] = static_cast<double>(state.range(0));
-  state.counters["threads"] = static_cast<double>(state.range(1));
-  state.counters["tokens_per_s"] = benchmark::Counter(
-      static_cast<double>(state.range(0)),
-      benchmark::Counter::kIsIterationInvariantRate);
-}
-BENCHMARK(BM_ShardedUrlScan)
-    ->Args({10000, 1})
-    ->Args({10000, 2})
-    ->Args({10000, 4})
-    ->Args({10000, 8})
-    ->Args({100000, 8})
-    ->Unit(benchmark::kMillisecond)
-    ->UseRealTime();
 
 void BM_PerRouterIndexes(benchmark::State& state) {
   // N routers each maintaining a private epoch index: N full builds per

@@ -27,6 +27,7 @@ constexpr const char* kG2GenY1 =
 
 Bn254 g_params;
 bool g_initialized = false;
+G2Prepared g_g2_gen_prepared;
 
 // --- signed bignum helpers (lattice bookkeeping) ---------------------------
 
@@ -427,13 +428,19 @@ void Bn254::init() {
 
   g_params = params;
   g_initialized = true;
-  // Paired once here, so no caller's op counts include it.
+  // Paired and prepared once here, so no caller's op counts include them.
   g_params.gt_gen = pairing(g_params.g1_gen, g_params.g2_gen);
+  g_g2_gen_prepared = G2Prepared(g_params.g2_gen);
 }
 
 const Bn254& Bn254::get() {
   if (!g_initialized) throw Error("bn254: not initialized");
   return g_params;
+}
+
+const G2Prepared& g2_generator_prepared() {
+  (void)Bn254::get();  // throws before init()
+  return g_g2_gen_prepared;
 }
 
 // --- Endomorphism fast paths (docs/CRYPTO.md §6) ---------------------------

@@ -160,6 +160,10 @@ GT pairing_reference(const G1& p, const G2& q);
 /// e(g1_gen, g2_gen), computed once by Bn254::init().
 const GT& gt_generator();
 
+/// g2_gen's line table, prepared once by Bn254::init(): the fixed G2
+/// argument of every group-signature check, shared by every key.
+const G2Prepared& g2_generator_prepared();
+
 /// Frobenius x -> x^p on Fp12 using the global BN254 coefficients.
 Fp12 frobenius12(const Fp12& x);
 

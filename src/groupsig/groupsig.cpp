@@ -164,7 +164,7 @@ void normalize(const std::array<curve::CurvePoint<Traits>*, N>& points) {
 }
 
 /// Steps 2.2.1) - 2.2.4) for both sign overloads. They differ only in R2's
-/// pairing product: through `pgpk`'s prepared g2 / w lines when it is
+/// pairing product: through the prepared g2 / w lines when `pgpk` is
 /// given, from scratch otherwise (the plain-key reference path). Same rng
 /// draws, same bytes, same op counts either way.
 Signature sign_impl(const GroupPublicKey& gpk,
@@ -205,7 +205,7 @@ Signature sign_impl(const GroupPublicKey& gpk,
   const G1 r2_w = -(bases.v * r_alpha);
   if (pgpk != nullptr) {
     const std::pair<G1, const curve::G2Prepared*> r2_pairs[] = {
-        {r2_g2, &pgpk->g2}, {r2_w, &pgpk->w}};
+        {r2_g2, &curve::g2_generator_prepared()}, {r2_w, &pgpk->w}};
     sig.r2 = curve::multi_pairing(r2_pairs);
   } else {
     sig.r2 = curve::multi_pairing({{r2_g2, bn.g2_gen}, {r2_w, gpk.w}});
@@ -255,9 +255,7 @@ SignatureBases epoch_bases(const GroupPublicKey& gpk, Epoch epoch,
 }
 
 PreparedGroupPublicKey::PreparedGroupPublicKey(const GroupPublicKey& key)
-    : gpk(key),
-      g2(curve::G2Prepared(Bn254::get().g2_gen)),
-      w(curve::G2Prepared(key.w)) {}
+    : gpk(key), w(curve::G2Prepared(key.w)) {}
 
 bool verify_proof(const PreparedGroupPublicKey& pgpk, BytesView message,
                   const Signature& sig, OpCounters* ops,
@@ -308,7 +306,7 @@ bool verify_proof(const PreparedGroupPublicKey& pgpk, BytesView message,
       {curve::g1_msm<3>(
            {sig.t2, bases.v, bn.g1_gen},
            {sig.s_x.to_u256(), (-sig.s_delta).to_u256(), neg_c}),
-       &pgpk.g2},
+       &curve::g2_generator_prepared()},
       {curve::g1_msm<2>({sig.t2, bases.v},
                         {c.to_u256(), (-sig.s_alpha).to_u256()}),
        &pgpk.w}};
@@ -467,7 +465,7 @@ bool BatchVerifier::check_one(std::size_t i, OpCounters* ops) {
   count(ops, &OpCounters::g2_exp, 2);
   if (!(r4 == sig.r4)) return false;
   curve::MillerAccumulator acc;
-  acc.add(p.a, pgpk_.g2);
+  acc.add(p.a, curve::g2_generator_prepared());
   acc.add(p.b, pgpk_.w);
   count(ops, &OpCounters::pairings, 2);
   return acc.finalize() == sig.r2;
@@ -566,7 +564,7 @@ bool BatchVerifier::check_range(std::size_t lo, std::size_t hi,
                                   std::span<const U256>(rho2_sc));
   count(ops, &OpCounters::g1_exp, 2 * active.size());
   curve::MillerAccumulator acc;
-  acc.add(a_fold, pgpk_.g2);
+  acc.add(a_fold, curve::g2_generator_prepared());
   acc.add(b_fold, pgpk_.w);
   count(ops, &OpCounters::pairings, 2);
   const GT lhs = acc.finalize();
@@ -664,13 +662,12 @@ void TokenScan::add(const RevocationToken& token) {
                       t_hat_factor_);
 }
 
-std::size_t TokenScan::first_match(const std::atomic<bool>* stop) const {
+std::size_t TokenScan::first_match() const {
   if (products_.empty()) return npos;
   // One shared Fp12 inversion for the whole scan; field inverses are unique,
   // so each element equals its per-token easy part exactly.
   const std::vector<curve::Fp12> easy = curve::final_exp_easy_batch(products_);
   for (std::size_t i = 0; i < easy.size(); ++i) {
-    if (stop != nullptr && stop->load(std::memory_order_relaxed)) return npos;
     if (curve::final_exp_hard(easy[i]).is_one()) return i;
   }
   return npos;
@@ -707,13 +704,15 @@ bool verify(const PreparedGroupPublicKey& pgpk, BytesView message,
 }
 
 std::string EpochRevocationIndex::tag_for(const G1& a) const {
-  return to_hex(curve::pairing(a, bases_.v_hat).to_bytes());
+  return to_hex(curve::pairing(a, bases_->v_hat).to_bytes());
 }
 
 EpochRevocationIndex::EpochRevocationIndex(const GroupPublicKey& gpk,
                                            Epoch epoch,
                                            std::span<const RevocationToken> url)
-    : gpk_(gpk), epoch_(epoch), bases_(epoch_bases(gpk, epoch)) {
+    : gpk_(gpk),
+      epoch_(epoch),
+      bases_(std::make_shared<const PreparedBases>(epoch_bases(gpk, epoch))) {
   for (const RevocationToken& token : url) add_token(token);
 }
 
@@ -740,7 +739,7 @@ bool EpochRevocationIndex::contains(const RevocationToken& token) const {
 
 void EpochRevocationIndex::roll_epoch(const GroupPublicKey& gpk, Epoch epoch) {
   if (covers(gpk, epoch)) return;
-  bases_ = PreparedBases(epoch_bases(gpk, epoch));
+  bases_ = std::make_shared<const PreparedBases>(epoch_bases(gpk, epoch));
   gpk_ = gpk;
   epoch_ = epoch;
   tags_.clear();
@@ -765,9 +764,9 @@ bool EpochRevocationIndex::is_revoked(const Signature& sig,
   // T_hat is used exactly once, so it goes through the mixed overload: its
   // line table lives only for this call instead of in a G2Prepared.
   const std::pair<curve::G1, const curve::G2Prepared*> prep[] = {
-      {sig.t2, &bases_.v_hat}};
+      {sig.t2, &bases_->v_hat}};
   const std::pair<curve::G1, curve::G2> unprep[] = {
-      {-bases_.bases.v, sig.t_hat}};
+      {-bases_->bases.v, sig.t_hat}};
   const GT k = curve::multi_pairing(prep, unprep);
   return tags_.contains(to_hex(k.to_bytes()));
 }

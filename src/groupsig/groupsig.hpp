@@ -19,8 +19,8 @@
 // preserving the paper's cost shape of 2 pairings per revocation token.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <span>
 #include <string>
@@ -83,15 +83,15 @@ struct GroupPublicKey {
   bool operator==(const GroupPublicKey& o) const { return w == o.w; }
 };
 
-/// A group public key with the fixed G2 pairing arguments of the verifier's
-/// hot path (the BN generator g2 and w = g2^gamma) prepared once. Routers
-/// build this at key load / parameter install and reuse it for every
+/// A group public key with the key-specific G2 pairing argument of the
+/// verifier's hot path (w = g2^gamma) prepared once; the other one, the BN
+/// generator g2, is prepared once per process (curve::g2_generator_prepared).
+/// Routers build this at key load / parameter install and reuse it for every
 /// verification; each verification then pays only line evaluations and the
 /// shared final exponentiation instead of full twist-point Miller loops.
 struct PreparedGroupPublicKey {
   GroupPublicKey gpk;
-  curve::G2Prepared g2;  // prepared BN generator
-  curve::G2Prepared w;   // prepared gpk.w
+  curve::G2Prepared w;  // prepared gpk.w
 
   PreparedGroupPublicKey() = default;
   explicit PreparedGroupPublicKey(const GroupPublicKey& key);
@@ -310,13 +310,7 @@ class TokenScan {
   /// Index of the first added token matching the signer, or npos. Pays the
   /// single batched easy part plus one hard part per token up to and
   /// including the first match.
-  ///
-  /// `stop` (optional) is a cooperative cancellation flag polled before each
-  /// per-token hard part: when it reads true the scan returns npos without
-  /// examining the remaining tokens. A sharded scan sets it when another
-  /// shard has already found a match — the overall verdict is decided, so a
-  /// cancelled shard's npos is never the final answer.
-  std::size_t first_match(const std::atomic<bool>* stop = nullptr) const;
+  std::size_t first_match() const;
 
  private:
   const Signature& sig_;
@@ -442,8 +436,9 @@ class EpochRevocationIndex {
   Epoch epoch() const { return epoch_; }
   std::size_t size() const { return tokens_.size(); }
   /// The epoch's prepared bases, epoch_bases(gpk, epoch()): what every
-  /// signature of the epoch is made and verified over.
-  const PreparedBases& bases() const { return bases_; }
+  /// signature of the epoch is made and verified over. Shared, so a holder
+  /// keeps them past a roll without keeping the index.
+  const std::shared_ptr<const PreparedBases>& bases() const { return bases_; }
   /// True when the index answers signatures of `epoch` under `gpk`.
   bool covers(const GroupPublicKey& gpk, Epoch epoch) const {
     return epoch == epoch_ && gpk == gpk_;
@@ -471,7 +466,9 @@ class EpochRevocationIndex {
 
   GroupPublicKey gpk_;
   Epoch epoch_;
-  PreparedBases bases_;  // v_hat's lines are fixed for the whole epoch
+  /// Never null; v_hat's lines are fixed for the whole epoch, and copies
+  /// of the index share them.
+  std::shared_ptr<const PreparedBases> bases_;
   /// token bytes (hex) -> (point, tag hex); the separate tag set gives the
   /// O(1) is_revoked probe while the map supports delta removals and rolls.
   struct Entry {

@@ -68,8 +68,7 @@ S sum(S a, const S& b) {
 /// so publishing is idempotent: callers pass totals summed over endpoints
 /// and may publish as often as they like.
 template <class S>
-void absorb(const S& totals) {
-  Registry& reg = Registry::global();
+void absorb(const S& totals, Registry& reg = Registry::global()) {
   for (const Field<S>& f : kFields<S>)
     reg.counter(f.name).set(totals.*f.member);
 }

@@ -36,7 +36,7 @@ HealthMonitor::HealthMonitor(HealthMonitorOptions options)
 
 void HealthMonitor::ingest(const SecEvent& event) {
   if (event.kind == SecEventKind::kHealthAlert) return;
-  ++events_ingested_;
+  ++counts_.events_ingested;
   windows_.add(event.shard, event.kind, event.sim_ms);
 }
 
@@ -71,13 +71,13 @@ void HealthMonitor::evaluate(std::uint64_t sim_ms) {
       const auto cd = cooldown_until_.find(key);
       if (cd != cooldown_until_.end() && sim_ms < cd->second) continue;
       cooldown_until_[key] = sim_ms + options_.cooldown_ms;
-      ++alerts_total_;
+      ++counts_.alerts;
       ++alerts_by_shard_[shard];
       if (alerts_.size() < options_.alert_log_cap)
         alerts_.push_back(HealthAlert{shard, rule.kind, sim_ms, count,
                                       baseline, fired, rule.label});
       else
-        ++alerts_dropped_;
+        ++counts_.alerts_dropped;
       // The alert rides the event stream itself: origin names the shard,
       // detail the underlying kind. Drained to the trace like any event.
       sec_emit_for_shard(SecEventKind::kHealthAlert, shard, sim_ms, shard,
@@ -98,9 +98,7 @@ HealthSnapshot HealthMonitor::snapshot(std::uint32_t shard) const {
 }
 
 void HealthMonitor::publish(Registry& registry) const {
-  registry.counter("health.alerts").set(alerts_total_);
-  registry.counter("health.alerts_dropped").set(alerts_dropped_);
-  registry.counter("health.events_ingested").set(events_ingested_);
+  absorb(counts_, registry);
   for (const std::uint32_t shard : windows_.shards()) {
     const std::string prefix = "health.s" + std::to_string(shard) + ".";
     const auto it = alerts_by_shard_.find(shard);
@@ -124,9 +122,9 @@ std::string HealthMonitor::summary_json() const {
                 static_cast<unsigned long long>(windows_.window_ms()),
                 static_cast<unsigned long long>(options_.eval_every_ms),
                 static_cast<unsigned long long>(options_.cooldown_ms),
-                static_cast<unsigned long long>(events_ingested_),
-                static_cast<unsigned long long>(alerts_total_),
-                static_cast<unsigned long long>(alerts_dropped_));
+                static_cast<unsigned long long>(counts_.events_ingested),
+                static_cast<unsigned long long>(counts_.alerts),
+                static_cast<unsigned long long>(counts_.alerts_dropped));
   out += buf;
   out += ", \"shards\": [";
   bool first_shard = true;

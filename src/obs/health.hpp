@@ -29,7 +29,7 @@
 #include <string>
 #include <vector>
 
-#include "obs/metrics.hpp"
+#include "obs/fields.hpp"
 #include "obs/window.hpp"
 
 namespace peace::obs {
@@ -70,6 +70,21 @@ struct HealthMonitorOptions {
   std::vector<HealthRule> rules;
 };
 
+/// The monitor's event counts (obs/fields.hpp).
+struct HealthCounts {
+  std::uint64_t alerts = 0;           // rules fired
+  std::uint64_t alerts_dropped = 0;   // fired with the alert log full
+  std::uint64_t events_ingested = 0;  // health_alert events not counted
+};
+
+constexpr auto field_table(const HealthCounts*) {
+  return std::to_array<Field<HealthCounts>>({
+      {&HealthCounts::alerts, "health.alerts"},
+      {&HealthCounts::alerts_dropped, "health.alerts_dropped"},
+      {&HealthCounts::events_ingested, "health.events_ingested"},
+  });
+}
+
 /// Point-in-time per-shard view, also published as health.* gauges.
 struct HealthSnapshot {
   std::uint32_t shard = 0;
@@ -90,9 +105,9 @@ class HealthMonitor {
   /// for firings, and publishes the health.* snapshot gauges.
   void tick(std::uint64_t sim_ms);
 
-  std::uint64_t events_ingested() const { return events_ingested_; }
-  std::uint64_t alerts_total() const { return alerts_total_; }
-  std::uint64_t alerts_dropped() const { return alerts_dropped_; }
+  std::uint64_t events_ingested() const { return counts_.events_ingested; }
+  std::uint64_t alerts_total() const { return counts_.alerts; }
+  std::uint64_t alerts_dropped() const { return counts_.alerts_dropped; }
   /// The capped alert log, in firing order.
   const std::vector<HealthAlert>& alerts() const { return alerts_; }
   const WindowStats& windows() const { return windows_; }
@@ -100,8 +115,9 @@ class HealthMonitor {
 
   HealthSnapshot snapshot(std::uint32_t shard) const;
 
-  /// Publishes health.alerts plus per-shard health.s<id>.* gauges for
-  /// every ruled kind. Called by tick() on each evaluation; idempotent.
+  /// Publishes the HealthCounts counters plus per-shard health.s<id>.*
+  /// gauges for every ruled kind. Called by tick() on each evaluation;
+  /// idempotent.
   void publish(Registry& registry) const;
 
   /// {"schema": "peace.health.v1", ...}: options, per-shard window counts
@@ -119,9 +135,7 @@ class HealthMonitor {
   std::map<std::uint32_t, std::uint64_t> alerts_by_shard_;
   std::map<std::pair<std::uint32_t, std::uint8_t>, std::uint64_t>
       cooldown_until_;
-  std::uint64_t events_ingested_ = 0;
-  std::uint64_t alerts_total_ = 0;
-  std::uint64_t alerts_dropped_ = 0;
+  HealthCounts counts_;
   bool evaluated_once_ = false;
   std::uint64_t last_eval_ms_ = 0;
 };

@@ -8,7 +8,6 @@
 #include "curve/hash_to_curve.hpp"
 #include "obs/sec_event.hpp"
 #include "obs/trace.hpp"
-#include "peace/url_scan.hpp"
 
 namespace peace::proto {
 
@@ -145,6 +144,11 @@ BeaconMessage MeshRouter::make_beacon(Timestamp now) {
   const auto revocation = revocation_->snapshot();
   beacon.crl = revocation->crl;
   beacon.url = revocation->url;
+  if (const auto& index = revocation->index;
+      index != nullptr && index->covers(params_.gpk, index->epoch())) {
+    state.epoch = index->epoch();
+    state.bases = index->bases();
+  }
   if (puzzle_difficulty_ > 0) {
     puzzle_nonce_ = rng_.bytes(16);
     beacon.puzzle = make_puzzle(puzzle_nonce_, puzzle_difficulty_);
@@ -268,8 +272,7 @@ MeshRouter::handle_access_requests(std::span<const AccessRequest> batch,
     }
     // Epoch mode: an honest user signs at the epoch of the beacon it
     // answers. Any other epoch is a bad signature, turned away before it
-    // can make the router derive (and cache) bases for an epoch of its
-    // choosing.
+    // can make the router derive bases for an epoch of its choosing.
     if (config_.revocation_epoch_ms != 0 &&
         m2.signature.epoch != config_.epoch_at(beacon->ts)) {
       reject(Reject::kBadSignature);
@@ -291,36 +294,13 @@ MeshRouter::handle_access_requests(std::span<const AccessRequest> batch,
   // job (on any worker) verifies against the same immutable revocation
   // view, so a concurrent delta publish can never split a batch. Jobs touch
   // only their own PendingVerify entry and shared const state (pgpk_, the
-  // snapshot), so no synchronization beyond the pool's own is needed.
+  // snapshot, the beacons' bases), so no synchronization beyond the pool's
+  // own is needed.
   const auto revocation = revocation_->snapshot();
   std::vector<PendingVerify*> jobs;
   jobs.reserve(pending.size());
   for (PendingVerify& pv : pending)
     if (!pv.deferred) jobs.push_back(&pv);
-
-  // Shared epoch bases (still sequential — the pool has not been fed
-  // yet): an epoch-mode request whose epoch the snapshot index does NOT
-  // cover (an M.2 answering a beacon from before a roll) is verified and
-  // scanned over bases that depend only on (gpk, epoch). Derive each
-  // distinct such epoch's PreparedBases once, here, so the pooled checks
-  // share them read-only instead of re-deriving per message. Epoch-0
-  // requests keep per-message bases by design (that is what makes them
-  // unlinkable), derived on the worker. In epoch mode the precheck pinned
-  // every epoch to one of the recent beacons', which bounds the fills;
-  // otherwise only a scan needs the bases, so an empty URL skips them.
-  if (config_.revocation_epoch_ms != 0 || !revocation->url_tokens.empty()) {
-    for (PendingVerify& pv : pending) {
-      const groupsig::Signature& sig = pv.m2->signature;
-      if (sig.epoch == 0 || shared_bases(sig, *revocation) != nullptr)
-        continue;
-      // Attributed to the request that triggered the fill, like every
-      // other first-toucher cost.
-      epoch_bases_.insert(sig.epoch,
-                          groupsig::PreparedBases(groupsig::epoch_bases(
-                              params_.gpk, sig.epoch, &pv.ops)),
-                          now);
-    }
-  }
 
   // A bad proof in a folded batch was pinpointed by bisection — the
   // attribution behind the batch_forgery_attributed event.
@@ -379,7 +359,7 @@ bool MeshRouter::verify_batch(std::span<PendingVerify* const> jobs,
   std::vector<groupsig::OpCounters*> item_ops(jobs.size());
   for (std::size_t i = 0; i < jobs.size(); ++i) {
     const groupsig::Signature& sig = jobs[i]->m2->signature;
-    const groupsig::PreparedBases* bases = shared_bases(sig, snapshot);
+    const groupsig::PreparedBases* bases = shared_bases(*jobs[i], snapshot);
     payloads[i] = jobs[i]->m2->signed_payload();
     items[i] = {payloads[i], &sig, bases != nullptr ? &bases->bases : nullptr};
     item_ops[i] = &jobs[i]->ops;
@@ -388,9 +368,7 @@ bool MeshRouter::verify_batch(std::span<PendingVerify* const> jobs,
   // one request: they go straight into the (still deterministic) aggregate.
   const SigBatch checked = verify_group_signatures(
       pgpk_, batch_salt_, items, pool_.get(), item_ops, &verify_ops_,
-      [&](std::size_t i, VerifyPool* scan_pool) {
-        return revoked(*jobs[i], snapshot, scan_pool);
-      });
+      [&](std::size_t i) { return revoked(*jobs[i], snapshot); });
   for (std::size_t i = 0; i < jobs.size(); ++i)
     jobs[i]->verdict = checked.verdicts[i];
   if (checked.folded) {
@@ -410,16 +388,20 @@ const groupsig::EpochRevocationIndex* MeshRouter::covering_index(
 }
 
 const groupsig::PreparedBases* MeshRouter::shared_bases(
-    const groupsig::Signature& sig,
-    const revoke::RevocationSnapshot& snapshot) const {
+    const PendingVerify& pv, const revoke::RevocationSnapshot& snapshot) const {
+  const groupsig::Signature& sig = pv.m2->signature;
   if (sig.epoch == 0) return nullptr;
-  if (const auto* index = covering_index(sig, snapshot)) return &index->bases();
-  return epoch_bases_.find(sig.epoch);
+  if (const auto* index = covering_index(sig, snapshot))
+    return index->bases().get();
+  // An M.2 answering a beacon from before a roll: the beacon kept its
+  // epoch's bases (install_params drops them with the key).
+  if (pv.beacon->bases != nullptr && sig.epoch == pv.beacon->epoch)
+    return pv.beacon->bases.get();
+  return nullptr;
 }
 
 bool MeshRouter::revoked(PendingVerify& pv,
-                         const revoke::RevocationSnapshot& snapshot,
-                         VerifyPool* scan_pool) {
+                         const revoke::RevocationSnapshot& snapshot) {
   // Telemetry: one span per checked signature, on whichever thread runs it.
   obs::Span span("router.revocation_check", "handshake");
   // Step 3.3: the revocation check. Epoch mode answers from the shared
@@ -437,21 +419,19 @@ bool MeshRouter::revoked(PendingVerify& pv,
   span.arg("tokens", snapshot.url_tokens.size());
   if (snapshot.url_tokens.empty()) return false;
   pv.fallback_scan = sig.epoch != 0;
-  // Scan path: epoch-mode signatures share the per-epoch bases the
-  // sequential precheck phase cached (read-only here — workers run this
-  // concurrently); epoch-0 signatures derive their per-message bases now.
-  // The scan itself is the batched TokenScan — one Miller loop per token,
-  // one shared easy-part inversion — sharded over the pool when the caller
-  // is sequential and the URL is large.
-  const groupsig::PreparedBases* prepared = shared_bases(sig, snapshot);
+  // Scan path: an epoch-mode signature shares its beacon's per-epoch bases
+  // (read-only here — workers run this concurrently); any other signature
+  // derives its bases now. The scan itself is the batched TokenScan — one
+  // Miller loop per token, one shared easy-part inversion.
+  const groupsig::PreparedBases* prepared = shared_bases(pv, snapshot);
   groupsig::PreparedBases local;
   if (prepared == nullptr) {
     const Bytes payload = pv.m2->signed_payload();
     local = groupsig::prepare_bases(params_.gpk, payload, sig, &pv.ops);
     prepared = &local;
   }
-  return url_scan_revoked(*prepared, sig, snapshot.url_tokens, scan_pool,
-                          &pv.ops);
+  return groupsig::scan_tokens(*prepared, sig, snapshot.url_tokens,
+                               &pv.ops) != groupsig::TokenScan::npos;
 }
 
 MeshRouter::AccessOutcome MeshRouter::accept_request(const AccessRequest& m2,

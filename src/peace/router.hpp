@@ -1,7 +1,10 @@
 // Mesh-router protocol endpoint: beacon generation (M.1), access-request
 // handling (M.2 -> M.3), session management, and the client-puzzle DoS
 // defence. One instance per router; the mesh simulator wires instances
-// together over a lossy radio model.
+// together over a lossy radio model. Each M.2 gets one revocation check,
+// on whichever thread verifies it: the shared epoch index when it covers
+// the signature, else the URL scan — over the bases the answered beacon
+// kept from the index, or over bases derived from the message.
 #pragma once
 
 #include <deque>
@@ -109,11 +112,12 @@ class MeshRouter {
   /// Installs new system parameters after NO rotates the group master key
   /// (membership renewal). Pushed over the operator's secure channel;
   /// established sessions keep draining on their symmetric keys. The fixed
-  /// pairing arguments (g2, w) are re-prepared here, once per rotation.
+  /// pairing argument w is re-prepared here, once per rotation.
   void install_params(const SystemParams& params) {
     params_ = params;
     pgpk_ = groupsig::PreparedGroupPublicKey(params_.gpk);
-    epoch_bases_.clear();  // bases are derived from (gpk, epoch)
+    // Bases are derived from (gpk, epoch): the old key's fit no M.2 now.
+    for (BeaconState& b : recent_beacons_) b.bases.reset();
   }
 
   /// Enables the client-puzzle defence (Sec. V.A) at the given difficulty.
@@ -122,7 +126,8 @@ class MeshRouter {
   /// M.1: a fresh beacon — new random generator g and exponent rR each
   /// period, current CRL/URL attached, optionally a puzzle challenge. In
   /// epoch mode it first advances the shared revocation index to
-  /// config.epoch_at(now), the epoch the beacon's answers are signed at.
+  /// config.epoch_at(now), the epoch the beacon's answers are signed at,
+  /// and keeps that index's bases for them (they outlive a later roll).
   BeaconMessage make_beacon(Timestamp now);
 
   struct AccessOutcome {
@@ -169,6 +174,11 @@ class MeshRouter {
     Fr r_r;
     Bytes g_rr_bytes;
     Timestamp ts = 0;
+    /// The snapshot index's epoch and bases when the beacon was made, if
+    /// that index covered the router's key: what an M.2 answering this
+    /// beacon is verified over after the index has rolled on.
+    groupsig::Epoch epoch = 0;
+    std::shared_ptr<const groupsig::PreparedBases> bases;
   };
 
   /// One batch entry between the precheck, verify, and apply passes.
@@ -181,19 +191,19 @@ class MeshRouter {
   /// whether the check folded (and then bumps the batch counters).
   bool verify_batch(std::span<PendingVerify* const> jobs,
                     const revoke::RevocationSnapshot& snapshot);
-  /// Step 3.3 for one verified request (the RevokedCheck of verify_batch).
-  /// `scan_pool` non-null shards a large-URL scan over the pool.
-  bool revoked(PendingVerify& pv, const revoke::RevocationSnapshot& snapshot,
-               VerifyPool* scan_pool);
+  /// Step 3.3 for one verified request (the RevokedCheck of verify_batch),
+  /// on whichever thread runs it.
+  bool revoked(PendingVerify& pv, const revoke::RevocationSnapshot& snapshot);
   /// The snapshot's index when it answers `sig` (same epoch, same group
   /// key), else null.
   const groupsig::EpochRevocationIndex* covering_index(
       const groupsig::Signature& sig,
       const revoke::RevocationSnapshot& snapshot) const;
-  /// The bases every signature of sig's epoch shares: the covering index's,
-  /// else the epoch_bases_ entry. Null at epoch 0 and on a cache miss.
+  /// The bases every signature of pv's epoch shares: the covering index's,
+  /// else its beacon's when they are of that epoch. Null at epoch 0 and
+  /// otherwise; the check then derives the bases from the message.
   const groupsig::PreparedBases* shared_bases(
-      const groupsig::Signature& sig,
+      const PendingVerify& pv,
       const revoke::RevocationSnapshot& snapshot) const;
 
   RouterId id_;
@@ -212,18 +222,6 @@ class MeshRouter {
   Bytes batch_salt_;
 
   std::shared_ptr<revoke::SharedRevocationState> revocation_;  // never null
-
-  /// Epoch-mode bases depend only on (gpk, epoch), so every verification
-  /// the index does not cover — in a batch and across batches — shares
-  /// one PreparedBases per epoch instead of deriving its own.
-  /// Mutated ONLY in the sequential precheck phase of
-  /// handle_access_requests (and cleared in install_params); pool workers
-  /// read it concurrently via the const find(), never insert. Epochs
-  /// advance monotonically, so at steady state the cache holds the live
-  /// epoch plus a few stragglers from an in-flight roll.
-  static constexpr std::size_t kEpochBasesCacheCap = 8;
-  BoundedMap<groupsig::Epoch, groupsig::PreparedBases> epoch_bases_{
-      kEpochBasesCacheCap};
 
   std::deque<BeaconState> recent_beacons_;
   std::uint8_t puzzle_difficulty_ = 0;

@@ -3,7 +3,6 @@
 #include "common/serde.hpp"
 #include "curve/hash_to_curve.hpp"
 #include "obs/trace.hpp"
-#include "peace/url_scan.hpp"
 
 namespace peace::proto {
 
@@ -189,8 +188,8 @@ std::optional<Session> User::process_access_confirm(const AccessConfirm& m3) {
   return session;
 }
 
-bool User::peer_revoked(BytesView payload, const groupsig::Signature& sig,
-                        VerifyPool* scan_pool) const {
+bool User::peer_revoked(BytesView payload,
+                        const groupsig::Signature& sig) const {
   if (url_tokens_.empty()) return false;
   // One base derivation (and one v_hat preparation) amortised over the
   // whole URL scan, and the batched TokenScan underneath: one Miller loop
@@ -198,7 +197,8 @@ bool User::peer_revoked(BytesView payload, const groupsig::Signature& sig,
   // the whole hello check.
   const groupsig::PreparedBases prepared =
       groupsig::prepare_bases(params_.gpk, payload, sig);
-  return url_scan_revoked(prepared, sig, url_tokens_, scan_pool);
+  return groupsig::scan_tokens(prepared, sig, url_tokens_) !=
+         groupsig::TokenScan::npos;
 }
 
 PeerHello User::make_peer_hello(const G1& g, Timestamp now,
@@ -268,9 +268,7 @@ std::vector<std::optional<PeerReply>> User::process_peer_hellos(
   }
   const SigBatch checked = verify_group_signatures(
       pgpk_, batch_salt_, items, pool_.get(), {}, nullptr,
-      [&](std::size_t i, VerifyPool* scan_pool) {
-        return peer_revoked(payloads[i], *items[i].sig, scan_pool);
-      });
+      [&](std::size_t i) { return peer_revoked(payloads[i], *items[i].sig); });
   if (checked.folded) {
     ++stats_.peer_verify_batches;
     stats_.peer_batched_hellos += pending.size();
@@ -329,7 +327,7 @@ std::optional<User::PeerEstablished> User::process_peer_reply(
   if (age > config_.replay_window_ms) return std::nullopt;
   const Bytes reply_payload = reply.signed_payload();
   if (!groupsig::verify_proof(pgpk_, reply_payload, reply.signature) ||
-      peer_revoked(reply_payload, reply.signature, nullptr))
+      peer_revoked(reply_payload, reply.signature))
     return std::nullopt;
 
   const G1 shared = reply.g_rl * pending->r_j;

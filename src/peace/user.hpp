@@ -181,9 +181,8 @@ class User {
   bool signed_by_no(std::optional<NoSigned>& verified, Bytes payload,
                     const curve::EcdsaSignature& signature);
   /// The URL scan of a peer's group signature: true when `sig` matches a
-  /// token. `scan_pool` non-null shards a large URL over the pool.
-  bool peer_revoked(BytesView payload, const groupsig::Signature& sig,
-                    VerifyPool* scan_pool) const;
+  /// token.
+  bool peer_revoked(BytesView payload, const groupsig::Signature& sig) const;
   const MemberKey& pick_credential(GroupId via_group) const;
 
   std::string uid_;

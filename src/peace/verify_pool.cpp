@@ -156,13 +156,9 @@ SigBatch verify_group_signatures(
     for (std::size_t i = 0; i < items.size(); ++i)
       if (ok[i]) survivors.push_back(i);
   }
-  // A single survivor leaves the pool idle on this thread — shard its URL
-  // scan instead of running one-core.
-  VerifyPool* scan_pool = survivors.size() == 1 ? pool : nullptr;
   run_jobs(pool, survivors.size(), [&](std::size_t k) {
     const std::size_t i = survivors[k];
-    out.verdicts[i] =
-        revoked(i, scan_pool) ? SigVerdict::kRevoked : SigVerdict::kOk;
+    out.verdicts[i] = revoked(i) ? SigVerdict::kRevoked : SigVerdict::kOk;
   });
   return out;
 }

@@ -6,10 +6,11 @@
 // enrollment on a pool of its own (docs/ARCHITECTURE.md §3).
 //
 // verify_group_signatures decides how a batch is verified: the
-// embarrassingly-parallel groupsig::BatchVerifier::prepare(i) calls fan
-// out here, while the order-sensitive combined checks and bisection stay
-// on the calling thread (BatchVerifier::finalize is sequential by
-// contract). Threading model of both callers: a sequential precheck pass
+// embarrassingly-parallel groupsig::BatchVerifier::prepare(i) calls and
+// the survivors' revocation checks (one job per signature, never split
+// across workers) fan out here, while the order-sensitive combined checks
+// and bisection stay on the calling thread (BatchVerifier::finalize is
+// sequential by contract). Threading model of both callers: a sequential precheck pass
 // feeds the check, and a sequential in-order apply pass consumes its
 // verdicts — all rng draws and state mutation happen in the sequential
 // passes, which is what keeps results independent of the worker count.
@@ -100,15 +101,14 @@ struct SigBatch {
 };
 
 /// Step 3.3 for item `i` once its proof holds: true when the signer is
-/// revoked. `scan_pool` is non-null only on the calling thread with the
-/// pool idle (pool batches do not nest), so a large URL scan may shard.
-using RevokedCheck = std::function<bool(std::size_t i, VerifyPool* scan_pool)>;
+/// revoked. Runs on whichever thread claimed the item.
+using RevokedCheck = std::function<bool(std::size_t i)>;
 
 /// Paper steps 3.2 + 3.3 for a batch of group signatures, verdicts
 /// bit-identical to checking each item on its own. One item runs
 /// verify_proof; more fold into a BatchVerifier whose prepare() fans out
 /// over `pool` (null: inline). The survivors' revocation checks fan out
-/// too; a lone survivor's runs here with the pool as its `scan_pool`.
+/// too, one job per survivor.
 /// `item_ops` (empty, or one per item) gets per-item proof costs,
 /// `batch_ops` the fold's batch-global costs.
 SigBatch verify_group_signatures(

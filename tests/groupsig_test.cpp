@@ -172,6 +172,16 @@ TEST_F(GroupSigTest, PreparedVerifyMatchesPlain) {
   }
 }
 
+TEST_F(GroupSigTest, PreparedKeyBuildsOneLineTable) {
+  // init() prepared the generator g2 once for the process, so a prepared
+  // key builds only its own w table and no run's op counts depend on how
+  // many keys were prepared before it.
+  obs::Registry::global().reset();
+  const PreparedGroupPublicKey pgpk(issuer_.gpk());
+  EXPECT_EQ(obs::op_count(obs::Op::kG2Prepared), 1u);
+  EXPECT_FALSE(pgpk.w.is_infinity());
+}
+
 TEST_F(GroupSigTest, PreparedVerifyWithUrlMatchesPlain) {
   // Full verify (proof + URL scan), prepared vs plain, including the
   // operation counters the paper's cost analysis is checked against.
@@ -275,7 +285,7 @@ TEST_F(GroupSigTest, EmptyEpochIndexCostsNoPairing) {
   ASSERT_TRUE(index.add_token(url[0]));
   for (const Signature* sig : {&by_alice, &by_bob})
     EXPECT_EQ(index.is_revoked(*sig),
-              scan_tokens(index.bases(), *sig, url) != TokenScan::npos);
+              scan_tokens(*index.bases(), *sig, url) != TokenScan::npos);
   EXPECT_TRUE(index.is_revoked(by_alice));
 }
 

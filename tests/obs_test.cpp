@@ -13,6 +13,7 @@
 #include "curve/bn254.hpp"
 #include "curve/pairing.hpp"
 #include "mesh/metro_scenario.hpp"
+#include "obs/health.hpp"
 #include "obs/fields.hpp"
 #include "obs/metrics.hpp"
 #include "obs/sec_event.hpp"
@@ -425,6 +426,10 @@ TEST_F(ObsTest, FieldTablesAreCatalogued) {
   check(obs::kFields<mesh::MetroStats>);
   check(obs::kFields<mesh::FrameArenaStats>);
   check(obs::kFields<mesh::SyntheticStats>);
+  check(obs::kFields<obs::HealthCounts>);
+  // The per-shard gauges the monitor names at run time.
+  catalogued("health.s<id>.alerts");
+  catalogued("health.s<id>.<kind>.window");
   for (const obs::OpRow& op : obs::kOps) catalogued(op.metric);
   for (const persist::CounterRow& c : persist::kCounters) catalogued(c.metric);
   for (std::size_t k = 0; k < obs::kSecEventKindCount; ++k)
@@ -491,6 +496,61 @@ TEST_F(ObsTest, PooledAndSequentialCountersMatch) {
   const auto seq = run(1);
   const auto pooled = run(4);
   EXPECT_EQ(std::get<0>(seq), 3u);
+  EXPECT_EQ(seq, pooled);
+}
+
+TEST_F(ObsTest, PooledAndSequentialCountersMatchOnALargeUrl) {
+  // The same contract for the one revocation check that has the pool to
+  // itself: a lone hello from a revoked member, scanned against a 256-token
+  // NO-signed URL that lists it first. The 4-thread user runs the scan as
+  // one job, exactly as the inline user does, so it does the same work.
+  constexpr proto::Timestamp kFarFuture = 1000ull * 86400 * 365;
+  constexpr std::size_t kUrlSize = 256;
+  proto::NetworkOperator no(crypto::Drbg::from_string("obs-url-no"));
+  proto::TrustedThirdParty ttp;
+  proto::GroupManager listed = no.register_group("obs-url-g", kUrlSize, ttp);
+  const auto revoked = listed.enroll("obs-revoked", ttp);
+  no.revoke_user_key(revoked.index, 100);
+  for (const auto& entry : no.grt_entries())
+    no.revoke_user_key(entry.index, 100);  // re-revoking is a no-op
+  ASSERT_EQ(no.current_url().entries.size(), kUrlSize);
+  proto::GroupManager responders = no.register_group("obs-url-r", 2, ttp);
+  auto provision = no.provision_router(1, kFarFuture);
+  proto::MeshRouter router(1, provision.keypair, provision.certificate,
+                           no.params(),
+                           crypto::Drbg::from_string("obs-url-router"));
+  router.install_revocation_lists(no.current_crl(), no.current_url());
+  const proto::BeaconMessage beacon = router.make_beacon(1000);
+
+  proto::User sender("obs-revoked", no.params(),
+                     crypto::Drbg::from_string("obs-revoked"));
+  sender.complete_enrollment(revoked);
+  const proto::PeerHello hello = sender.make_peer_hello(beacon.g, 1000);
+
+  const auto run = [&](unsigned threads) {
+    proto::ProtocolConfig config;
+    config.verify_threads = threads;
+    proto::User responder("obs-url-responder", no.params(),
+                          crypto::Drbg::from_string("obs-url-responder"),
+                          config);
+    responder.complete_enrollment(responders.enroll(
+        "obs-url-responder-" + std::to_string(threads), ttp));
+    EXPECT_TRUE(responder.process_beacon(beacon, 1000).has_value());
+    Registry::global().reset();
+    const auto replies = responder.process_peer_hellos({&hello, 1}, 1010);
+    auto& reg = Registry::global();
+    return std::tuple{replies.front().has_value(),
+                      reg.counter("curve.pairings").value(),
+                      reg.counter("curve.miller_loops").value(),
+                      reg.counter("curve.final_exps").value(),
+                      reg.counter("curve.fp12_inverses").value(),
+                      reg.counter("curve.g2_prepared_builds").value()};
+  };
+
+  const auto seq = run(1);
+  const auto pooled = run(4);
+  EXPECT_FALSE(std::get<0>(seq));  // revoked
+  EXPECT_GE(std::get<2>(seq), kUrlSize);  // every token's Miller loop
   EXPECT_EQ(seq, pooled);
 }
 

@@ -471,8 +471,8 @@ TEST_F(RevokeSystemTest, EpochRollRaceFallsBackToSharedPreparedScan) {
   // time the router handles them, the snapshot index answers only epoch 5.
   // The mismatch must fall back to the prepared-bases URL scan (not throw,
   // not misclassify against the wrong epoch's tags) — and since epoch-mode
-  // bases depend only on (gpk, epoch), the whole batch shares ONE base
-  // derivation.
+  // bases depend only on (gpk, epoch), the whole batch shares the bases
+  // its beacon kept from the epoch-4 index: no derivation at all.
   auto router = make_router(1);
   auto alice = make_user("alice");
   auto mallory = make_user("mallory");
@@ -497,7 +497,7 @@ TEST_F(RevokeSystemTest, EpochRollRaceFallsBackToSharedPreparedScan) {
   router->set_revocation_epoch(5);  // the roll lands before the batch
   const std::uint64_t before = curve::g2_prepared_count();
   const auto outcomes = router->handle_access_requests(batch, 1001);
-  EXPECT_EQ(curve::g2_prepared_count() - before, 1u);
+  EXPECT_EQ(curve::g2_prepared_count() - before, 0u);
   ASSERT_EQ(outcomes.size(), 2u);
   EXPECT_TRUE(outcomes[0].has_value());
   EXPECT_FALSE(outcomes[1].has_value());
@@ -521,7 +521,7 @@ TEST_F(RevokeSystemTest, EpochModeSegmentRollsWithM2InFlight) {
   // (one-minute epochs) and check on 4-thread pools. Users answer router
   // 1's epoch-1 beacon; router 2 beacons first in epoch 2 and rolls the
   // shared index. Router 1 then checks the in-flight epoch-1 M.2s through
-  // the fallback scan over one shared set of epoch-1 bases: the honest
+  // the fallback scan over the epoch-1 bases their beacon kept: the honest
   // user is admitted and the revoked one still rejected — the verdicts
   // router 2's index gives current-epoch M.2s.
   proto::ProtocolConfig config;
@@ -575,7 +575,7 @@ TEST_F(RevokeSystemTest, EpochModeSegmentRollsWithM2InFlight) {
 
   const std::uint64_t prepared = curve::g2_prepared_count();
   expect_verdicts(r1->handle_access_requests(in_flight, 61'000));
-  EXPECT_EQ(curve::g2_prepared_count() - prepared, 1u);  // one epoch-1 v_hat
+  EXPECT_EQ(curve::g2_prepared_count() - prepared, 0u);  // the beacon's
   EXPECT_EQ(r1->stats().epoch_fallback_scans, 2u);
   EXPECT_EQ(r1->stats().rejected_revoked, 1u);
 
@@ -597,16 +597,19 @@ TEST_F(RevokeSystemTest, EpochModeSegmentRollsWithM2InFlight) {
 
 TEST_F(RevokeSystemTest, EpochModeIndexFollowsKeyRotation) {
   // A master-key rotation inside an epoch keeps the epoch number but
-  // changes every base. The router's next beacon rebuilds the index under
-  // the new key, so the new era's revoked member is still caught by it
-  // and the honest member's proof still checks against its bases.
+  // changes every base. An M.2 signed under the new key that answers a
+  // beacon from before the rotation, and arrives before the router's next
+  // beacon, is checked over bases of the new key: the old beacon's bases
+  // went with install_params. The router's next beacon rebuilds the index
+  // under the new key, so the new era's revoked member is still caught by
+  // it and the honest member's proof still checks against its bases.
   proto::ProtocolConfig config;
   config.revocation_epoch_ms = 60'000;
   auto p = no_.provision_router(1, kFarFuture);
   MeshRouter router(1, p.keypair, p.certificate, no_.params(),
                     crypto::Drbg::from_string("rv-rotate-router"), config);
   router.install_revocation_lists(no_.current_crl(), no_.current_url());
-  (void)router.make_beacon(1'000);  // epoch 1 under the first key
+  const auto old_beacon = router.make_beacon(1'000);  // epoch 1, first key
 
   no_.rotate_master_key(2'000);
   no_.reissue_group(gm_, 4, ttp_);
@@ -622,19 +625,34 @@ TEST_F(RevokeSystemTest, EpochModeIndexFollowsKeyRotation) {
   no_.revoke_user_key(enrollments_["mallory"].index, 2'500);
   router.install_revocation_lists(no_.current_crl(), no_.current_url());
 
+  const auto answer = [&](const proto::BeaconMessage& beacon,
+                          Timestamp now) {
+    std::vector<proto::AccessRequest> m2s;
+    for (auto& u : users) {
+      auto m2 = u->process_beacon(beacon, now);
+      EXPECT_TRUE(m2.has_value());
+      if (m2.has_value()) m2s.push_back(std::move(*m2));
+    }
+    return m2s;
+  };
+  const auto expect_verdicts = [](const auto& outcomes) {
+    ASSERT_EQ(outcomes.size(), 2u);
+    EXPECT_TRUE(outcomes[0].has_value());   // alice
+    EXPECT_FALSE(outcomes[1].has_value());  // mallory, revoked
+  };
+
+  // Before the next beacon: the index still covers the first key, so the
+  // M.2s answering the old beacon go through the fallback scan.
+  expect_verdicts(
+      router.handle_access_requests(answer(old_beacon, 2'600), 2'600));
+  EXPECT_EQ(router.stats().rejected_revoked, 1u);
+  EXPECT_EQ(router.stats().epoch_fallback_scans, 2u);
+
   const auto beacon = router.make_beacon(3'000);  // epoch 1, new key
   EXPECT_EQ(router.revocation()->stats().epoch_rolls, 2u);
-  std::vector<proto::AccessRequest> m2s;
-  for (auto& u : users) {
-    auto m2 = u->process_beacon(beacon, 3'000);
-    ASSERT_TRUE(m2.has_value());
-    m2s.push_back(std::move(*m2));
-  }
-  const auto outcomes = router.handle_access_requests(m2s, 3'000);
-  EXPECT_TRUE(outcomes[0].has_value());
-  EXPECT_FALSE(outcomes[1].has_value());
-  EXPECT_EQ(router.stats().rejected_revoked, 1u);
-  EXPECT_EQ(router.stats().epoch_fallback_scans, 0u);
+  expect_verdicts(router.handle_access_requests(answer(beacon, 3'000), 3'000));
+  EXPECT_EQ(router.stats().rejected_revoked, 2u);
+  EXPECT_EQ(router.stats().epoch_fallback_scans, 2u);  // the index answered
 }
 
 TEST_F(RevokeSystemTest, EpochModeRouterPinsTheBeaconEpoch) {

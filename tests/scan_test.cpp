@@ -1,24 +1,13 @@
-// The batched revocation-scan stack: groupsig::scan_tokens against the
-// per-token matches_token reference (verdict bit-identity and the
-// one-Fp12-inversion-per-scan contract), and the pool-sharded large-URL
-// scan (peace::proto::url_scan_revoked) against the sequential path with
-// the revoked hit at every interesting position.
-#include "peace/url_scan.hpp"
-
+// The batched revocation scan: groupsig::scan_tokens against the per-token
+// matches_token reference (verdict bit-identity, for a signer absent,
+// listed at every interesting position, and tampered) and the
+// one-Fp12-inversion-per-scan contract.
 #include <gtest/gtest.h>
 
-#include "curve/ecdsa.hpp"
 #include "groupsig/groupsig.hpp"
-#include "peace/verify_pool.hpp"
 
-namespace peace::proto {
+namespace peace::groupsig {
 namespace {
-
-using groupsig::MemberKey;
-using groupsig::PreparedBases;
-using groupsig::RevocationToken;
-using groupsig::Signature;
-using groupsig::TokenScan;
 
 class ScanTest : public ::testing::Test {
  protected:
@@ -26,14 +15,12 @@ class ScanTest : public ::testing::Test {
 
   ScanTest()
       : rng_(crypto::Drbg::from_string("scan-test")),
-        issuer_(groupsig::Issuer::create(rng_)),
+        issuer_(Issuer::create(rng_)),
         grp_(issuer_.new_group_secret(rng_)),
-        alice_(issuer_.issue(grp_, rng_)),
-        bob_(issuer_.issue(grp_, rng_)) {}
+        alice_(issuer_.issue(grp_, rng_)) {}
 
   /// `n` well-formed tokens no issued member owns (distinct small multiples
-  /// of the generator) — scan fodder that can never match a real signer,
-  /// cheap enough to build URLs past the sharding threshold.
+  /// of the generator) — scan fodder that can never match a real signer.
   static std::vector<RevocationToken> fodder(std::size_t n) {
     std::vector<RevocationToken> url;
     url.reserve(n);
@@ -47,39 +34,50 @@ class ScanTest : public ::testing::Test {
   }
 
   Signature sign_m(const MemberKey& key) {
-    return groupsig::sign(issuer_.gpk(), key, as_bytes("m"), rng_);
+    return sign(issuer_.gpk(), key, as_bytes("m"), rng_);
   }
 
   PreparedBases prepared_for(const Signature& sig) {
-    return groupsig::prepare_bases(issuer_.gpk(), as_bytes("m"), sig);
+    return prepare_bases(issuer_.gpk(), as_bytes("m"), sig);
   }
 
   crypto::Drbg rng_;
-  groupsig::Issuer issuer_;
+  Issuer issuer_;
   curve::Fr grp_;
-  MemberKey alice_, bob_;
+  MemberKey alice_;
 };
 
 TEST_F(ScanTest, BatchedScanMatchesPerTokenReference) {
   const Signature sig = sign_m(alice_);
-  const PreparedBases prepared = prepared_for(sig);
+  // A tampered signature matches no token, its signer's included.
+  Signature forged = sig;
+  forged.t2 = forged.t2 + curve::Bn254::get().g1_gen;
 
-  // Signer absent, at the front, in the middle, and at the end: the batched
-  // scan must report exactly the index the per-token loop finds first.
-  for (const std::size_t pos : {std::size_t{TokenScan::npos}, std::size_t{0},
-                                std::size_t{3}, std::size_t{6}}) {
+  struct Case {
+    const Signature* sig;
+    std::size_t listed_at;  // where alice's token sits, or npos
+    std::size_t want;
+  };
+  constexpr std::size_t npos = TokenScan::npos;
+  // Signer absent, at the front, in the middle, and at the end, then the
+  // tampered signature against a listed signer: the batched scan must
+  // report exactly the index the per-token loop finds first.
+  for (const Case& c : {Case{&sig, npos, npos}, Case{&sig, 0, 0},
+                        Case{&sig, 3, 3}, Case{&sig, 6, 6},
+                        Case{&forged, 3, npos}}) {
+    const PreparedBases prepared = prepared_for(*c.sig);
     std::vector<RevocationToken> url = fodder(7);
-    if (pos != TokenScan::npos) url[pos] = {alice_.a};
+    if (c.listed_at != npos) url[c.listed_at] = {alice_.a};
 
-    std::size_t reference = TokenScan::npos;
+    std::size_t reference = npos;
     for (std::size_t i = 0; i < url.size(); ++i) {
-      if (groupsig::matches_token(prepared, sig, url[i])) {
+      if (matches_token(prepared, *c.sig, url[i])) {
         reference = i;
         break;
       }
     }
-    EXPECT_EQ(reference, pos);
-    EXPECT_EQ(groupsig::scan_tokens(prepared, sig, url), pos);
+    EXPECT_EQ(reference, c.want);
+    EXPECT_EQ(scan_tokens(prepared, *c.sig, url), c.want);
   }
 }
 
@@ -91,12 +89,12 @@ TEST_F(ScanTest, ScanPaysOneEasyPartInversion) {
   // The per-token reference pays one easy-part inversion per token...
   std::uint64_t before = curve::fp12_inverse_count();
   for (const RevocationToken& token : url)
-    EXPECT_FALSE(groupsig::matches_token(prepared, sig, token));
+    EXPECT_FALSE(matches_token(prepared, sig, token));
   EXPECT_EQ(curve::fp12_inverse_count() - before, url.size());
 
   // ...the batched scan pays exactly one for the whole clean scan...
   before = curve::fp12_inverse_count();
-  EXPECT_EQ(groupsig::scan_tokens(prepared, sig, url), TokenScan::npos);
+  EXPECT_EQ(scan_tokens(prepared, sig, url), TokenScan::npos);
   EXPECT_EQ(curve::fp12_inverse_count() - before, 1u);
 
   // ...and still exactly one when a token matches (the easy part is batched
@@ -104,7 +102,7 @@ TEST_F(ScanTest, ScanPaysOneEasyPartInversion) {
   std::vector<RevocationToken> hit = url;
   hit[5] = {alice_.a};
   before = curve::fp12_inverse_count();
-  EXPECT_EQ(groupsig::scan_tokens(prepared, sig, hit), 5u);
+  EXPECT_EQ(scan_tokens(prepared, sig, hit), 5u);
   EXPECT_EQ(curve::fp12_inverse_count() - before, 1u);
 }
 
@@ -112,47 +110,9 @@ TEST_F(ScanTest, EmptyScanIsFree) {
   const Signature sig = sign_m(alice_);
   const PreparedBases prepared = prepared_for(sig);
   const std::uint64_t before = curve::fp12_inverse_count();
-  EXPECT_EQ(groupsig::scan_tokens(prepared, sig, {}), TokenScan::npos);
+  EXPECT_EQ(scan_tokens(prepared, sig, {}), TokenScan::npos);
   EXPECT_EQ(curve::fp12_inverse_count() - before, 0u);
 }
 
-TEST_F(ScanTest, ShardedScanMatchesSequential) {
-  // Above kMinShardedUrlScan the pool path engages; a size that does not
-  // divide evenly across shards exercises the contiguous-range split.
-  const std::size_t n = kMinShardedUrlScan + 5;
-  const std::vector<RevocationToken> clean = fodder(n);
-  VerifyPool pool(4);
-
-  const Signature by_alice = sign_m(alice_);
-  const PreparedBases pa = prepared_for(by_alice);
-
-  // Revoked hit at the first, middle, and last position: pooled and
-  // sequential agree (set membership is order-independent, so early exit
-  // cannot flip the verdict).
-  for (const std::size_t pos : {std::size_t{0}, n / 2, n - 1}) {
-    std::vector<RevocationToken> url = clean;
-    url[pos] = {alice_.a};
-    EXPECT_TRUE(url_scan_revoked(pa, by_alice, url, &pool));
-    EXPECT_TRUE(url_scan_revoked(pa, by_alice, url, nullptr));
-  }
-
-  // A signer not on the list scans clean through the pool.
-  const Signature by_bob = sign_m(bob_);
-  const PreparedBases pb = prepared_for(by_bob);
-  std::vector<RevocationToken> url = clean;
-  url[n / 2] = {alice_.a};
-  EXPECT_FALSE(url_scan_revoked(pb, by_bob, url, &pool));
-
-  // A tampered signature matches nothing — pooled and sequential agree.
-  Signature forged = by_alice;
-  forged.t2 = forged.t2 + curve::Bn254::get().g1_gen;
-  const PreparedBases pf = prepared_for(forged);
-  EXPECT_FALSE(url_scan_revoked(pf, forged, url, &pool));
-  EXPECT_FALSE(url_scan_revoked(pf, forged, url, nullptr));
-
-  // Empty URL: nobody is revoked.
-  EXPECT_FALSE(url_scan_revoked(pa, by_alice, {}, &pool));
-}
-
 }  // namespace
-}  // namespace peace::proto
+}  // namespace peace::groupsig
