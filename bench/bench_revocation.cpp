@@ -357,7 +357,8 @@ void BM_SharedSnapshotIndex(benchmark::State& state) {
   std::uint64_t rolls = 0;
   groupsig::Epoch epoch = 1;
   for (auto _ : state) {
-    fleet[0]->set_revocation_epoch(++epoch);  // one build, N readers
+    // One build, N readers.
+    fleet[0]->revocation()->set_epoch(no.gpk(), ++epoch);
     for (const auto& r : fleet)
       benchmark::DoNotOptimize(r->revocation()->snapshot());
     ++rolls;

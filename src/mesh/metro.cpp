@@ -165,8 +165,7 @@ proto::VerifyPool& MetroSimulation::pool() {
                                 : std::thread::hardware_concurrency();
     const auto threads = static_cast<unsigned>(std::clamp<std::size_t>(
         wanted, 1, std::max<std::size_t>(1, shards_.size())));
-    pool_ = std::make_unique<proto::VerifyPool>(threads,
-                                                /*verify_telemetry=*/false);
+    pool_ = std::make_unique<proto::VerifyPool>(threads);
   }
   return *pool_;
 }

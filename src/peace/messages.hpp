@@ -38,10 +38,10 @@ struct ProtocolConfig {
   Timestamp replay_window_ms = 5000;
   /// How many recent beacon periods a router honours access requests for.
   std::size_t beacon_history = 8;
-  /// Worker threads for the batch verification path
-  /// (MeshRouter::handle_access_requests, User::process_peer_hellos). 0 or
-  /// 1 verifies inline on the calling thread; results are bit-identical
-  /// either way.
+  /// Worker threads for the router's M.2 batch verification
+  /// (MeshRouter::handle_access_requests); users check each peer hello
+  /// inline. 0 or 1 verifies inline on the calling thread; results are
+  /// bit-identical either way.
   unsigned verify_threads = 0;
 
   // --- reliability layer (PROTOCOL.md §10) -------------------------------

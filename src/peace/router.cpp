@@ -117,10 +117,6 @@ void MeshRouter::handle_rl_resync(const RLResyncResponse& resp) {
     ++stats_.rl_resyncs_completed;
 }
 
-void MeshRouter::set_revocation_epoch(groupsig::Epoch epoch) {
-  revocation_->set_epoch(params_.gpk, epoch);
-}
-
 void MeshRouter::set_under_attack(bool attacked,
                                   std::uint8_t difficulty_bits) {
   puzzle_difficulty_ = attacked ? difficulty_bits : 0;
@@ -367,7 +363,7 @@ bool MeshRouter::verify_batch(std::span<PendingVerify* const> jobs,
   // The fold's combined-check / bisection costs are not attributable to
   // one request: they go straight into the (still deterministic) aggregate.
   const SigBatch checked = verify_group_signatures(
-      pgpk_, batch_salt_, items, pool_.get(), item_ops, &verify_ops_,
+      pgpk_, batch_salt_, items, pool_.get(), item_ops, verify_ops_,
       [&](std::size_t i) { return revoked(*jobs[i], snapshot); });
   for (std::size_t i = 0; i < jobs.size(); ++i)
     jobs[i]->verdict = checked.verdicts[i];

@@ -99,11 +99,6 @@ class MeshRouter {
   /// Completes a resync round-trip with the NO's full list.
   void handle_rl_resync(const RLResyncResponse& resp);
 
-  /// Switches the revocation check to epoch mode (nonzero `epoch`: the
-  /// shared index answers is_revoked in O(1)) or back to per-message bases
-  /// (epoch 0). Affects every router sharing this revocation state.
-  void set_revocation_epoch(groupsig::Epoch epoch);
-
   /// The shared revocation state (for wiring and for tests).
   const std::shared_ptr<revoke::SharedRevocationState>& revocation() const {
     return revocation_;

@@ -17,13 +17,15 @@ User::User(std::string uid, SystemParams params, crypto::Drbg rng,
       pgpk_(params_.gpk),
       rng_(std::move(rng)),
       config_(config),
-      batch_salt_(rng_.bytes(32)),
-      receipt_key_(curve::EcdsaKeyPair::generate(rng_)),
       pending_access_(config_.pending_cap),
       pending_peer_init_(config_.pending_cap),
       pending_peer_resp_(config_.pending_cap),
       hello_replies_(config_.pending_cap),
-      peer_confirms_(config_.pending_cap) {}
+      peer_confirms_(config_.pending_cap) {
+  // Skipped so later draws (receipt key, DH shares, nonces) keep pinned bytes.
+  rng_.bytes(32);
+  receipt_key_ = curve::EcdsaKeyPair::generate(rng_);
+}
 
 std::size_t User::reap_pending(Timestamp now) {
   const Timestamp ttl = config_.pending_ttl_ms;
@@ -219,95 +221,37 @@ PeerHello User::make_peer_hello(const G1& g, Timestamp now,
 std::optional<PeerReply> User::process_peer_hello(const PeerHello& hello,
                                                   Timestamp now,
                                                   GroupId via_group) {
-  return std::move(process_peer_hellos({&hello, 1}, now, via_group).front());
-}
-
-std::vector<std::optional<PeerReply>> User::process_peer_hellos(
-    std::span<const PeerHello> hellos, Timestamp now, GroupId via_group) {
-  std::vector<std::optional<PeerReply>> results(hellos.size());
-
-  static obs::Histogram& peer_batch_hist =
-      obs::Registry::global().histogram("user.peer_batch_us");
-  obs::Span span("user.peer_batch", "handshake", &peer_batch_hist);
-  span.arg("batch_size", hellos.size());
-
+  static obs::Histogram& hello_hist =
+      obs::Registry::global().histogram("user.peer_hello_us");
+  obs::Span span("user.peer_hello", "handshake", &hello_hist);
+  const Timestamp age = now >= hello.ts1 ? now - hello.ts1 : hello.ts1 - now;
+  if (age > config_.replay_window_ms) return std::nullopt;
   // Idempotent resend: a byte-identical duplicate of an answered hello gets
   // the cached reply back — no new r_l, no pairing work.
-  const auto cached_reply = [&](const std::string& key,
-                                std::optional<PeerReply>& result) {
-    const PeerReply* cached = hello_replies_.find(key);
-    if (cached == nullptr) return false;
+  const std::string key = wire_key(hello.to_bytes());
+  if (const PeerReply* cached = hello_replies_.find(key)) {
     ++stats_.duplicate_hellos;
-    result = *cached;
-    return true;
-  };
+    return *cached;
+  }
+  const Bytes payload = hello.signed_payload();
+  if (!groupsig::verify_proof(pgpk_, payload, hello.signature) ||
+      peer_revoked(payload, hello.signature))
+    return std::nullopt;
 
-  // Pass 1 (sequential): the cheap freshness gate, in input order.
-  std::vector<std::size_t> pending;
-  pending.reserve(hellos.size());
-  std::vector<std::string> keys(hellos.size());
-  for (std::size_t i = 0; i < hellos.size(); ++i) {
-    const Timestamp age =
-        now >= hellos[i].ts1 ? now - hellos[i].ts1 : hellos[i].ts1 - now;
-    if (age > config_.replay_window_ms) continue;
-    keys[i] = wire_key(hellos[i].to_bytes());
-    if (cached_reply(keys[i], results[i])) continue;
-    pending.push_back(i);
-  }
-
-  // Pass 2 (parallel): group-signature verification plus URL scan, as the
-  // router's M.2 batch check. The revocation checks touch only immutable
-  // state (params_, url_tokens_), so pooled jobs need no synchronization.
-  if (pool_ == nullptr && config_.verify_threads > 1)
-    pool_ = std::make_unique<VerifyPool>(config_.verify_threads);
-  std::vector<Bytes> payloads(pending.size());
-  std::vector<groupsig::BatchItem> items(pending.size());
-  for (std::size_t i = 0; i < pending.size(); ++i) {
-    payloads[i] = hellos[pending[i]].signed_payload();
-    items[i] = {payloads[i], &hellos[pending[i]].signature};
-  }
-  const SigBatch checked = verify_group_signatures(
-      pgpk_, batch_salt_, items, pool_.get(), {}, nullptr,
-      [&](std::size_t i) { return peer_revoked(payloads[i], *items[i].sig); });
-  if (checked.folded) {
-    ++stats_.peer_verify_batches;
-    stats_.peer_batched_hellos += pending.size();
-  }
-
-  // Pass 3 (sequential, input order): every rng draw (r_l, signing nonces)
-  // happens here, exactly as processing the hellos one at a time would.
-  for (std::size_t k = 0; k < pending.size(); ++k) {
-    if (checked.verdicts[k] != SigVerdict::kOk) continue;
-    const PeerHello& hello = hellos[pending[k]];
-    const std::string& key = keys[pending[k]];
-    std::optional<PeerReply>& result = results[pending[k]];
-    // An in-batch byte-identical duplicate misses the cache in pass 1 (the
-    // first copy's reply doesn't exist yet) but must still be served from
-    // it: the first copy populated the cache earlier in this pass, so
-    // re-check before minting a second r_l.
-    if (cached_reply(key, result)) continue;
-    const Fr r_l = random_fr(rng_);
-    PeerReply& reply = result.emplace();
-    reply.g_rj = hello.g_rj;
-    reply.g_rl = hello.g * r_l;
-    reply.ts2 = now;
-    reply.signature = groupsig::sign(pgpk_, pick_credential(via_group),
-                                     reply.signed_payload(), rng_);
-    const Bytes sid = session_id_from(reply.g_rj, reply.g_rl);
-    reap_pending(now);
-    stats_.pending_evicted += pending_peer_resp_.insert(
-        to_hex(sid), PendingPeerResponder{hello.g_rj * r_l, hello.ts1, now},
-        now);
-    stats_.pending_evicted += hello_replies_.insert(key, reply, now);
-  }
-
-  if (span.active() && !hellos.empty()) {
-    const std::uint64_t dur = span.close();
-    static obs::Histogram& hello_hist =
-        obs::Registry::global().histogram("user.peer_hello_us");
-    hello_hist.record(dur / hellos.size());
-  }
-  return results;
+  const Fr r_l = random_fr(rng_);
+  PeerReply reply;
+  reply.g_rj = hello.g_rj;
+  reply.g_rl = hello.g * r_l;
+  reply.ts2 = now;
+  reply.signature = groupsig::sign(pgpk_, pick_credential(via_group),
+                                   reply.signed_payload(), rng_);
+  const Bytes sid = session_id_from(reply.g_rj, reply.g_rl);
+  reap_pending(now);
+  stats_.pending_evicted += pending_peer_resp_.insert(
+      to_hex(sid), PendingPeerResponder{hello.g_rj * r_l, hello.ts1, now},
+      now);
+  stats_.pending_evicted += hello_replies_.insert(key, reply, now);
+  return reply;
 }
 
 std::optional<User::PeerEstablished> User::process_peer_reply(

@@ -1,20 +1,17 @@
 // Network-user protocol endpoint: beacon validation, the anonymous access
 // handshake (M.2/M.3), and the user-user mutual authentication protocol
 // (M~.1 - M~.3). A user may hold credentials from several user groups
-// (paper Sec. III.C) and chooses which role to present per session. M~.1
-// verification is the router's M.2 batch check (verify_group_signatures);
-// a single hello is a batch of one.
+// (paper Sec. III.C) and chooses which role to present per session. Each
+// M~.1 and M~.2 is checked on its own as it arrives: verify_proof, then the
+// URL scan.
 #pragma once
 
-#include <memory>
 #include <optional>
-#include <span>
 
 #include "obs/fields.hpp"
 #include "peace/bounded_map.hpp"
 #include "peace/entities.hpp"
 #include "peace/session.hpp"
-#include "peace/verify_pool.hpp"
 
 namespace peace::proto {
 
@@ -24,8 +21,6 @@ struct UserStats {
   std::uint64_t sessions_established = 0;
   std::uint64_t peer_sessions_established = 0;
   std::uint64_t puzzle_hashes = 0;  // brute-force work spent on DoS puzzles
-  std::uint64_t peer_verify_batches = 0;  // pooled M~.1 batches run
-  std::uint64_t peer_batched_hellos = 0;  // hellos entering such a batch
   // Reliability layer (PROTOCOL.md §10):
   std::uint64_t pending_expired = 0;   // handshake state reaped by TTL
   std::uint64_t pending_evicted = 0;   // handshake state evicted by the cap
@@ -41,8 +36,6 @@ constexpr auto field_table(const UserStats*) {
       {&UserStats::sessions_established, "user.sessions_established"},
       {&UserStats::peer_sessions_established, "user.peer_sessions_established"},
       {&UserStats::puzzle_hashes, "user.puzzle_hashes"},
-      {&UserStats::peer_verify_batches, "user.peer_verify_batches"},
-      {&UserStats::peer_batched_hellos, "user.peer_batched_hellos"},
       {&UserStats::pending_expired, "user.pending_expired"},
       {&UserStats::pending_evicted, "user.pending_evicted"},
       {&UserStats::duplicate_hellos, "user.duplicate_hellos"},
@@ -111,22 +104,12 @@ class User {
   /// M~.1: local broadcast; `g` comes from the serving router's beacon.
   PeerHello make_peer_hello(const G1& g, Timestamp now, GroupId via_group = 0);
 
-  /// Responder side: validate M~.1 and answer with M~.2 (key not yet
-  /// confirmed; completed by process_peer_confirm). Equivalent to a batch
-  /// of one.
+  /// Responder side: validate M~.1 (freshness, the resend cache, the group
+  /// signature, the URL scan) and answer with M~.2 (key not yet confirmed;
+  /// completed by process_peer_confirm).
   std::optional<PeerReply> process_peer_hello(const PeerHello& hello,
                                               Timestamp now,
                                               GroupId via_group = 0);
-
-  /// Batch form of process_peer_hello: results, pending-session state, rng
-  /// consumption, and stats are identical to calling it on each element in
-  /// order. The pairing-heavy M~.1 verifications run as one
-  /// verify_group_signatures batch on a VerifyPool sized by
-  /// config.verify_threads, between a sequential precheck pass and a
-  /// sequential in-order reply pass (signing draws randomness, so replies
-  /// are produced strictly in input order).
-  std::vector<std::optional<PeerReply>> process_peer_hellos(
-      std::span<const PeerHello> hellos, Timestamp now, GroupId via_group = 0);
 
   /// Initiator side: validate M~.2, derive the key, emit M~.3.
   struct PeerEstablished {
@@ -190,12 +173,8 @@ class User {
   groupsig::PreparedGroupPublicKey pgpk_;  // fixed G2 args prepared once
   crypto::Drbg rng_;
   ProtocolConfig config_;
-  /// Secret salt seeding the batch-verification randomizers (drawn once at
-  /// construction; see MeshRouter::batch_salt_ for the rationale).
-  Bytes batch_salt_;
   curve::EcdsaKeyPair receipt_key_;
   std::map<GroupId, MemberKey> credentials_;
-  std::unique_ptr<VerifyPool> pool_;  // lazily sized by config_.verify_threads
 
   SignedRevocationList crl_;
   SignedRevocationList url_;

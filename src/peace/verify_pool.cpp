@@ -1,13 +1,10 @@
 #include "peace/verify_pool.hpp"
 
-#include <optional>
-
 #include "obs/trace.hpp"
 
 namespace peace::proto {
 
-VerifyPool::VerifyPool(unsigned threads, bool verify_telemetry)
-    : telemetry_(verify_telemetry) {
+VerifyPool::VerifyPool(unsigned threads) {
   if (threads <= 1) return;
   workers_.reserve(threads - 1);
   for (unsigned i = 0; i + 1 < threads; ++i)
@@ -15,26 +12,11 @@ VerifyPool::VerifyPool(unsigned threads, bool verify_telemetry)
 }
 
 std::size_t VerifyPool::drain(Batch& batch, std::exception_ptr& error) {
-  // Per-job telemetry: the span runs on whichever thread claimed the job,
-  // so traces show per-worker occupancy (by tid) and each job's crypto-op
-  // attribution for free. pool.* metrics describe execution shape (who ran
-  // what, for how long) — they are expected to differ between pooled and
-  // sequential runs, unlike the protocol counters. A pool built without
-  // verify telemetry never registers the names.
   std::size_t done = 0;
   for (;;) {
     const std::size_t i =
         batch.next_index.fetch_add(1, std::memory_order_relaxed);
     if (i >= batch.count) return done;
-    std::optional<obs::Span> span;
-    if (telemetry_) {
-      static obs::Histogram& job_hist =
-          obs::Registry::global().histogram("pool.job_us");
-      static obs::Counter& jobs = obs::Registry::global().counter("pool.jobs");
-      jobs.add(1);
-      span.emplace("pool.job", "pool", &job_hist);
-      span->arg("index", i);
-    }
     // Exception barrier: a throwing body (e.g. an Error escaping groupsig
     // code) must neither std::terminate a worker thread nor let run()
     // unwind while other participants still execute the body. The index
@@ -87,15 +69,6 @@ void VerifyPool::run(std::size_t count,
     for (std::size_t i = 0; i < count; ++i) body(i);
     return;
   }
-  std::optional<obs::Span> span;
-  if (telemetry_) {
-    static obs::Counter& batches =
-        obs::Registry::global().counter("pool.batches");
-    batches.add(1);
-    span.emplace("pool.batch", "pool");
-    span->arg("jobs", count);
-    span->arg("workers", workers_.size() + 1);
-  }
   auto batch = std::make_shared<Batch>();
   batch->body = body;  // copied: workers never see the caller's temporary
   batch->count = count;
@@ -118,14 +91,33 @@ void VerifyPool::run(std::size_t count,
 
 namespace {
 
-/// body(i) for i in [0, count): pooled for more than one job, else inline.
+/// body(i) for i in [0, count): on the pool's workers for more than one
+/// job, else inline. Only a pooled dispatch emits pool.*, which describe
+/// execution shape (who ran what, for how long) and so, unlike the
+/// protocol counters, differ between pooled and sequential runs. Each
+/// pool.job span runs on whichever thread claimed the job, so traces show
+/// per-worker occupancy (by tid) and each job's crypto-op attribution.
 void run_jobs(VerifyPool* pool, std::size_t count,
               const std::function<void(std::size_t)>& body) {
-  if (pool != nullptr && count > 1) {
-    pool->run(count, body);
-  } else {
+  if (pool == nullptr || count <= 1) {
     for (std::size_t i = 0; i < count; ++i) body(i);
+    return;
   }
+  static obs::Counter& batches =
+      obs::Registry::global().counter("pool.batches");
+  static obs::Counter& jobs = obs::Registry::global().counter("pool.jobs");
+  static obs::Histogram& job_hist =
+      obs::Registry::global().histogram("pool.job_us");
+  batches.add(1);
+  obs::Span span("pool.batch", "pool");
+  span.arg("jobs", count);
+  span.arg("workers", pool->threads());
+  pool->run(count, [&](std::size_t i) {
+    jobs.add(1);
+    obs::Span job("pool.job", "pool", &job_hist);
+    job.arg("index", i);
+    body(i);
+  });
 }
 
 }  // namespace
@@ -134,16 +126,13 @@ SigBatch verify_group_signatures(
     const groupsig::PreparedGroupPublicKey& pgpk, BytesView salt,
     std::span<const groupsig::BatchItem> items, VerifyPool* pool,
     std::span<groupsig::OpCounters* const> item_ops,
-    groupsig::OpCounters* batch_ops, const RevokedCheck& revoked) {
-  const auto ops = [&](std::size_t i) {
-    return item_ops.empty() ? nullptr : item_ops[i];
-  };
+    groupsig::OpCounters& batch_ops, const RevokedCheck& revoked) {
   SigBatch out;
   out.verdicts.assign(items.size(), SigVerdict::kBadProof);
   std::vector<std::size_t> survivors;
   if (items.size() == 1) {
-    if (groupsig::verify_proof(pgpk, items[0].message, *items[0].sig, ops(0),
-                               items[0].bases))
+    if (groupsig::verify_proof(pgpk, items[0].message, *items[0].sig,
+                               item_ops[0], items[0].bases))
       survivors.push_back(0);
   } else if (items.size() > 1) {
     // Per-item preparation fans out; the combined checks plus bisection
@@ -151,8 +140,8 @@ SigBatch verify_group_signatures(
     out.folded = true;
     groupsig::BatchVerifier verifier(pgpk, items, salt);
     run_jobs(pool, items.size(),
-             [&](std::size_t i) { verifier.prepare(i, ops(i)); });
-    const std::vector<char>& ok = verifier.finalize(batch_ops);
+             [&](std::size_t i) { verifier.prepare(i, item_ops[i]); });
+    const std::vector<char>& ok = verifier.finalize(&batch_ops);
     for (std::size_t i = 0; i < items.size(); ++i)
       if (ok[i]) survivors.push_back(i);
   }

@@ -1,6 +1,5 @@
-// Fixed worker pool for pairing-heavy batch work, and the one group-
-// signature batch check both handshake responders run on it: the router's
-// M.2 pipeline and the user's M~.1 pipeline. Pooled results stay
+// Fixed worker pool for pairing-heavy batch work, and the group-signature
+// batch check the router's M.2 pipeline runs on it. Pooled results stay
 // bit-identical to sequential execution regardless of thread count. The
 // metro driver runs its shard ticks and the metro_city cohort's
 // enrollment on a pool of its own (docs/ARCHITECTURE.md §3).
@@ -10,10 +9,12 @@
 // the survivors' revocation checks (one job per signature, never split
 // across workers) fan out here, while the order-sensitive combined checks
 // and bisection stay on the calling thread (BatchVerifier::finalize is
-// sequential by contract). Threading model of both callers: a sequential precheck pass
-// feeds the check, and a sequential in-order apply pass consumes its
-// verdicts — all rng draws and state mutation happen in the sequential
-// passes, which is what keeps results independent of the worker count.
+// sequential by contract). It also emits the pool.* telemetry, so pool.*
+// counts verify batches only. Threading model of its caller: a sequential
+// precheck pass feeds the check, and a sequential in-order apply pass
+// consumes its verdicts — all rng draws and state mutation happen in the
+// sequential passes, which is what keeps results independent of the worker
+// count.
 #pragma once
 
 #include <atomic>
@@ -42,9 +43,7 @@ namespace peace::proto {
 class VerifyPool {
  public:
   /// `threads` <= 1 spawns no workers: run() then executes inline.
-  /// `verify_telemetry` false drops the pool.* counters and spans, which
-  /// count verify batches only (the metro driver's shard pool).
-  explicit VerifyPool(unsigned threads, bool verify_telemetry = true);
+  explicit VerifyPool(unsigned threads);
   VerifyPool(const VerifyPool&) = delete;
   VerifyPool& operator=(const VerifyPool&) = delete;
 
@@ -89,7 +88,6 @@ class VerifyPool {
   std::uint64_t generation_ = 0;  // bumps once per batch; wakes workers
   std::shared_ptr<Batch> current_batch_;  // guarded by mutex_
   std::vector<std::jthread> workers_;
-  bool telemetry_;
 };
 
 /// Outcome of one group signature under verify_group_signatures.
@@ -109,12 +107,12 @@ using RevokedCheck = std::function<bool(std::size_t i)>;
 /// verify_proof; more fold into a BatchVerifier whose prepare() fans out
 /// over `pool` (null: inline). The survivors' revocation checks fan out
 /// too, one job per survivor.
-/// `item_ops` (empty, or one per item) gets per-item proof costs,
-/// `batch_ops` the fold's batch-global costs.
+/// `item_ops` (one per item) gets per-item proof costs, `batch_ops` the
+/// fold's batch-global costs.
 SigBatch verify_group_signatures(
     const groupsig::PreparedGroupPublicKey& pgpk, BytesView salt,
     std::span<const groupsig::BatchItem> items, VerifyPool* pool,
     std::span<groupsig::OpCounters* const> item_ops,
-    groupsig::OpCounters* batch_ops, const RevokedCheck& revoked);
+    groupsig::OpCounters& batch_ops, const RevokedCheck& revoked);
 
 }  // namespace peace::proto

@@ -562,6 +562,24 @@ TEST_F(AuthTest, PeerHelloFromRevokedUserRejected) {
   EXPECT_FALSE(bob_->process_peer_hello(hello, 1110).has_value());
 }
 
+TEST_F(AuthTest, PeerHelloScanPreparesBasesOncePerHello) {
+  // The responder's URL scan (3 revoked tokens) prepares each hello's
+  // bases exactly once; matches_token builds no per-token G2Prepared.
+  for (const char* uid : {"r1", "r2", "r3"})
+    no_.revoke_user_key(gm_->enroll(uid, ttp_).index, 900);
+  router_->install_revocation_lists(no_.current_crl(), no_.current_url());
+  auto carol = make_user("carol");
+  const BeaconMessage beacon = router_->make_beacon(1000);
+  ASSERT_TRUE(bob_->process_beacon(beacon, 1000).has_value());
+
+  for (User* sender : {alice_.get(), carol.get()}) {
+    const PeerHello hello = sender->make_peer_hello(beacon.g, 1100);
+    const std::uint64_t before = curve::g2_prepared_count();
+    EXPECT_TRUE(bob_->process_peer_hello(hello, 1110).has_value());
+    EXPECT_EQ(curve::g2_prepared_count() - before, 1u);
+  }
+}
+
 TEST_F(AuthTest, PeerStaleHelloRejected) {
   const BeaconMessage beacon = router_->make_beacon(1000);
   const PeerHello hello = alice_->make_peer_hello(beacon.g, 1000);

@@ -661,5 +661,27 @@ TEST_F(MetroTest, ThreadCountDoesNotChangeTheDay) {
   }
 }
 
+TEST_F(MetroTest, ShardPoolEmitsNoVerifyPoolCounters) {
+  // pool.* counts verify batches only: the metro's own pool runs shard
+  // ticks and cohort enrollment without touching pool.jobs or
+  // pool.batches, and the day's routers verify inline.
+  MetroCityConfig config;
+  config.shards = 2;
+  config.synthetic_users = 200;
+  config.cohort_users = 4;
+  config.day_ms = 3'600'000;
+  config.revocation_waves = 1;
+  config.seed = "metro-pool-telemetry";
+  config.threads = 2;
+  auto& reg = obs::Registry::global();
+  reg.reset();
+  const MetroCityReport report = run_metro_city(config);
+  EXPECT_EQ(report.cohort_connected, report.cohort_users);
+  EXPECT_GT(reg.counter("metro.parallel_ticks").value(), 0u);
+  EXPECT_EQ(reg.counter("pool.jobs").value(), 0u);
+  EXPECT_EQ(reg.counter("pool.batches").value(), 0u);
+  reg.reset();
+}
+
 }  // namespace
 }  // namespace peace::mesh

@@ -313,8 +313,6 @@ TEST_F(ObsTest, StatsAbsorptionIsIdempotent) {
   put(u.sessions_established, "user.sessions_established");
   put(u.peer_sessions_established, "user.peer_sessions_established");
   put(u.puzzle_hashes, "user.puzzle_hashes");
-  put(u.peer_verify_batches, "user.peer_verify_batches");
-  put(u.peer_batched_hellos, "user.peer_batched_hellos");
   put(u.pending_expired, "user.pending_expired");
   put(u.pending_evicted, "user.pending_evicted");
   put(u.duplicate_hellos, "user.duplicate_hellos");
@@ -438,53 +436,43 @@ TEST_F(ObsTest, FieldTablesAreCatalogued) {
 }
 
 TEST_F(ObsTest, PooledAndSequentialCountersMatch) {
-  // The deterministic-counter contract: the same batch of peer hellos
-  // verified sequentially and through a 4-thread VerifyPool performs the
-  // same crypto work, so the curve.* registry deltas are identical.
+  // The deterministic-counter contract: the same batch of M.2s verified
+  // sequentially and through a 4-thread VerifyPool performs the same
+  // crypto work, so the curve.* registry deltas are identical.
   constexpr proto::Timestamp kFarFuture = 1000ull * 86400 * 365;
   proto::NetworkOperator no(crypto::Drbg::from_string("obs-pool-no"));
   proto::TrustedThirdParty ttp;
   proto::GroupManager gm = no.register_group("obs-pool-g", 8, ttp);
   auto provision = no.provision_router(1, kFarFuture);
-  proto::MeshRouter router(1, provision.keypair, provision.certificate,
-                           no.params(),
-                           crypto::Drbg::from_string("obs-pool-router"));
-  router.install_revocation_lists(no.current_crl(), no.current_url());
-  const proto::BeaconMessage beacon = router.make_beacon(1000);
-
   std::map<std::string, proto::GroupManager::Enrollment> enrollments;
-  const auto make_user = [&](const std::string& uid, unsigned threads) {
-    proto::ProtocolConfig config;
-    config.verify_threads = threads;
-    auto user = std::make_unique<proto::User>(
-        uid, no.params(), crypto::Drbg::from_string(uid), config);
-    if (enrollments.find(uid) == enrollments.end())
-      enrollments.emplace(uid, gm.enroll(uid, ttp));
-    user->complete_enrollment(enrollments.at(uid));
-    return user;
-  };
-
-  // Identical hello batches for both runs: same sender uids => same DRBG
-  // streams => byte-identical hellos.
-  const auto make_hellos = [&] {
-    std::vector<proto::PeerHello> hellos;
-    for (int i = 0; i < 3; ++i) {
-      auto sender = make_user("obs-sender" + std::to_string(i), 1);
-      hellos.push_back(sender->make_peer_hello(beacon.g, 1000 + i));
-    }
-    return hellos;
-  };
+  for (int i = 0; i < 3; ++i) {
+    const std::string uid = "obs-sender" + std::to_string(i);
+    enrollments.emplace(uid, gm.enroll(uid, ttp));
+  }
 
   const auto run = [&](unsigned threads) {
-    auto responder = make_user("obs-responder", threads);
-    EXPECT_TRUE(responder->process_beacon(beacon, 1000).has_value());
-    const auto hellos = make_hellos();
+    // Same keys and DRBG seeds at both thread counts: byte-identical
+    // beacons, so byte-identical M.2s.
+    proto::ProtocolConfig config;
+    config.verify_threads = threads;
+    proto::MeshRouter router(1, provision.keypair, provision.certificate,
+                             no.params(),
+                             crypto::Drbg::from_string("obs-pool-router"),
+                             config);
+    router.install_revocation_lists(no.current_crl(), no.current_url());
+    const proto::BeaconMessage beacon = router.make_beacon(1000);
+    std::vector<proto::AccessRequest> batch;
+    for (const auto& [uid, enrollment] : enrollments) {
+      proto::User sender(uid, no.params(), crypto::Drbg::from_string(uid));
+      sender.complete_enrollment(enrollment);
+      batch.push_back(sender.process_beacon(beacon, 1000).value());
+    }
     Registry::global().reset();
-    auto replies = responder->process_peer_hellos(hellos, 1010);
-    std::size_t answered = 0;
-    for (const auto& r : replies) answered += r.has_value() ? 1 : 0;
+    const auto outcomes = router.handle_access_requests(batch, 1010);
+    std::size_t accepted = 0;
+    for (const auto& o : outcomes) accepted += o.has_value() ? 1 : 0;
     auto& reg = Registry::global();
-    return std::tuple{answered,
+    return std::tuple{accepted,
                       reg.counter("curve.pairings").value(),
                       reg.counter("curve.miller_loops").value(),
                       reg.counter("curve.final_exps").value(),
@@ -501,9 +489,10 @@ TEST_F(ObsTest, PooledAndSequentialCountersMatch) {
 
 TEST_F(ObsTest, PooledAndSequentialCountersMatchOnALargeUrl) {
   // The same contract for the one revocation check that has the pool to
-  // itself: a lone hello from a revoked member, scanned against a 256-token
-  // NO-signed URL that lists it first. The 4-thread user runs the scan as
-  // one job, exactly as the inline user does, so it does the same work.
+  // itself: a lone M.2 from a revoked member, scanned against a 256-token
+  // NO-signed URL that lists it first. The 4-thread router runs the scan
+  // as one job, exactly as the inline router does, so it does the same
+  // work.
   constexpr proto::Timestamp kFarFuture = 1000ull * 86400 * 365;
   constexpr std::size_t kUrlSize = 256;
   proto::NetworkOperator no(crypto::Drbg::from_string("obs-url-no"));
@@ -514,32 +503,25 @@ TEST_F(ObsTest, PooledAndSequentialCountersMatchOnALargeUrl) {
   for (const auto& entry : no.grt_entries())
     no.revoke_user_key(entry.index, 100);  // re-revoking is a no-op
   ASSERT_EQ(no.current_url().entries.size(), kUrlSize);
-  proto::GroupManager responders = no.register_group("obs-url-r", 2, ttp);
   auto provision = no.provision_router(1, kFarFuture);
-  proto::MeshRouter router(1, provision.keypair, provision.certificate,
-                           no.params(),
-                           crypto::Drbg::from_string("obs-url-router"));
-  router.install_revocation_lists(no.current_crl(), no.current_url());
-  const proto::BeaconMessage beacon = router.make_beacon(1000);
-
-  proto::User sender("obs-revoked", no.params(),
-                     crypto::Drbg::from_string("obs-revoked"));
-  sender.complete_enrollment(revoked);
-  const proto::PeerHello hello = sender.make_peer_hello(beacon.g, 1000);
 
   const auto run = [&](unsigned threads) {
     proto::ProtocolConfig config;
     config.verify_threads = threads;
-    proto::User responder("obs-url-responder", no.params(),
-                          crypto::Drbg::from_string("obs-url-responder"),
-                          config);
-    responder.complete_enrollment(responders.enroll(
-        "obs-url-responder-" + std::to_string(threads), ttp));
-    EXPECT_TRUE(responder.process_beacon(beacon, 1000).has_value());
+    proto::MeshRouter router(1, provision.keypair, provision.certificate,
+                             no.params(),
+                             crypto::Drbg::from_string("obs-url-router"),
+                             config);
+    router.install_revocation_lists(no.current_crl(), no.current_url());
+    const proto::BeaconMessage beacon = router.make_beacon(1000);
+    proto::User sender("obs-revoked", no.params(),
+                       crypto::Drbg::from_string("obs-revoked"));
+    sender.complete_enrollment(revoked);
+    const proto::AccessRequest m2 = sender.process_beacon(beacon, 1000).value();
     Registry::global().reset();
-    const auto replies = responder.process_peer_hellos({&hello, 1}, 1010);
+    router.handle_access_requests({&m2, 1}, 1010);
     auto& reg = Registry::global();
-    return std::tuple{replies.front().has_value(),
+    return std::tuple{router.stats().rejected_revoked,
                       reg.counter("curve.pairings").value(),
                       reg.counter("curve.miller_loops").value(),
                       reg.counter("curve.final_exps").value(),
@@ -549,7 +531,7 @@ TEST_F(ObsTest, PooledAndSequentialCountersMatchOnALargeUrl) {
 
   const auto seq = run(1);
   const auto pooled = run(4);
-  EXPECT_FALSE(std::get<0>(seq));  // revoked
+  EXPECT_EQ(std::get<0>(seq), 1u);  // revoked
   EXPECT_GE(std::get<2>(seq), kUrlSize);  // every token's Miller loop
   EXPECT_EQ(seq, pooled);
 }

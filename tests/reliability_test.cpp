@@ -166,58 +166,6 @@ TEST_F(ReliabilityTest, DuplicatePeerHelloAnsweredFromCache) {
   EXPECT_EQ(bob->stats().duplicate_hellos, 1u);
 }
 
-TEST_F(ReliabilityTest, BatchedDuplicateHellosMatchSequential) {
-  // Two bit-identical worlds built from the same seeds, differing only in
-  // verify_threads: the pooled batch path must produce byte-for-byte the
-  // same replies, cache hits, and pending state as the sequential one.
-  struct Run {
-    std::vector<Bytes> replies;
-    std::uint64_t duplicate_hellos;
-    std::size_t pending;
-  };
-  const auto run = [](unsigned verify_threads) {
-    ProtocolConfig config;
-    config.verify_threads = verify_threads;
-    NetworkOperator no(crypto::Drbg::from_string("rel-batch-no"));
-    TrustedThirdParty ttp;
-    GroupManager gm = no.register_group("G", 8, ttp);
-    const auto mk = [&](const std::string& uid) {
-      auto u = std::make_unique<User>(uid, no.params(),
-                                      crypto::Drbg::from_string(uid), config);
-      u->complete_enrollment(gm.enroll(uid, ttp));
-      return u;
-    };
-    auto alice = mk("alice");
-    auto bob = mk("bob");
-    const curve::G1 g = curve::Bn254::get().g1_gen;
-
-    // Two distinct hellos plus an in-batch byte-identical duplicate of the
-    // first: the duplicate must be served from the cache its first copy
-    // populated earlier in the same batch.
-    const PeerHello h1 = alice->make_peer_hello(g, 1000);
-    const PeerHello h2 = alice->make_peer_hello(g, 1000);
-    const std::vector<PeerHello> batch{h1, h2,
-                                       PeerHello::from_bytes(h1.to_bytes())};
-    Run out;
-    for (const auto& reply : bob->process_peer_hellos(batch, 1001)) {
-      EXPECT_TRUE(reply.has_value());
-      out.replies.push_back(reply.has_value() ? reply->to_bytes() : Bytes{});
-    }
-    out.duplicate_hellos = bob->stats().duplicate_hellos;
-    out.pending = bob->pending_peer_size();
-    return out;
-  };
-
-  const Run seq = run(0);
-  const Run pool = run(4);
-  ASSERT_EQ(seq.replies.size(), 3u);
-  EXPECT_EQ(seq.replies, pool.replies);
-  EXPECT_EQ(seq.replies[2], seq.replies[0]);  // in-batch cache hit
-  EXPECT_EQ(seq.duplicate_hellos, 1u);
-  EXPECT_EQ(pool.duplicate_hellos, 1u);
-  EXPECT_EQ(seq.pending, pool.pending);
-}
-
 TEST_F(ReliabilityTest, DuplicateReplyYieldsCachedPeerConfirm) {
   auto alice = make_user("alice");
   auto bob = make_user("bob");

@@ -371,7 +371,7 @@ TEST_F(RevokeSystemTest, EpochIndexIsIncrementalAcrossDeltas) {
   router->install_revocation_lists(no_.current_crl(), no_.current_url());
 
   auto& shared = *router->revocation();
-  router->set_revocation_epoch(5);
+  router->revocation()->set_epoch(no_.gpk(), 5);
   ASSERT_NE(shared.snapshot()->index, nullptr);
   EXPECT_EQ(shared.snapshot()->index->size(), 3u);
 
@@ -401,7 +401,7 @@ TEST_F(RevokeSystemTest, EpochModeIsRevokedBuildsNoPrepared) {
   auto mallory = make_user("mallory");
   no_.revoke_user_key(enrollments_["mallory"].index, 100);
   router->install_revocation_lists(no_.current_crl(), no_.current_url());
-  router->set_revocation_epoch(9);
+  router->revocation()->set_epoch(no_.gpk(), 9);
 
   const auto& index = *router->revocation()->snapshot()->index;
   const auto sign_epoch = [&](const std::string& uid, proto::User& u) {
@@ -430,11 +430,11 @@ TEST_F(RevokeSystemTest, EpochRollEdgeCases) {
 
   // Empty-URL epoch: the index exists, answers, and costs no pairings to
   // roll (there is nothing to re-tag).
-  router->set_revocation_epoch(3);
+  router->revocation()->set_epoch(no_.gpk(), 3);
   ASSERT_NE(shared.snapshot()->index, nullptr);
   EXPECT_EQ(shared.snapshot()->index->size(), 0u);
   const std::uint64_t before = curve::pairing_op_count();
-  router->set_revocation_epoch(4);
+  router->revocation()->set_epoch(no_.gpk(), 4);
   EXPECT_EQ(curve::pairing_op_count() - before, 0u);
 
   // Revoke-then-roll: the member revoked in epoch 4 stays revoked after
@@ -450,14 +450,14 @@ TEST_F(RevokeSystemTest, EpochRollEdgeCases) {
                           as_bytes("m"), rng, epoch);
   };
   EXPECT_TRUE(shared.snapshot()->index->is_revoked(sign_epoch(4)));
-  router->set_revocation_epoch(5);
+  router->revocation()->set_epoch(no_.gpk(), 5);
   EXPECT_TRUE(shared.snapshot()->index->is_revoked(sign_epoch(5)));
   // Rolling to the same epoch is a no-op (same snapshot stays published).
   const auto snap = shared.snapshot();
-  router->set_revocation_epoch(5);
+  router->revocation()->set_epoch(no_.gpk(), 5);
   EXPECT_EQ(shared.snapshot(), snap);
   // Dropping back to epoch 0 removes the index; the URL scan still rejects.
-  router->set_revocation_epoch(0);
+  router->revocation()->set_epoch(no_.gpk(), 0);
   EXPECT_EQ(shared.snapshot()->index, nullptr);
   const auto beacon = router->make_beacon(1000);
   auto m2 = mallory->process_beacon(beacon, 1000);
@@ -478,7 +478,7 @@ TEST_F(RevokeSystemTest, EpochRollRaceFallsBackToSharedPreparedScan) {
   auto mallory = make_user("mallory");
   no_.revoke_user_key(enrollments_["mallory"].index, 100);
   router->install_revocation_lists(no_.current_crl(), no_.current_url());
-  router->set_revocation_epoch(4);
+  router->revocation()->set_epoch(no_.gpk(), 4);
 
   const auto beacon = router->make_beacon(1000);
   const auto epoch_m2 = [&](proto::User& u, const std::string& uid) {
@@ -494,7 +494,8 @@ TEST_F(RevokeSystemTest, EpochRollRaceFallsBackToSharedPreparedScan) {
   const std::vector<proto::AccessRequest> batch{epoch_m2(*alice, "alice"),
                                                 epoch_m2(*mallory, "mallory")};
 
-  router->set_revocation_epoch(5);  // the roll lands before the batch
+  // The roll lands before the batch.
+  router->revocation()->set_epoch(no_.gpk(), 5);
   const std::uint64_t before = curve::g2_prepared_count();
   const auto outcomes = router->handle_access_requests(batch, 1001);
   EXPECT_EQ(curve::g2_prepared_count() - before, 0u);
@@ -712,8 +713,8 @@ TEST_F(RevokeSystemTest, SnapshotSwapIsSafeUnderConcurrentReaders) {
                           100 + i);
       router->handle_rl_announce(
           no_.make_delta_announcement(0, shared.url_version()));
-      if (i == 3) router->set_revocation_epoch(2);
-      if (i == 5) router->set_revocation_epoch(3);
+      if (i == 3) router->revocation()->set_epoch(no_.gpk(), 2);
+      if (i == 5) router->revocation()->set_epoch(no_.gpk(), 3);
       if (i == 6)  // full-install path concurrently with readers
         shared.install_full(no_.current_crl(), no_.current_url());
     }
