@@ -7,7 +7,6 @@ namespace peace::curve {
 using crypto::Sha256;
 using math::Fp;
 using math::Fp2;
-using math::U256;
 
 namespace {
 
@@ -34,8 +33,9 @@ Fr hash_to_fr(std::string_view domain, BytesView data) {
   const Bytes d1 = domain_hash(domain, 0x80000001u, data);
   const Fr hi = Fr::from_bytes_reduce(d0);
   const Fr lo = Fr::from_bytes_reduce(d1);
-  // hi * 2^256 + lo mod r.
-  Fr two_256 = Fr::from_u64(2).pow(U256(256));
+  // hi * 2^256 + lo mod r. The Montgomery constant R = 2^256 mod r, read
+  // as a standard-form integer, is that factor.
+  static const Fr two_256 = Fr::from_u256(Fr::params().r);
   return hi * two_256 + lo;
 }
 

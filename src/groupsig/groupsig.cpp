@@ -259,7 +259,8 @@ PreparedGroupPublicKey::PreparedGroupPublicKey(const GroupPublicKey& key)
 
 bool verify_proof(const PreparedGroupPublicKey& pgpk, BytesView message,
                   const Signature& sig, OpCounters* ops,
-                  const SignatureBases* precomputed) {
+                  const SignatureBases* precomputed,
+                  SignatureBases* checked_bases) {
   const auto& bn = Bn254::get();
   if (sig.t1.is_infinity() || sig.t2.is_infinity()) return false;
   // A carried R2 outside the cyclotomic subgroup can never equal a pairing
@@ -270,6 +271,7 @@ bool verify_proof(const PreparedGroupPublicKey& pgpk, BytesView message,
   const SignatureBases bases =
       precomputed != nullptr ? *precomputed
                              : derive_bases(pgpk.gpk, message, sig, ops);
+  if (checked_bases != nullptr) *checked_bases = bases;
 
   // Step 3.2.2: recompute the challenge from the carried commitments, then
   // check the four verification equations. Every equation side is a short
@@ -412,6 +414,10 @@ BatchVerifier::BatchVerifier(const PreparedGroupPublicKey& pgpk,
 }
 
 BatchVerifier::~BatchVerifier() = default;
+
+const SignatureBases& BatchVerifier::bases(std::size_t i) const {
+  return prep_[i].bases;
+}
 
 void BatchVerifier::prepare(std::size_t i, OpCounters* ops) {
   const auto& bn = Bn254::get();
@@ -693,14 +699,15 @@ bool verify(const GroupPublicKey& gpk, BytesView message, const Signature& sig,
 bool verify(const PreparedGroupPublicKey& pgpk, BytesView message,
             const Signature& sig, std::span<const RevocationToken> url,
             OpCounters* ops) {
-  if (!verify_proof(pgpk, message, sig, ops)) return false;
+  SignatureBases bases;
+  if (!verify_proof(pgpk, message, sig, ops, nullptr, &bases)) return false;
   if (url.empty()) return true;
   // Eq.3 pairs against the per-message base v_hat — not a fixed argument
-  // the prepared key could cover — so prepare it once here and run the
-  // batched scan: one Miller loop per token against the prepared lines,
-  // one shared e(-v, T_hat) factor, one shared easy-part inversion.
-  const PreparedBases prepared = prepare_bases(pgpk.gpk, message, sig, ops);
-  return scan_tokens(prepared, sig, url, ops) == TokenScan::npos;
+  // the prepared key could cover — so prepare the bases the proof check
+  // derived once here and run the batched scan: one Miller loop per token
+  // against the prepared lines, one shared e(-v, T_hat) factor, one shared
+  // easy-part inversion.
+  return scan_tokens(PreparedBases(bases), sig, url, ops) == TokenScan::npos;
 }
 
 std::string EpochRevocationIndex::tag_for(const G1& a) const {

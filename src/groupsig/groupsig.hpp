@@ -232,10 +232,13 @@ bool verify_proof(const GroupPublicKey& gpk, BytesView message,
 /// pairings reuse the prepared g2 / w Miller-loop lines. Thread-safe for
 /// concurrent calls on one shared PreparedGroupPublicKey. `bases`, when
 /// given, must be epoch_bases(pgpk.gpk, sig.epoch) for an epoch-mode
-/// signature; the check then skips the hashing.
+/// signature; the check then skips the hashing. `checked_bases`, when
+/// given, receives the bases the equations ran over (set whenever the
+/// check returns true), so a revocation scan need not hash them again.
 bool verify_proof(const PreparedGroupPublicKey& pgpk, BytesView message,
                   const Signature& sig, OpCounters* ops = nullptr,
-                  const curve::SignatureBases* bases = nullptr);
+                  const curve::SignatureBases* bases = nullptr,
+                  curve::SignatureBases* checked_bases = nullptr);
 
 /// Eq.3: does `token` correspond to the signer of `sig`? The message (or
 /// the epoch stored in the signature) is needed to re-derive the hashed
@@ -382,6 +385,10 @@ class BatchVerifier {
 
   const std::vector<char>& results() const { return results_; }
 
+  /// The bases item `i` was checked over: the given ones, or those its
+  /// prepare() derived. Valid for every item finalize() accepted.
+  const curve::SignatureBases& bases(std::size_t i) const;
+
  private:
   struct Prep;
   /// The three combined randomized checks over the format-ok items of
@@ -411,7 +418,8 @@ bool verify(const GroupPublicKey& gpk, BytesView message, const Signature& sig,
             std::span<const RevocationToken> url, OpCounters* ops = nullptr);
 
 /// Full verification against a prepared key. Bit-identical results to the
-/// unprepared overload.
+/// unprepared overload; the scan reuses the bases the proof check derived,
+/// so one call hashes them once.
 bool verify(const PreparedGroupPublicKey& pgpk, BytesView message,
             const Signature& sig, std::span<const RevocationToken> url,
             OpCounters* ops = nullptr);

@@ -5,6 +5,10 @@ namespace peace::math {
 FieldParams make_field_params(const U256& modulus) {
   if (!modulus.is_odd() || modulus.bit_length() < 3)
     throw Error("make_field_params: modulus must be odd and > 2");
+  // mont_mul's carry-free CIOS keeps its running value below 2n in four
+  // limbs only with two spare top bits.
+  if (modulus.bit_length() > 254)
+    throw Error("make_field_params: modulus must be below 2^254");
 
   FieldParams p;
   p.modulus = modulus;

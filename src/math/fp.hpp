@@ -39,30 +39,22 @@ struct FpWide {
 /// out += x over 8 little-endian limbs; returns the carry out.
 inline std::uint64_t wide8_add(std::array<std::uint64_t, 8>& out,
                                const std::array<std::uint64_t, 8>& x) {
-  unsigned __int128 carry = 0;
-  for (int i = 0; i < 8; ++i) {
-    carry += static_cast<unsigned __int128>(out[i]) + x[i];
-    out[i] = static_cast<std::uint64_t>(carry);
-    carry >>= 64;
-  }
-  return static_cast<std::uint64_t>(carry);
+  unsigned char carry = 0;
+  for (int i = 0; i < 8; ++i) carry = addc(carry, out[i], x[i], out[i]);
+  return carry;
 }
 
 /// out -= x over 8 little-endian limbs; returns the borrow out.
 inline std::uint64_t wide8_sub(std::array<std::uint64_t, 8>& out,
                                const std::array<std::uint64_t, 8>& x) {
-  std::uint64_t borrow = 0;
-  for (int i = 0; i < 8; ++i) {
-    const unsigned __int128 rhs =
-        static_cast<unsigned __int128>(x[i]) + borrow;
-    const unsigned __int128 lhs = out[i];
-    out[i] = static_cast<std::uint64_t>(lhs - rhs);
-    borrow = lhs < rhs ? 1 : 0;
-  }
+  unsigned char borrow = 0;
+  for (int i = 0; i < 8; ++i) borrow = subb(borrow, out[i], x[i], out[i]);
   return borrow;
 }
 
-/// Derives all Montgomery constants from `modulus` (must be odd and > 2).
+/// Derives all Montgomery constants from `modulus`, which must be odd,
+/// greater than 2 and below 2^254: mont_mul's carry-free CIOS needs the two
+/// spare top bits (both BN254 moduli are 254-bit numbers below 2^254).
 FieldParams make_field_params(const U256& modulus);
 
 template <class Tag>
@@ -238,41 +230,37 @@ class PrimeField {
 
 template <class Tag>
 U256 PrimeField<Tag>::mont_mul(const U256& a, const U256& b) {
+  // CIOS Montgomery multiplication (Koc-Acar-Kaliski 1996) without the
+  // extra carry word: with the modulus below 2^254 the running value stays
+  // below 2n < 2^255 and each row's two carries fit the top limb. Inputs
+  // are canonical (< n), so one conditional subtraction finishes.
   using u64 = std::uint64_t;
-  using u128 = unsigned __int128;
   const U256& n = params_.modulus;
   const u64 n0inv = params_.n0inv;
 
-  std::array<u64, 8> t = mul_wide(a, b);
-  u64 extra = 0;
+  std::array<u64, 4> t{};
   for (int i = 0; i < 4; ++i) {
-    const u64 m = t[i] * n0inv;
-    u64 carry = 0;
-    for (int j = 0; j < 4; ++j) {
-      const u128 cur = static_cast<u128>(m) * n.limb[j] + t[i + j] + carry;
-      t[i + j] = static_cast<u64>(cur);
-      carry = static_cast<u64>(cur >> 64);
+    const u64 bi = b.limb[i];
+    u64 carry_ab = 0;
+    t[0] = mac(a.limb[0], bi, t[0], carry_ab);
+    const u64 m = t[0] * n0inv;
+    u64 carry_mn = 0;
+    mac(m, n.limb[0], t[0], carry_mn);  // low word is zero by choice of m
+    for (int j = 1; j < 4; ++j) {
+      t[j] = mac(a.limb[j], bi, t[j], carry_ab);
+      t[j - 1] = mac(m, n.limb[j], t[j], carry_mn);
     }
-    for (int k = i + 4; k < 8 && carry != 0; ++k) {
-      const u128 cur = static_cast<u128>(t[k]) + carry;
-      t[k] = static_cast<u64>(cur);
-      carry = static_cast<u64>(cur >> 64);
-    }
-    extra += carry;
+    t[3] = carry_ab + carry_mn;
   }
-  U256 res{t[4], t[5], t[6], t[7]};
-  if (extra != 0 || !(cmp(res, n) < 0)) {
-    U256 reduced;
-    sub_borrow(reduced, res, n);
-    res = reduced;
-  }
-  return res;
+  const U256 res{t[0], t[1], t[2], t[3]};
+  U256 reduced;
+  const u64 borrow = sub_borrow(reduced, res, n);
+  return mask_select(0 - borrow, res, reduced);
 }
 
 template <class Tag>
 PrimeField<Tag> PrimeField<Tag>::redc(const FpWide& in) {
   using u64 = std::uint64_t;
-  using u128 = unsigned __int128;
   const U256& n = params_.modulus;
   const u64 n0inv = params_.n0inv;
 
@@ -281,17 +269,10 @@ PrimeField<Tag> PrimeField<Tag>::redc(const FpWide& in) {
   for (int i = 0; i < 4; ++i) {
     const u64 m = t[i] * n0inv;
     u64 carry = 0;
-    for (int j = 0; j < 4; ++j) {
-      const u128 cur = static_cast<u128>(m) * n.limb[j] + t[i + j] + carry;
-      t[i + j] = static_cast<u64>(cur);
-      carry = static_cast<u64>(cur >> 64);
-    }
-    for (int k = i + 4; k < 8 && carry != 0; ++k) {
-      const u128 cur = static_cast<u128>(t[k]) + carry;
-      t[k] = static_cast<u64>(cur);
-      carry = static_cast<u64>(cur >> 64);
-    }
-    extra += carry;
+    for (int j = 0; j < 4; ++j) t[i + j] = mac(m, n.limb[j], t[i + j], carry);
+    unsigned char c = addc(0, t[i + 4], carry, t[i + 4]);
+    for (int k = i + 5; k < 8; ++k) c = addc(c, t[k], 0, t[k]);
+    extra += c;
   }
   U256 res{t[4], t[5], t[6], t[7]};
   // Remaining value is extra * 2^256 + res with extra in {0, 1} (the input

@@ -7,49 +7,6 @@ namespace peace::math {
 using u64 = std::uint64_t;
 using u128 = unsigned __int128;
 
-int cmp(const U256& a, const U256& b) {
-  for (int i = 3; i >= 0; --i) {
-    if (a.limb[i] < b.limb[i]) return -1;
-    if (a.limb[i] > b.limb[i]) return 1;
-  }
-  return 0;
-}
-
-u64 add_carry(U256& out, const U256& a, const U256& b) {
-  u64 carry = 0;
-  for (int i = 0; i < 4; ++i) {
-    const u128 sum = static_cast<u128>(a.limb[i]) + b.limb[i] + carry;
-    out.limb[i] = static_cast<u64>(sum);
-    carry = static_cast<u64>(sum >> 64);
-  }
-  return carry;
-}
-
-u64 sub_borrow(U256& out, const U256& a, const U256& b) {
-  u64 borrow = 0;
-  for (int i = 0; i < 4; ++i) {
-    const u128 diff = static_cast<u128>(a.limb[i]) - b.limb[i] - borrow;
-    out.limb[i] = static_cast<u64>(diff);
-    borrow = static_cast<u64>((diff >> 64) & 1);
-  }
-  return borrow;
-}
-
-std::array<u64, 8> mul_wide(const U256& a, const U256& b) {
-  std::array<u64, 8> out{};
-  for (int i = 0; i < 4; ++i) {
-    u64 carry = 0;
-    for (int j = 0; j < 4; ++j) {
-      const u128 cur =
-          static_cast<u128>(a.limb[i]) * b.limb[j] + out[i + j] + carry;
-      out[i + j] = static_cast<u64>(cur);
-      carry = static_cast<u64>(cur >> 64);
-    }
-    out[i + 4] = carry;
-  }
-  return out;
-}
-
 U256 shl1(const U256& a) {
   U256 out;
   u64 carry = 0;
@@ -68,25 +25,6 @@ U256 shr1(const U256& a) {
     carry = a.limb[i] & 1;
   }
   return out;
-}
-
-U256 add_mod(const U256& a, const U256& b, const U256& m) {
-  U256 sum;
-  const u64 carry = add_carry(sum, a, b);
-  U256 reduced;
-  const u64 borrow = sub_borrow(reduced, sum, m);
-  // Select sum - m when the addition overflowed 2^256 or sum >= m.
-  return (carry != 0 || borrow == 0) ? reduced : sum;
-}
-
-U256 sub_mod(const U256& a, const U256& b, const U256& m) {
-  U256 diff;
-  if (sub_borrow(diff, a, b) != 0) {
-    U256 fixed;
-    add_carry(fixed, diff, m);
-    return fixed;
-  }
-  return diff;
 }
 
 U256 mul10_add(const U256& a, u64 d) {

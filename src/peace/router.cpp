@@ -1,6 +1,7 @@
 #include "peace/router.hpp"
 
 #include <array>
+#include <optional>
 #include <unordered_set>
 #include <utility>
 
@@ -364,7 +365,9 @@ bool MeshRouter::verify_batch(std::span<PendingVerify* const> jobs,
   // one request: they go straight into the (still deterministic) aggregate.
   const SigBatch checked = verify_group_signatures(
       pgpk_, batch_salt_, items, pool_.get(), item_ops, verify_ops_,
-      [&](std::size_t i) { return revoked(*jobs[i], snapshot); });
+      [&](std::size_t i, const curve::SignatureBases& bases) {
+        return revoked(*jobs[i], bases, snapshot);
+      });
   for (std::size_t i = 0; i < jobs.size(); ++i)
     jobs[i]->verdict = checked.verdicts[i];
   if (checked.folded) {
@@ -397,6 +400,7 @@ const groupsig::PreparedBases* MeshRouter::shared_bases(
 }
 
 bool MeshRouter::revoked(PendingVerify& pv,
+                         const curve::SignatureBases& bases,
                          const revoke::RevocationSnapshot& snapshot) {
   // Telemetry: one span per checked signature, on whichever thread runs it.
   obs::Span span("router.revocation_check", "handshake");
@@ -417,15 +421,12 @@ bool MeshRouter::revoked(PendingVerify& pv,
   pv.fallback_scan = sig.epoch != 0;
   // Scan path: an epoch-mode signature shares its beacon's per-epoch bases
   // (read-only here — workers run this concurrently); any other signature
-  // derives its bases now. The scan itself is the batched TokenScan — one
-  // Miller loop per token, one shared easy-part inversion.
+  // prepares the bases its proof check derived. The scan itself is the
+  // batched TokenScan — one Miller loop per token, one shared easy-part
+  // inversion.
   const groupsig::PreparedBases* prepared = shared_bases(pv, snapshot);
-  groupsig::PreparedBases local;
-  if (prepared == nullptr) {
-    const Bytes payload = pv.m2->signed_payload();
-    local = groupsig::prepare_bases(params_.gpk, payload, sig, &pv.ops);
-    prepared = &local;
-  }
+  std::optional<groupsig::PreparedBases> local;
+  if (prepared == nullptr) prepared = &local.emplace(bases);
   return groupsig::scan_tokens(*prepared, sig, snapshot.url_tokens,
                                &pv.ops) != groupsig::TokenScan::npos;
 }

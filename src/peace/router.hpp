@@ -4,7 +4,7 @@
 // together over a lossy radio model. Each M.2 gets one revocation check,
 // on whichever thread verifies it: the shared epoch index when it covers
 // the signature, else the URL scan — over the bases the answered beacon
-// kept from the index, or over bases derived from the message.
+// kept from the index, or over the bases its proof check derived.
 #pragma once
 
 #include <deque>
@@ -187,8 +187,10 @@ class MeshRouter {
   bool verify_batch(std::span<PendingVerify* const> jobs,
                     const revoke::RevocationSnapshot& snapshot);
   /// Step 3.3 for one verified request (the RevokedCheck of verify_batch),
-  /// on whichever thread runs it.
-  bool revoked(PendingVerify& pv, const revoke::RevocationSnapshot& snapshot);
+  /// on whichever thread runs it; `bases` are those its proof was checked
+  /// over.
+  bool revoked(PendingVerify& pv, const curve::SignatureBases& bases,
+               const revoke::RevocationSnapshot& snapshot);
   /// The snapshot's index when it answers `sig` (same epoch, same group
   /// key), else null.
   const groupsig::EpochRevocationIndex* covering_index(
@@ -196,7 +198,7 @@ class MeshRouter {
       const revoke::RevocationSnapshot& snapshot) const;
   /// The bases every signature of pv's epoch shares: the covering index's,
   /// else its beacon's when they are of that epoch. Null at epoch 0 and
-  /// otherwise; the check then derives the bases from the message.
+  /// otherwise; the check then prepares the bases its proof ran over.
   const groupsig::PreparedBases* shared_bases(
       const PendingVerify& pv,
       const revoke::RevocationSnapshot& snapshot) const;

@@ -190,17 +190,11 @@ std::optional<Session> User::process_access_confirm(const AccessConfirm& m3) {
   return session;
 }
 
-bool User::peer_revoked(BytesView payload,
-                        const groupsig::Signature& sig) const {
-  if (url_tokens_.empty()) return false;
-  // One base derivation (and one v_hat preparation) amortised over the
-  // whole URL scan, and the batched TokenScan underneath: one Miller loop
-  // per token, one shared e(-v, T_hat) factor, one easy-part inversion for
-  // the whole hello check.
-  const groupsig::PreparedBases prepared =
-      groupsig::prepare_bases(params_.gpk, payload, sig);
-  return groupsig::scan_tokens(prepared, sig, url_tokens_) !=
-         groupsig::TokenScan::npos;
+bool User::peer_verified(BytesView payload, const groupsig::Signature& sig) {
+  // The proof check derives the hashed bases once; the URL scan prepares
+  // v_hat from them and runs the batched TokenScan: one Miller loop per
+  // token, one shared e(-v, T_hat) factor, one easy-part inversion.
+  return groupsig::verify(pgpk_, payload, sig, url_tokens_, &verify_ops_);
 }
 
 PeerHello User::make_peer_hello(const G1& g, Timestamp now,
@@ -234,9 +228,7 @@ std::optional<PeerReply> User::process_peer_hello(const PeerHello& hello,
     return *cached;
   }
   const Bytes payload = hello.signed_payload();
-  if (!groupsig::verify_proof(pgpk_, payload, hello.signature) ||
-      peer_revoked(payload, hello.signature))
-    return std::nullopt;
+  if (!peer_verified(payload, hello.signature)) return std::nullopt;
 
   const Fr r_l = random_fr(rng_);
   PeerReply reply;
@@ -270,9 +262,7 @@ std::optional<User::PeerEstablished> User::process_peer_reply(
   const Timestamp age = now >= reply.ts2 ? now - reply.ts2 : reply.ts2 - now;
   if (age > config_.replay_window_ms) return std::nullopt;
   const Bytes reply_payload = reply.signed_payload();
-  if (!groupsig::verify_proof(pgpk_, reply_payload, reply.signature) ||
-      peer_revoked(reply_payload, reply.signature))
-    return std::nullopt;
+  if (!peer_verified(reply_payload, reply.signature)) return std::nullopt;
 
   const G1 shared = reply.g_rl * pending->r_j;
   const Bytes sid = session_id_from(reply.g_rj, reply.g_rl);

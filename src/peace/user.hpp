@@ -50,6 +50,9 @@ class User {
 
   const std::string& uid() const { return uid_; }
   const UserStats& stats() const { return stats_; }
+  /// Aggregate groupsig operation counters of the peer signatures (M~.1,
+  /// M~.2) this user verified.
+  const groupsig::OpCounters& verify_ops() const { return verify_ops_; }
 
   /// Final step of setup: unblind the TTP blob with x, assemble
   /// gsk[i,j] = (A, grp, x), and verify it against gpk before accepting.
@@ -163,9 +166,9 @@ class User {
   /// of key, bytes and signature). Only a passing check updates `verified`.
   bool signed_by_no(std::optional<NoSigned>& verified, Bytes payload,
                     const curve::EcdsaSignature& signature);
-  /// The URL scan of a peer's group signature: true when `sig` matches a
-  /// token.
-  bool peer_revoked(BytesView payload, const groupsig::Signature& sig) const;
+  /// Steps 3.2 + 3.3 for a peer's group signature (M~.1 or M~.2): the
+  /// proof, then the URL scan over the bases the proof check derived.
+  bool peer_verified(BytesView payload, const groupsig::Signature& sig);
   const MemberKey& pick_credential(GroupId via_group) const;
 
   std::string uid_;
@@ -211,6 +214,7 @@ class User {
   BoundedMap<std::string, PeerConfirm> peer_confirms_;
 
   UserStats stats_;
+  groupsig::OpCounters verify_ops_;
 };
 
 }  // namespace peace::proto

@@ -1,5 +1,7 @@
 #include "peace/verify_pool.hpp"
 
+#include <optional>
+
 #include "obs/trace.hpp"
 
 namespace peace::proto {
@@ -130,24 +132,29 @@ SigBatch verify_group_signatures(
   SigBatch out;
   out.verdicts.assign(items.size(), SigVerdict::kBadProof);
   std::vector<std::size_t> survivors;
+  curve::SignatureBases single_bases;
+  std::optional<groupsig::BatchVerifier> verifier;
   if (items.size() == 1) {
     if (groupsig::verify_proof(pgpk, items[0].message, *items[0].sig,
-                               item_ops[0], items[0].bases))
+                               item_ops[0], items[0].bases, &single_bases))
       survivors.push_back(0);
   } else if (items.size() > 1) {
     // Per-item preparation fans out; the combined checks plus bisection
     // run here (one final exponentiation when every proof holds).
     out.folded = true;
-    groupsig::BatchVerifier verifier(pgpk, items, salt);
+    verifier.emplace(pgpk, items, salt);
     run_jobs(pool, items.size(),
-             [&](std::size_t i) { verifier.prepare(i, item_ops[i]); });
-    const std::vector<char>& ok = verifier.finalize(&batch_ops);
+             [&](std::size_t i) { verifier->prepare(i, item_ops[i]); });
+    const std::vector<char>& ok = verifier->finalize(&batch_ops);
     for (std::size_t i = 0; i < items.size(); ++i)
       if (ok[i]) survivors.push_back(i);
   }
   run_jobs(pool, survivors.size(), [&](std::size_t k) {
     const std::size_t i = survivors[k];
-    out.verdicts[i] = revoked(i) ? SigVerdict::kRevoked : SigVerdict::kOk;
+    const curve::SignatureBases& bases =
+        verifier ? verifier->bases(i) : single_bases;
+    out.verdicts[i] =
+        revoked(i, bases) ? SigVerdict::kRevoked : SigVerdict::kOk;
   });
   return out;
 }

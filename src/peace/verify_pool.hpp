@@ -99,14 +99,17 @@ struct SigBatch {
 };
 
 /// Step 3.3 for item `i` once its proof holds: true when the signer is
-/// revoked. Runs on whichever thread claimed the item.
-using RevokedCheck = std::function<bool(std::size_t i)>;
+/// revoked. `bases` are the ones its proof was checked over. Runs on
+/// whichever thread claimed the item.
+using RevokedCheck =
+    std::function<bool(std::size_t i, const curve::SignatureBases& bases)>;
 
 /// Paper steps 3.2 + 3.3 for a batch of group signatures, verdicts
 /// bit-identical to checking each item on its own. One item runs
 /// verify_proof; more fold into a BatchVerifier whose prepare() fans out
 /// over `pool` (null: inline). The survivors' revocation checks fan out
-/// too, one job per survivor.
+/// too, one job per survivor, each handed the bases its proof check
+/// derived (on the worker that prepared it) rather than hashing them again.
 /// `item_ops` (one per item) gets per-item proof costs, `batch_ops` the
 /// fold's batch-global costs.
 SigBatch verify_group_signatures(

@@ -580,6 +580,35 @@ TEST_F(AuthTest, PeerHelloScanPreparesBasesOncePerHello) {
   }
 }
 
+TEST_F(AuthTest, RevocationScanReusesTheProofCheckBases) {
+  // At epoch 0 the URL scan runs over the bases the proof check derived:
+  // one 3-hash derivation per checked signature, for a lone M.2, for each
+  // M.2 of a folded batch, and for a peer hello.
+  no_.revoke_user_key(gm_->enroll("r1", ttp_).index, 900);
+  router_->install_revocation_lists(no_.current_crl(), no_.current_url());
+
+  std::uint64_t before = router_->verify_ops().hash_to_group;
+  ASSERT_TRUE(full_handshake(*alice_, 1000).has_value());
+  EXPECT_EQ(router_->verify_ops().hash_to_group - before, 3u);
+
+  const BeaconMessage beacon = router_->make_beacon(2000);
+  std::vector<AccessRequest> batch;
+  for (User* user : {alice_.get(), bob_.get()}) {
+    auto m2 = user->process_beacon(beacon, 2000);
+    ASSERT_TRUE(m2.has_value());
+    batch.push_back(std::move(*m2));
+  }
+  before = router_->verify_ops().hash_to_group;
+  const auto out = router_->handle_access_requests(batch, 2010);
+  ASSERT_TRUE(out[0].has_value() && out[1].has_value());
+  EXPECT_EQ(router_->verify_ops().hash_to_group - before, 6u);
+
+  const PeerHello hello = alice_->make_peer_hello(beacon.g, 2100);
+  before = bob_->verify_ops().hash_to_group;
+  ASSERT_TRUE(bob_->process_peer_hello(hello, 2110).has_value());
+  EXPECT_EQ(bob_->verify_ops().hash_to_group - before, 3u);
+}
+
 TEST_F(AuthTest, PeerStaleHelloRejected) {
   const BeaconMessage beacon = router_->make_beacon(1000);
   const PeerHello hello = alice_->make_peer_hello(beacon.g, 1000);

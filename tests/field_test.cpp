@@ -2,6 +2,9 @@
 // against BigInt arithmetic as an independent oracle.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <vector>
+
 #include "crypto/drbg.hpp"
 #include "curve/bn254.hpp"
 #include "curve/ecdsa.hpp"
@@ -169,6 +172,133 @@ TEST_F(FieldTest, SerializationRoundTrip) {
     const Fp a = Fp::from_bytes_reduce(rng.bytes(32));
     EXPECT_EQ(Fp::from_u256(U256::from_bytes(a.to_bytes())), a);
   }
+}
+
+// --- kernel edge values ----------------------------------------------------
+
+BigInt wide_to_bigint(const std::array<std::uint64_t, 8>& limbs) {
+  Bytes be;
+  for (int i = 7; i >= 0; --i) {
+    const Bytes part = U256(limbs[i]).to_bytes();
+    be.insert(be.end(), part.end() - 8, part.end());
+  }
+  return BigInt::from_bytes(be);
+}
+
+U256 minus(const U256& a, std::uint64_t k) {
+  U256 out;
+  sub_borrow(out, a, U256(k));
+  return out;
+}
+
+// +, -, negation and * of F on every pair of raw Montgomery
+// representatives in `reps`, against BigInt: the kernel sees exactly these
+// limbs, and each result must be the canonical representative.
+template <class F>
+void expect_kernel_matches_bigint(const std::vector<U256>& reps) {
+  const BigInt p = BigInt::from_u256(F::modulus());
+  const BigInt r_inv =
+      BigInt::mod_inverse(BigInt::from_u256(F::params().r), p);
+  for (const U256& x : reps) {
+    const F a = F::from_mont(x);
+    const BigInt ax = BigInt::from_u256(x);
+    EXPECT_EQ((-a).mont(), ((p - ax) % p).to_u256()) << x.to_hex();
+    for (const U256& y : reps) {
+      const F b = F::from_mont(y);
+      const BigInt by = BigInt::from_u256(y);
+      EXPECT_EQ((a + b).mont(), ((ax + by) % p).to_u256());
+      EXPECT_EQ((a - b).mont(), ((ax + p - by) % p).to_u256());
+      EXPECT_EQ((a * b).mont(), (ax * by * r_inv % p).to_u256())
+          << x.to_hex() << " * " << y.to_hex();
+    }
+  }
+}
+
+// Operands 0, 1, p-1, p-2, 2^253 and random values, both as standard-form
+// values (mapped into Montgomery form) and as raw representatives.
+template <class F>
+void expect_edge_operands_match_bigint(const char* seed) {
+  const U256& m = F::modulus();
+  U256 two_253;
+  two_253.limb[3] = 1ull << 61;
+  std::vector<U256> values = {U256::zero(), U256::one(), minus(m, 1),
+                              minus(m, 2), two_253};
+  crypto::Drbg rng = crypto::Drbg::from_string(seed);
+  for (int i = 0; i < 4; ++i)
+    values.push_back(F::from_bytes_reduce(rng.bytes(32)).to_u256());
+  std::vector<U256> standard;
+  for (const U256& v : values) standard.push_back(F::from_u256(v).mont());
+  expect_kernel_matches_bigint<F>(standard);
+  expect_kernel_matches_bigint<F>(values);
+}
+
+TEST_F(FieldTest, FpKernelEdgeOperandsMatchBigInt) {
+  expect_edge_operands_match_bigint<Fp>("fp-edges");
+}
+
+TEST_F(FieldTest, FrKernelEdgeOperandsMatchBigInt) {
+  expect_edge_operands_match_bigint<Fr>("fr-edges");
+}
+
+// redc over its whole documented domain: k*p^2 + x for every bias k the
+// table holds (x from 0 to p^2 - 1), and 2^512 - 1.
+template <class F>
+void expect_redc_matches_bigint(const char* seed) {
+  const BigInt p = BigInt::from_u256(F::modulus());
+  const BigInt r_inv =
+      BigInt::mod_inverse(BigInt::from_u256(F::params().r), p);
+  const auto& p2k = F::params().p2k;
+  std::array<std::uint64_t, 8> p2_minus_1 = p2k[1];
+  wide8_sub(p2_minus_1, FpWide{{1}}.limb);
+  crypto::Drbg rng = crypto::Drbg::from_string(seed);
+  const auto check = [&](const std::array<std::uint64_t, 8>& in) {
+    EXPECT_EQ(F::redc(FpWide{in}).mont(),
+              (wide_to_bigint(in) * r_inv % p).to_u256());
+  };
+  for (unsigned k = 0; k <= FieldParams::kMaxWideBias; ++k) {
+    std::vector<std::array<std::uint64_t, 8>> xs = {FpWide{}.limb,
+                                                    p2_minus_1};
+    for (int i = 0; i < 3; ++i)
+      xs.push_back(F::wide_mul(F::from_bytes_reduce(rng.bytes(32)),
+                               F::from_bytes_reduce(rng.bytes(32)))
+                       .limb);
+    for (auto in : xs) {
+      ASSERT_EQ(wide8_add(in, p2k[k]), 0u);
+      check(in);
+    }
+  }
+  std::array<std::uint64_t, 8> all_ones;
+  all_ones.fill(~0ull);
+  check(all_ones);
+}
+
+TEST_F(FieldTest, RedcMatchesBigIntOverItsDomain) {
+  expect_redc_matches_bigint<Fp>("fp-redc");
+  expect_redc_matches_bigint<Fr>("fr-redc");
+}
+
+TEST_F(FieldTest, FieldParamsRejectModulusOfTwoTo254OrMore) {
+  // mont_mul's carry-free CIOS needs two spare top bits.
+  U256 two_254_plus_1(1);
+  two_254_plus_1.limb[3] = 1ull << 62;
+  EXPECT_THROW(make_field_params(two_254_plus_1), Error);
+  EXPECT_THROW(make_field_params(U256(~0ull, ~0ull, ~0ull, ~0ull)), Error);
+  EXPECT_THROW(make_field_params(U256(8)), Error);  // even
+  EXPECT_NO_THROW(make_field_params(Fp::modulus()));
+  EXPECT_NO_THROW(make_field_params(Fr::modulus()));
+}
+
+// The largest admitted modulus, 2^254 - 1 (odd; Montgomery arithmetic
+// needs no primality), is where the spare-bit bound is tightest.
+struct TopModulusTag {};
+using TopField = PrimeField<TopModulusTag>;
+
+TEST_F(FieldTest, KernelAtLargestAdmittedModulus) {
+  TopField::init(U256(~0ull, ~0ull, ~0ull, ~0ull >> 2));
+  expect_edge_operands_match_bigint<TopField>("top-edges");
+  U256 all_but_top(~0ull, ~0ull, ~0ull, ~0ull >> 3);
+  expect_kernel_matches_bigint<TopField>(
+      {all_but_top, minus(TopField::modulus(), 3)});
 }
 
 // Associativity/commutativity/distributivity over random triples.

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 namespace peace::math {
 namespace {
 
@@ -141,6 +143,56 @@ TEST(U256, BitAccess) {
   EXPECT_FALSE(v.bit(2));
   EXPECT_TRUE(v.bit(3));
   EXPECT_EQ(v.bit_length(), 4u);
+}
+
+TEST(U256, CarryPrimitivesMatchU128Oracle) {
+  // The intrinsic carry chain (addc/subb) against its unsigned __int128
+  // form, over edge limbs and splitmix64 draws, with carry/borrow in 0 and 1.
+  std::vector<std::uint64_t> limbs = {0, 1, 2, ~0ull, ~0ull - 1, 1ull << 63};
+  std::uint64_t state = 0x9e3779b97f4a7c15ull;
+  for (int i = 0; i < 12; ++i) {
+    std::uint64_t z = (state += 0x9e3779b97f4a7c15ull);
+    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
+    z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
+    limbs.push_back(z ^ (z >> 31));
+  }
+  for (std::uint64_t a : limbs) {
+    for (std::uint64_t b : limbs) {
+      for (unsigned char c : {0, 1}) {
+        std::uint64_t got = 0, want = 0;
+        EXPECT_EQ(addc(c, a, b, got), addc_u128(c, a, b, want));
+        EXPECT_EQ(got, want);
+        EXPECT_EQ(subb(c, a, b, got), subb_u128(c, a, b, want));
+        EXPECT_EQ(got, want);
+      }
+    }
+  }
+  // The all-ones and all-zero chains, spelled out.
+  std::uint64_t out = 0;
+  EXPECT_EQ(addc(1, ~0ull, ~0ull, out), 1);
+  EXPECT_EQ(out, ~0ull);
+  EXPECT_EQ(subb(1, 0, ~0ull, out), 1);
+  EXPECT_EQ(out, 0u);
+  EXPECT_EQ(addc(0, 0, 0, out), 0);
+  EXPECT_EQ(out, 0u);
+  EXPECT_EQ(subb(0, 0, 0, out), 0);
+  EXPECT_EQ(out, 0u);
+}
+
+TEST(U256, FullWidthChains) {
+  const U256 max{~0ull, ~0ull, ~0ull, ~0ull};
+  U256 out;
+  EXPECT_EQ(add_carry(out, max, max), 1u);  // 2^257 - 2
+  EXPECT_EQ(out, U256(~0ull - 1, ~0ull, ~0ull, ~0ull));
+  EXPECT_EQ(sub_borrow(out, U256::zero(), max), 1u);
+  EXPECT_EQ(out, U256::one());
+  EXPECT_EQ(sub_borrow(out, max, max), 0u);
+  EXPECT_TRUE(out.is_zero());
+  const auto sq = mul_wide(max, max);  // 2^512 - 2^257 + 1
+  EXPECT_EQ(sq[0], 1u);
+  for (int i = 1; i < 4; ++i) EXPECT_EQ(sq[i], 0u);
+  EXPECT_EQ(sq[4], ~0ull - 1);
+  for (int i = 5; i < 8; ++i) EXPECT_EQ(sq[i], ~0ull);
 }
 
 class U256Param : public ::testing::TestWithParam<int> {};
