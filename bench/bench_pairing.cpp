@@ -112,6 +112,18 @@ void BM_G1ScalarMulPlain(benchmark::State& state) {
 }
 BENCHMARK(BM_G1ScalarMulPlain);
 
+void BM_G1GeneratorMul(benchmark::State& state) {
+  // k G from the fixed-base table (docs/CRYPTO.md §6.6): what ECDSA, the
+  // beacon shares and credential issuance pay, against BM_G1ScalarMul's
+  // GLV ladder on a variable base.
+  Fixture& f = Fixture::get();
+  for (auto _ : state) {
+    auto r = g1_generator_mul(f.scalar);
+    benchmark::DoNotOptimize(r);
+  }
+}
+BENCHMARK(BM_G1GeneratorMul);
+
 void BM_G2ScalarMul(benchmark::State& state) {
   Fixture& f = Fixture::get();
   for (auto _ : state) {

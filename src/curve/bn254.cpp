@@ -29,6 +29,15 @@ Bn254 g_params;
 bool g_initialized = false;
 G2Prepared g_g2_gen_prepared;
 
+// Fixed-base table for g1_gen (docs/CRYPTO.md §6.6): window i holds the
+// affine multiples j 2^{7i} G for j = 1..64, so a signed radix-2^7 digit
+// d in [-63, 64] is one lookup (negated for d < 0). 37 windows cover a
+// scalar below r < 2^254 plus the recoding carry into the top window.
+constexpr int kGenWindowBits = 7;
+constexpr int kGenWindows = 37;
+constexpr int kGenDigits = 64;  // 2^(kGenWindowBits - 1)
+std::vector<AffinePoint<G1Traits>> g_g1_gen_table;
+
 // --- signed bignum helpers (lattice bookkeeping) ---------------------------
 
 SignedBig sb_make(bool neg, BigInt mag) {
@@ -54,16 +63,6 @@ SignedBig sb_mul(const SignedBig& a, const SignedBig& b) {
   return sb_make(a.neg != b.neg, a.mag * b.mag);
 }
 
-/// Nearest integer to a/b (ties away from zero) — the Babai round-off.
-/// Any fixed rounding within 1/2 keeps the split components short.
-SignedBig sb_round_div(const SignedBig& a, const SignedBig& b) {
-  if (b.mag.is_zero()) throw Error("bn254: division by zero");
-  BigInt q, rem;
-  BigInt::divmod(a.mag, b.mag, q, rem);
-  if (!(BigInt::cmp(rem + rem, b.mag) < 0)) q = q + BigInt(1);
-  return sb_make(a.neg != b.neg, q);
-}
-
 /// Canonical residue of a modulo m, in [0, m).
 BigInt sb_mod(const SignedBig& a, const BigInt& m) {
   BigInt v = a.mag % m;
@@ -83,6 +82,99 @@ SignedBig sb_det3(const std::array<std::array<SignedBig, 3>, 3>& m) {
                 sb_mul(m[0][2], d2));
 }
 
+// --- fixed-point Babai round-off (docs/CRYPTO.md §6.1) ----------------------
+//
+// Coefficient j of a lattice split is c = round(k * adj / det), where det
+// is a multiple of r (r for the GLV basis, 36 r for the GLS sublattice).
+// For 0 <= k < r it is evaluated as (k * num + 2^575) >> 576 with
+// num = floor(|adj| 2^576 / |det|) < 2^512: the fixed-point value falls
+// short of k |adj| / |det| by less than k 2^-576 < 2^-322, while
+// k |adj| / |det| is at least 1/(2 |det|) > 2^-322 (|det| < 2^321) from
+// every rounding boundary it does not sit on. Sitting on one needs
+// 2 k adj = odd * det, hence r | k adj — impossible for 0 < k < r and
+// 0 < |adj| < r, r prime (k = 0 or adj = 0 gives exactly 0). So the
+// fixed-point coefficient IS the exact round-off, with no division.
+
+/// One coefficient's reciprocal: num = hi 2^256 + lo, and the sign of
+/// adj / det.
+struct RoundOff {
+  U256 lo, hi;
+  bool neg = false;
+};
+
+RoundOff make_round_off(const SignedBig& adj, const SignedBig& det,
+                        const BigInt& r_big) {
+  if (!(det.mag % r_big).is_zero() || det.mag.bit_length() > 320)
+    throw Error("bn254: lattice determinant out of range");
+  if (!(BigInt::cmp(adj.mag, r_big) < 0))
+    throw Error("bn254: adjugate entry out of range");
+  const BigInt num = (adj.mag << 576) / det.mag;
+  if (num.bit_length() > 512)
+    throw Error("bn254: round-off reciprocal too long");
+  RoundOff out;
+  out.lo = (num % (BigInt(1) << 256)).to_u256();
+  out.hi = (num >> 256).to_u256();
+  out.neg = adj.neg != det.neg;
+  return out;
+}
+
+U256 neg256(const U256& a) {
+  U256 out;
+  math::sub_borrow(out, U256::zero(), a);
+  return out;
+}
+
+/// a * b mod 2^256: exact on two's-complement residues.
+U256 mul_lo(const U256& a, const U256& b) {
+  const std::array<std::uint64_t, 8> w = math::mul_wide(a, b);
+  return U256(w[0], w[1], w[2], w[3]);
+}
+
+/// Two's-complement residue mod 2^256 of a signed value below 2^255.
+U256 to_twos(const SignedBig& a) {
+  if (a.mag.bit_length() >= 255) throw Error("bn254: basis entry too long");
+  const U256 v = a.mag.to_u256();
+  return a.neg ? neg256(v) : v;
+}
+
+/// round(k * adj / det) as a two's-complement residue mod 2^256; k < r.
+U256 round_off(const RoundOff& ro, const U256& k) {
+  const std::array<std::uint64_t, 8> lo = math::mul_wide(k, ro.lo);
+  const std::array<std::uint64_t, 8> hi = math::mul_wide(k, ro.hi);
+  // acc = k * num + 2^575 < 2^766; the shift keeps limbs 9..11.
+  std::array<std::uint64_t, 12> acc{};
+  std::copy(lo.begin(), lo.end(), acc.begin());
+  unsigned char carry = 0;
+  for (int i = 0; i < 8; ++i)
+    carry = math::addc(carry, acc[4 + i], hi[i], acc[4 + i]);
+  carry = math::addc(0, acc[8], std::uint64_t{1} << 63, acc[8]);
+  for (int i = 9; i < 12; ++i) carry = math::addc(carry, acc[i], 0, acc[i]);
+  const U256 c(acc[9], acc[10], acc[11], 0);
+  return ro.neg ? neg256(c) : c;
+}
+
+/// Babai split of k against an N-dimensional basis whose rows are given
+/// as two's-complement residues: c = round((k, 0, ..) adj(B) / det),
+/// split = (k, 0, ..) - c B. Computed mod 2^256; every component is
+/// shorter than max_bits < 255 bits, so its residue is exact.
+template <std::size_t N>
+void babai_split(const U256& k, const std::array<RoundOff, N>& round,
+                 const std::array<std::array<U256, N>, N>& basis,
+                 unsigned max_bits, std::array<U256, N>& mag,
+                 std::array<bool, N>& neg) {
+  std::array<U256, N> c;
+  for (std::size_t j = 0; j < N; ++j) c[j] = round_off(round[j], k);
+  for (std::size_t i = 0; i < N; ++i) {
+    U256 ki = i == 0 ? k : U256::zero();
+    for (std::size_t j = 0; j < N; ++j)
+      math::sub_borrow(ki, ki, mul_lo(c[j], basis[j][i]));
+    neg[i] = (ki.limb[3] >> 63) != 0;
+    mag[i] = neg[i] ? neg256(ki) : ki;
+    if (mag[i].bit_length() > max_bits)
+      throw Error("bn254: lattice split out of range");
+  }
+}
+
 // --- endomorphism context --------------------------------------------------
 //
 // Everything the GLV/GLS fast paths touch per call, owned here so the hot
@@ -91,21 +183,19 @@ SignedBig sb_det3(const std::array<std::array<SignedBig, 3>, 3>& m) {
 // (docs/CRYPTO.md §6.1-§6.2).
 struct EndoCtx {
   bool ready = false;
-  BigInt r_big;
+  U256 r;
 
   // GLV (G1): phi(x, y) = (beta x, y), phi = [lambda] on all of E(Fp).
   Fp beta;
   U256 lambda;
-  std::array<std::array<SignedBig, 2>, 2> b2;  // basis rows (a, b)
-  std::array<SignedBig, 2> adj2;               // first row of adj(B)
-  SignedBig det2;
+  std::array<std::array<U256, 2>, 2> b2;  // basis rows (a, b), mod 2^256
+  std::array<RoundOff, 2> round2;
 
   // GLS (G2): psi = untwist.Frobenius.twist, psi = [6u^2] on the subgroup.
   U256 lambda2;    // 6u^2 = t - 1 = p mod r
   U256 trace;      // t = 6u^2 + 1
-  std::array<std::array<SignedBig, 4>, 4> b4;
-  std::array<SignedBig, 4> adj4;  // cofactors C[j][0]
-  SignedBig det4;
+  std::array<std::array<U256, 4>, 4> b4;
+  std::array<RoundOff, 4> round4;
   Fp2 psi_x, psi_y;  // frob_gamma[2], frob_gamma[3]
 };
 
@@ -128,45 +218,24 @@ G2 g2_psi_impl(const EndoCtx& ctx, const G2& q) {
   return out;
 }
 
+U256 reduce_mod_r(const EndoCtx& ctx, U256 k) {
+  while (!(k < ctx.r)) math::sub_borrow(k, k, ctx.r);  // at most 5 rounds
+  return k;
+}
+
 GlvSplit glv_decompose_impl(const EndoCtx& ctx, const U256& k) {
   obs::note(obs::Op::kGlvDecomposition);
-  BigInt kb = BigInt::from_u256(k);
-  if (!(BigInt::cmp(kb, ctx.r_big) < 0)) kb = kb % ctx.r_big;
-  const SignedBig sk = sb_make(false, kb);
-  // Babai round-off: c = round((k, 0) adj(B) / det), split = (k, 0) - c B.
-  std::array<SignedBig, 2> c;
-  for (int j = 0; j < 2; ++j)
-    c[j] = sb_round_div(sb_mul(sk, ctx.adj2[j]), ctx.det2);
-  const SignedBig k0 = sb_sub(
-      sk, sb_add(sb_mul(c[0], ctx.b2[0][0]), sb_mul(c[1], ctx.b2[1][0])));
-  const SignedBig k1 = sb_neg(
-      sb_add(sb_mul(c[0], ctx.b2[0][1]), sb_mul(c[1], ctx.b2[1][1])));
-  if (k0.mag.bit_length() > 130 || k1.mag.bit_length() > 130)
-    throw Error("bn254: glv split out of range");
   GlvSplit out;
-  out.k = {k0.mag.to_u256(), k1.mag.to_u256()};
-  out.neg = {k0.neg, k1.neg};
+  babai_split<2>(reduce_mod_r(ctx, k), ctx.round2, ctx.b2, 130, out.k,
+                 out.neg);
   return out;
 }
 
 GlsSplit gls_decompose_impl(const EndoCtx& ctx, const U256& k) {
   obs::note(obs::Op::kGlsDecomposition);
-  BigInt kb = BigInt::from_u256(k);
-  if (!(BigInt::cmp(kb, ctx.r_big) < 0)) kb = kb % ctx.r_big;
-  const SignedBig sk = sb_make(false, kb);
-  std::array<SignedBig, 4> c;
-  for (int j = 0; j < 4; ++j)
-    c[j] = sb_round_div(sb_mul(sk, ctx.adj4[j]), ctx.det4);
   GlsSplit out;
-  for (int i = 0; i < 4; ++i) {
-    SignedBig ki = i == 0 ? sk : SignedBig{};
-    for (int j = 0; j < 4; ++j)
-      ki = sb_sub(ki, sb_mul(c[j], ctx.b4[j][i]));
-    if (ki.mag.bit_length() > 96)
-      throw Error("bn254: gls split out of range");
-    out.k[i] = ki.mag.to_u256();
-    out.neg[i] = ki.neg;
-  }
+  babai_split<4>(reduce_mod_r(ctx, k), ctx.round4, ctx.b4, 96, out.k,
+                 out.neg);
   return out;
 }
 
@@ -202,7 +271,13 @@ G2 sample_twist_point() {
 void setup_endomorphisms(Bn254& params, const BigInt& p_big,
                          const BigInt& r_big) {
   EndoCtx ctx;
-  ctx.r_big = r_big;
+  ctx.r = r_big.to_u256();
+  auto& b2 = params.glv_basis;
+  auto& adj2 = params.glv_adj;
+  auto& det2 = params.glv_det;
+  auto& b4 = params.gls_basis;
+  auto& adj4 = params.gls_adj;
+  auto& det4 = params.gls_det;
 
   // --- GLV: beta (cube root of unity in Fp) and its eigenvalue ------------
   const U256 e_p = ((p_big - BigInt(1)) / BigInt(3)).to_u256();
@@ -255,12 +330,12 @@ void setup_endomorphisms(Bn254& params, const BigInt& p_big,
   const auto norm2 = [](const BigInt& a, const SignedBig& t) {
     return a * a + t.mag * t.mag;
   };
-  ctx.b2[0] = {sb_make(false, rem1), sb_neg(t1)};
+  b2[0] = {sb_make(false, rem1), sb_neg(t1)};
   if (BigInt::cmp(norm2(rem0, t0), norm2(rem2, t2)) <= 0)
-    ctx.b2[1] = {sb_make(false, rem0), sb_neg(t0)};
+    b2[1] = {sb_make(false, rem0), sb_neg(t0)};
   else
-    ctx.b2[1] = {sb_make(false, rem2), sb_neg(t2)};
-  for (const auto& row : ctx.b2) {
+    b2[1] = {sb_make(false, rem2), sb_neg(t2)};
+  for (const auto& row : b2) {
     if (!sb_mod(sb_add(row[0], sb_mul(row[1], sb_make(false, lam_big))),
                 r_big)
              .is_zero())
@@ -268,10 +343,9 @@ void setup_endomorphisms(Bn254& params, const BigInt& p_big,
     if (row[0].mag.bit_length() > 135 || row[1].mag.bit_length() > 135)
       throw Error("bn254: glv basis row too long");
   }
-  ctx.det2 = sb_sub(sb_mul(ctx.b2[0][0], ctx.b2[1][1]),
-                    sb_mul(ctx.b2[0][1], ctx.b2[1][0]));
-  if (ctx.det2.mag.is_zero()) throw Error("bn254: glv basis degenerate");
-  ctx.adj2 = {ctx.b2[1][1], sb_neg(ctx.b2[0][1])};
+  det2 = sb_sub(sb_mul(b2[0][0], b2[1][1]), sb_mul(b2[0][1], b2[1][0]));
+  if (det2.mag.is_zero()) throw Error("bn254: glv basis degenerate");
+  adj2 = {b2[1][1], sb_neg(b2[0][1])};
 
   // --- GLS: psi eigenvalue and the 4-dimensional lattice ------------------
   // p = r + t - 1 with t = 6u^2 + 1, so lambda2 = p mod r = 6u^2 exactly.
@@ -289,14 +363,14 @@ void setup_endomorphisms(Bn254& params, const BigInt& p_big,
   const SignedBig su2 = sb_make(false, BigInt(6) * bu + BigInt(2));
   const SignedBig su3 = sb_make(false, BigInt(6) * bu + BigInt(3));
   const SignedBig one = sb_make(false, BigInt(1));
-  ctx.b4[0] = {su1, su3, one, SignedBig{}};
-  ctx.b4[1] = {SignedBig{}, su1, su3, one};
-  ctx.b4[2] = {sb_neg(one), SignedBig{}, su2, su3};
-  ctx.b4[3] = {sb_neg(su3), sb_neg(one), su3, su2};
+  b4[0] = {su1, su3, one, SignedBig{}};
+  b4[1] = {SignedBig{}, su1, su3, one};
+  b4[2] = {sb_neg(one), SignedBig{}, su2, su3};
+  b4[3] = {sb_neg(su3), sb_neg(one), su3, su2};
   std::array<BigInt, 4> lpow;
   lpow[0] = BigInt(1);
   for (int i = 1; i < 4; ++i) lpow[i] = (lpow[i - 1] * six_u2) % r_big;
-  for (const auto& row : ctx.b4) {
+  for (const auto& row : b4) {
     SignedBig acc{};
     for (int i = 0; i < 4; ++i)
       acc = sb_add(acc, sb_mul(row[i], sb_make(false, lpow[i])));
@@ -309,16 +383,27 @@ void setup_endomorphisms(Bn254& params, const BigInt& p_big,
     std::array<std::array<SignedBig, 3>, 3> minor;
     for (int rr = 0, mr = 0; rr < 4; ++rr) {
       if (rr == j) continue;
-      for (int cc = 1; cc < 4; ++cc) minor[mr][cc - 1] = ctx.b4[rr][cc];
+      for (int cc = 1; cc < 4; ++cc) minor[mr][cc - 1] = b4[rr][cc];
       ++mr;
     }
     const SignedBig d = sb_det3(minor);
-    ctx.adj4[j] = (j % 2 == 0) ? d : sb_neg(d);
+    adj4[j] = (j % 2 == 0) ? d : sb_neg(d);
   }
-  ctx.det4 = SignedBig{};
+  det4 = SignedBig{};
   for (int j = 0; j < 4; ++j)
-    ctx.det4 = sb_add(ctx.det4, sb_mul(ctx.b4[j][0], ctx.adj4[j]));
-  if (ctx.det4.mag.is_zero()) throw Error("bn254: gls basis degenerate");
+    det4 = sb_add(det4, sb_mul(b4[j][0], adj4[j]));
+  if (det4.mag.is_zero()) throw Error("bn254: gls basis degenerate");
+
+  // Fixed-point round-off reciprocals and the rows as residues mod 2^256:
+  // all that the per-call splits read.
+  for (int j = 0; j < 2; ++j) {
+    ctx.round2[j] = make_round_off(adj2[j], det2, r_big);
+    for (int i = 0; i < 2; ++i) ctx.b2[j][i] = to_twos(b2[j][i]);
+  }
+  for (int j = 0; j < 4; ++j) {
+    ctx.round4[j] = make_round_off(adj4[j], det4, r_big);
+    for (int i = 0; i < 4; ++i) ctx.b4[j][i] = to_twos(b4[j][i]);
+  }
 
   // psi eigenvalue on the subgroup, via the generator.
   if (!(params.g2_gen * ctx.lambda2).equals(g2_psi_impl(ctx, params.g2_gen)))
@@ -351,11 +436,26 @@ void setup_endomorphisms(Bn254& params, const BigInt& p_big,
 
   params.glv_beta = ctx.beta;
   params.glv_lambda = ctx.lambda;
-  params.glv_basis = ctx.b2;
   params.gls_lambda = ctx.lambda2;
-  params.gls_basis = ctx.b4;
   ctx.ready = true;
   g_endo = ctx;
+}
+
+/// Builds g_g1_gen_table's layout: 64 consecutive multiples per window,
+/// the next window's base one doubling of the last (128 2^{7i} G), and one
+/// batch_normalize for all 2368 points.
+std::vector<AffinePoint<G1Traits>> build_generator_table(const G1& g) {
+  std::vector<G1> jac;
+  jac.reserve(kGenWindows * kGenDigits);
+  G1 base = g;
+  for (int i = 0; i < kGenWindows; ++i) {
+    jac.push_back(base);
+    for (int j = 1; j < kGenDigits; ++j) jac.push_back(jac.back() + base);
+    base = jac.back().dbl();
+  }
+  std::vector<AffinePoint<G1Traits>> table(jac.size());
+  batch_normalize<G1Traits>(jac, table);
+  return table;
 }
 
 BigInt bn_poly(std::uint64_t u, std::uint64_t c2) {
@@ -431,6 +531,7 @@ void Bn254::init() {
   // Paired and prepared once here, so no caller's op counts include them.
   g_params.gt_gen = pairing(g_params.g1_gen, g_params.g2_gen);
   g_g2_gen_prepared = G2Prepared(g_params.g2_gen);
+  g_g1_gen_table = build_generator_table(g_params.g1_gen);
 }
 
 const Bn254& Bn254::get() {
@@ -441,6 +542,34 @@ const Bn254& Bn254::get() {
 const G2Prepared& g2_generator_prepared() {
   (void)Bn254::get();  // throws before init()
   return g_g2_gen_prepared;
+}
+
+G1 g1_generator_mul(const Fr& k) {
+  if (g_g1_gen_table.empty()) throw Error("bn254: not initialized");
+  obs::note(obs::Op::kFixedBaseMul);
+  const U256 v = k.to_u256();
+  // Signed recoding, low window first: a 7-bit chunk plus the incoming
+  // carry is 0..128; above 64 it becomes the digit minus 128 with a carry
+  // into the next window. k < r < 2^254 leaves the top window's chunk at
+  // most 3, so its digit is at most 4 and no carry leaves it.
+  G1 acc = G1::infinity();
+  int carry = 0;
+  for (int i = 0; i < kGenWindows; ++i) {
+    const int bit = i * kGenWindowBits;
+    std::uint64_t chunk = v.limb[bit / 64] >> (bit % 64);
+    if (bit % 64 > 64 - kGenWindowBits && bit / 64 < 3)
+      chunk |= v.limb[bit / 64 + 1] << (64 - bit % 64);
+    int d = static_cast<int>(chunk & 0x7f) + carry;
+    carry = d > kGenDigits ? 1 : 0;
+    d -= carry << kGenWindowBits;
+    const AffinePoint<G1Traits>* window = &g_g1_gen_table[i * kGenDigits];
+    if (d > 0)
+      acc = acc.add_mixed(window[d - 1]);
+    else if (d < 0)
+      acc = acc.add_mixed(window[-d - 1].negated());
+  }
+  if (carry != 0) throw Error("bn254: generator recoding carry overflow");
+  return acc;
 }
 
 // --- Endomorphism fast paths (docs/CRYPTO.md §6) ---------------------------

@@ -67,6 +67,15 @@ struct Bn254 {
   std::array<std::array<SignedBig, 2>, 2> glv_basis;
   math::U256 gls_lambda;     // p mod r = 6u^2: psi(Q) = [lambda]Q on G2
   std::array<std::array<SignedBig, 4>, 4> gls_basis;
+  // Babai round-off data: coefficient j of the split of k is
+  // round(k * adj[j] / det), where adj[j] is column 0 of the basis's
+  // adjugate and det its determinant (+-r for GLV, +-36r for GLS). The
+  // fast paths evaluate it in fixed point (docs/CRYPTO.md §6.1); these
+  // exact values are the tests' oracle.
+  std::array<SignedBig, 2> glv_adj;
+  SignedBig glv_det;
+  std::array<SignedBig, 4> gls_adj;
+  SignedBig gls_det;
 
   GT gt_gen;  // e(g1_gen, g2_gen), paired once by init()
 
@@ -149,6 +158,13 @@ G2 g2_clear_cofactor(const G2& q);
 /// docs/CRYPTO.md §6.2) — one ~127-bit multiplication instead of the
 /// 254-bit [r]Q check.
 bool g2_in_subgroup(const G2& q);
+
+/// [k]G for the fixed G1 generator from the table Bn254::init() builds:
+/// signed radix-2^7 digits, one affine lookup and at most one mixed
+/// addition per window, no doubling, no split, no inversion. The same
+/// group element as g1_gen * k (docs/CRYPTO.md §6.6). Not constant-time:
+/// the digits index the table.
+G1 g1_generator_mul(const Fr& k);
 
 /// GLV hook consumed by CurvePoint<G1Traits>::operator* (found by ADL):
 /// g1_mul_glv once init() has published the constants, plain wNAF before.

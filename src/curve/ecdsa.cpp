@@ -40,7 +40,7 @@ EcdsaKeyPair EcdsaKeyPair::from_secret(const Fr& secret) {
   if (secret.is_zero()) throw Error("ecdsa: zero secret");
   EcdsaKeyPair kp;
   kp.secret_ = secret;
-  kp.public_key_ = Bn254::get().g1_gen * secret;
+  kp.public_key_ = g1_generator_mul(secret);
   return kp;
 }
 
@@ -63,7 +63,7 @@ EcdsaSignature EcdsaKeyPair::sign(BytesView message, crypto::Drbg& rng) const {
   const Fr e = message_scalar(message);
   for (;;) {
     const Fr k = random_fr(rng);
-    const G1 big_r = Bn254::get().g1_gen * k;
+    const G1 big_r = g1_generator_mul(k);
     const Fr r = point_x_mod_r(big_r);
     if (r.is_zero()) continue;
     const Fr s = k.inverse() * (e + secret_ * r);
@@ -78,7 +78,8 @@ bool ecdsa_verify(const G1& public_key, BytesView message,
   if (public_key.is_infinity() || !public_key.is_on_curve()) return false;
   const Fr e = message_scalar(message);
   const Fr w = sig.s.inverse();
-  const G1 x = Bn254::get().g1_gen * (e * w) + public_key * (sig.r * w);
+  // (e w) G from the generator table; the key half stays on GLV.
+  const G1 x = g1_generator_mul(e * w) + public_key * (sig.r * w);
   if (x.is_infinity()) return false;
   return point_x_mod_r(x) == sig.r;
 }

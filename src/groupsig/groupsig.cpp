@@ -142,7 +142,7 @@ MemberKey Issuer::derive(const Fr& grp, const Fr& x) const {
   const Fr denom = gamma_ + grp + x;
   if (denom.is_zero()) throw Error("groupsig: gamma + grp + x == 0");
   MemberKey key;
-  key.a = Bn254::get().g1_gen * denom.inverse();
+  key.a = curve::g1_generator_mul(denom.inverse());
   key.grp = grp;
   key.x = x;
   return key;

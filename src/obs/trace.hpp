@@ -68,6 +68,8 @@ enum class Op : std::uint8_t {
   kFieldInversion,
   kGlvDecomposition,
   kGlsDecomposition,
+  /// One curve::g1_generator_mul: a k * G from the generator table.
+  kFixedBaseMul,
   kCount,  // sentinel — not an op
 };
 
@@ -93,6 +95,7 @@ inline constexpr std::array<OpRow, kOpCount> kOps{{
     {Op::kFieldInversion, "curve.field_inversions", "field_inversions"},
     {Op::kGlvDecomposition, "curve.glv_decompositions", "glv_decompositions"},
     {Op::kGlsDecomposition, "curve.gls_decompositions", "gls_decompositions"},
+    {Op::kFixedBaseMul, "curve.fixed_base_muls", "fixed_base_muls"},
 }};
 
 void note(Op op, std::uint64_t n = 1);
@@ -114,7 +117,8 @@ struct TraceArg {
 
 /// One recorded event, already flattened to Chrome trace_event semantics.
 struct TraceEvent {
-  static constexpr std::size_t kMaxArgs = 12;
+  /// A delta per kOps row plus one explicit arg (a shard tick's `shard`).
+  static constexpr std::size_t kMaxArgs = kOpCount + 1;
 
   const char* name = nullptr;
   const char* cat = nullptr;

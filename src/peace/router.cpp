@@ -12,7 +12,6 @@
 
 namespace peace::proto {
 
-using curve::Bn254;
 using curve::g1_to_bytes;
 using curve::random_fr;
 
@@ -126,15 +125,19 @@ void MeshRouter::set_under_attack(bool attacked,
 BeaconMessage MeshRouter::make_beacon(Timestamp now) {
   if (const groupsig::Epoch epoch = config_.epoch_at(now); epoch != 0)
     revocation_->advance_epoch(params_.gpk, epoch);
+  // g = a G and g^{r_R} = (a r_R) G, the same point as g r_R and so the
+  // same bytes, both from the generator table. a is drawn before r_R, as
+  // always, so the DRBG stream is unchanged.
   BeaconState state;
-  state.g = Bn254::get().g1_gen * random_fr(rng_);
+  const Fr a = random_fr(rng_);
   state.r_r = random_fr(rng_);
+  state.g = curve::g1_generator_mul(a);
   state.ts = now;
 
   BeaconMessage beacon;
   beacon.router_id = id_;
   beacon.g = state.g;
-  beacon.g_rr = state.g * state.r_r;
+  beacon.g_rr = curve::g1_generator_mul(a * state.r_r);
   beacon.ts1 = now;
   beacon.signature = keypair_.sign(beacon.signed_payload(), rng_);
   beacon.certificate = certificate_;

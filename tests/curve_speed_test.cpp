@@ -14,6 +14,7 @@
 #include "curve/ecdsa.hpp"
 #include "curve/hash_to_curve.hpp"
 #include "curve/pairing.hpp"
+#include "edge_scalars.hpp"
 #include "groupsig/groupsig.hpp"
 #include "obs/metrics.hpp"
 
@@ -48,21 +49,6 @@ class CurveSpeedTest : public ::testing::Test {
   /// A unitary Fp12 (in the cyclotomic subgroup), as cyclotomic_square
   /// requires: any pairing value qualifies.
   Fp12 rand_unitary() { return pairing(rand_g1(), rand_g2()); }
-
-  /// Edge scalars the decomposition paths must agree on: 0, 1, 2, r-2,
-  /// r-1, r, r+1, 2r, and the all-ones pattern.
-  std::vector<U256> edge_scalars() {
-    const BigInt r = BigInt::from_u256(Bn254::get().r);
-    std::vector<U256> ks = {U256(0), U256(1), U256(2),
-                            (r - BigInt(2)).to_u256(),
-                            (r - BigInt(1)).to_u256(), r.to_u256(),
-                            (r + BigInt(1)).to_u256(),
-                            (r + r).to_u256()};
-    U256 ones;
-    ones.limb = {~0ull, ~0ull, ~0ull, ~0ull};
-    ks.push_back(ones);
-    return ks;
-  }
 };
 
 TEST_F(CurveSpeedTest, GlvMatchesPlainOnRandomScalars) {
@@ -133,6 +119,68 @@ TEST_F(CurveSpeedTest, DecompositionsRecombine) {
       EXPECT_LE(s4.k[j].bit_length(), 96u);
     }
     EXPECT_EQ(acc4, want);
+  }
+}
+
+/// The exact Babai split of k (mod r) against a basis with adjugate column
+/// adj and determinant det, in BigInt arithmetic: c_j = round(k adj_j /
+/// det) (ties away from zero), split = (k, 0, ..) - c B. The oracle for the
+/// fixed-point round-off glv_decompose / gls_decompose evaluate.
+template <std::size_t N>
+std::array<SignedBig, N> exact_babai_split(
+    const U256& k, const std::array<std::array<SignedBig, N>, N>& basis,
+    const std::array<SignedBig, N>& adj, const SignedBig& det) {
+  const auto make = [](bool neg, BigInt mag) {
+    return SignedBig{!mag.is_zero() && neg, std::move(mag)};
+  };
+  const auto add = [&](const SignedBig& a, const SignedBig& b) {
+    if (a.neg == b.neg) return make(a.neg, a.mag + b.mag);
+    return BigInt::cmp(a.mag, b.mag) >= 0 ? make(a.neg, a.mag - b.mag)
+                                          : make(b.neg, b.mag - a.mag);
+  };
+  const BigInt r = BigInt::from_u256(Bn254::get().r);
+  const BigInt kb = BigInt::from_u256(k) % r;
+  std::array<SignedBig, N> c;
+  for (std::size_t j = 0; j < N; ++j) {
+    BigInt q, rem;
+    BigInt::divmod(kb * adj[j].mag, det.mag, q, rem);
+    if (!(BigInt::cmp(rem + rem, det.mag) < 0)) q = q + BigInt(1);
+    c[j] = make(adj[j].neg != det.neg, q);
+  }
+  std::array<SignedBig, N> split;
+  for (std::size_t i = 0; i < N; ++i) {
+    split[i] = i == 0 ? make(false, kb) : SignedBig{};
+    for (std::size_t j = 0; j < N; ++j)
+      split[i] = add(split[i], make(c[j].neg == basis[j][i].neg,
+                                    c[j].mag * basis[j][i].mag));
+  }
+  return split;
+}
+
+TEST_F(CurveSpeedTest, DecompositionsMatchExactRoundOff) {
+  const Bn254& bn = Bn254::get();
+  std::vector<U256> ks = edge_scalars();
+  for (int i = 0; i < 1000; ++i) ks.push_back(rand_fr().to_u256());
+  for (int i = 0; i < 24; ++i) {  // unreduced 256-bit scalars
+    Bytes b(32);
+    rng_.fill(b.data(), b.size());
+    ks.push_back(U256::from_bytes(b));
+  }
+  for (const U256& k : ks) {
+    const GlvSplit s2 = glv_decompose(k);
+    const auto want2 =
+        exact_babai_split<2>(k, bn.glv_basis, bn.glv_adj, bn.glv_det);
+    for (int i = 0; i < 2; ++i) {
+      ASSERT_EQ(BigInt::from_u256(s2.k[i]), want2[i].mag) << k.to_hex();
+      ASSERT_EQ(s2.neg[i], want2[i].neg) << k.to_hex();
+    }
+    const GlsSplit s4 = gls_decompose(k);
+    const auto want4 =
+        exact_babai_split<4>(k, bn.gls_basis, bn.gls_adj, bn.gls_det);
+    for (int i = 0; i < 4; ++i) {
+      ASSERT_EQ(BigInt::from_u256(s4.k[i]), want4[i].mag) << k.to_hex();
+      ASSERT_EQ(s4.neg[i], want4[i].neg) << k.to_hex();
+    }
   }
 }
 
