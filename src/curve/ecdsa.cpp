@@ -40,7 +40,8 @@ EcdsaKeyPair EcdsaKeyPair::from_secret(const Fr& secret) {
   if (secret.is_zero()) throw Error("ecdsa: zero secret");
   EcdsaKeyPair kp;
   kp.secret_ = secret;
-  kp.public_key_ = g1_generator_mul(secret);
+  // Z = 1, so no encoding of the key (certificates, beacons) inverts.
+  kp.public_key_ = g1_generator_mul(secret).normalized();
   return kp;
 }
 

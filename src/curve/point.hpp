@@ -265,6 +265,19 @@ void batch_normalize(std::span<const CurvePoint<Traits>> in,
   }
 }
 
+/// Rewrites each finite point to its Z = 1 representative with one
+/// batch_normalize pass (one inversion for all of them). Same group
+/// elements, so no encoding changes; later to_affine calls are free.
+template <class Traits, std::size_t N>
+void normalize_in_place(const std::array<CurvePoint<Traits>*, N>& points) {
+  std::array<CurvePoint<Traits>, N> in;
+  for (std::size_t i = 0; i < N; ++i) in[i] = *points[i];
+  std::array<AffinePoint<Traits>, N> out;
+  batch_normalize<Traits>(in, out);
+  for (std::size_t i = 0; i < N; ++i)
+    if (!out[i].infinity) *points[i] = {out[i].x, out[i].y};
+}
+
 /// Width-w signed recoding (wNAF): k = sum_i d_i 2^i with every nonzero
 /// digit odd and |d_i| < 2^(w-1). Nonzero digits are at least w apart, so
 /// an n-bit scalar costs ~n/(w+1) additions against a 2^(w-2)-entry table

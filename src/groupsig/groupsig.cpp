@@ -1,7 +1,5 @@
 #include "groupsig/groupsig.hpp"
 
-#include <array>
-
 #include "common/serde.hpp"
 #include "curve/ecdsa.hpp"
 #include "obs/trace.hpp"
@@ -150,19 +148,6 @@ MemberKey Issuer::derive(const Fr& grp, const Fr& x) const {
 
 namespace {
 
-/// Rewrites each finite point to its Z = 1 representative with one
-/// batch_normalize pass (one inversion for all of them). Same group
-/// elements, so no encoding changes; later to_affine calls are free.
-template <class Traits, std::size_t N>
-void normalize(const std::array<curve::CurvePoint<Traits>*, N>& points) {
-  std::array<curve::CurvePoint<Traits>, N> in;
-  for (std::size_t i = 0; i < N; ++i) in[i] = *points[i];
-  std::array<curve::AffinePoint<Traits>, N> out;
-  curve::batch_normalize<Traits>(in, out);
-  for (std::size_t i = 0; i < N; ++i)
-    if (!out[i].infinity) *points[i] = {out[i].x, out[i].y};
-}
-
 /// Steps 2.2.1) - 2.2.4) for both sign overloads. They differ only in R2's
 /// pairing product: through the prepared g2 / w lines when `pgpk` is
 /// given, from scratch otherwise (the plain-key reference path). Same rng
@@ -220,8 +205,9 @@ Signature sign_impl(const GroupPublicKey& gpk,
 
   // The challenge hash and every later encoding of the signature read these
   // points' affine forms: two inversions here instead of one per point.
-  normalize<curve::G1Traits, 4>({&sig.t1, &sig.t2, &sig.r1, &sig.r3});
-  normalize<curve::G2Traits, 2>({&sig.t_hat, &sig.r4});
+  curve::normalize_in_place<curve::G1Traits, 4>(
+      {&sig.t1, &sig.t2, &sig.r1, &sig.r3});
+  curve::normalize_in_place<curve::G2Traits, 2>({&sig.t_hat, &sig.r4});
 
   const Fr c = challenge(gpk, message, sig, sig.r1, sig.r2, sig.r3, sig.r4);
 
@@ -360,7 +346,83 @@ struct BatchVerifier::Prep {
   curve::SignatureBases bases;
   G1 a, b;  // Eq.2's two G1 combinations (paired with prepared g2 / w)
   std::uint64_t rho1 = 0, rho2 = 0, rho3 = 0, rho4 = 0;
+  /// The first format-ok item whose u (v_hat) is the same point as this
+  /// item's: folds merge the terms of items that share one.
+  std::size_t u_first = 0, v_hat_first = 0;
 };
+
+namespace {
+
+/// Fold job shapes (docs/CRYPTO.md §4.1). Constants, never the pool's
+/// thread count, so a fold makes the same calls however its jobs run. A
+/// G2 sum of kG2SplitFrom terms or more splits into parts of at most
+/// kG2MaxPart terms, R2 powers over kGtSplitFrom bases or more into parts
+/// of at most kGtMaxPart: a 16-item fold then runs 4 jobs per stage at
+/// most, none much longer than its G1 sum or Eq.2's left side. Smaller
+/// folds stay one MSM and one multi-power.
+constexpr std::size_t kG2SplitFrom = 32, kG2MaxPart = 16;
+constexpr std::size_t kGtSplitFrom = 16, kGtMaxPart = 8;
+
+std::size_t part_count(std::size_t n, std::size_t split_from,
+                       std::size_t max_part) {
+  return n < split_from ? 1 : (n + max_part - 1) / max_part;
+}
+
+/// Part j of `all` cut into `parts` near-equal contiguous runs.
+template <class T>
+std::span<const T> part(const std::vector<T>& all, std::size_t j,
+                        std::size_t parts) {
+  const std::size_t lo = j * all.size() / parts;
+  const std::size_t hi = (j + 1) * all.size() / parts;
+  return std::span<const T>(all).subspan(lo, hi - lo);
+}
+
+/// One multi-scalar sum's terms. A base point repeated across items gets
+/// one term whose scalar is the sum, mod r, of the repeats' scalars: the
+/// same group element, so the same verdict.
+template <class Point>
+struct FoldTerms {
+  std::vector<Point> points;
+  std::vector<Fr> scalars;
+  /// Term index of each merged base, by its first item (kNone: none yet).
+  static constexpr std::size_t kNone = static_cast<std::size_t>(-1);
+  std::vector<std::size_t> slot_of;
+
+  explicit FoldTerms(std::size_t items) : slot_of(items, kNone) {}
+
+  void add(const Point& p, const Fr& s) {
+    points.push_back(p);
+    scalars.push_back(s);
+  }
+  void add_merged(std::size_t first, const Point& p, const Fr& s) {
+    std::size_t& slot = slot_of[first];
+    if (slot != kNone) {
+      scalars[slot] += s;
+      return;
+    }
+    slot = points.size();
+    add(p, s);
+  }
+  std::vector<curve::U256> u256_scalars() const {
+    std::vector<curve::U256> out;
+    out.reserve(scalars.size());
+    for (const Fr& s : scalars) out.push_back(s.to_u256());
+    return out;
+  }
+};
+
+/// Index in `firsts` (items with distinct points, in order) of the item
+/// whose point equals item i's, per `same`; appends i when none does.
+template <class Same>
+std::size_t first_equal(std::vector<std::size_t>& firsts, std::size_t i,
+                        Same same) {
+  for (auto it = firsts.rbegin(); it != firsts.rend(); ++it)
+    if (same(*it)) return *it;
+  firsts.push_back(i);
+  return i;
+}
+
+}  // namespace
 
 BatchVerifier::BatchVerifier(const PreparedGroupPublicKey& pgpk,
                              std::span<const BatchItem> items, BytesView salt)
@@ -478,7 +540,7 @@ bool BatchVerifier::check_one(std::size_t i, OpCounters* ops) {
 }
 
 bool BatchVerifier::check_range(std::size_t lo, std::size_t hi,
-                                OpCounters* ops) {
+                                OpCounters* ops, const JobRunner& run) {
   std::vector<std::size_t> active;
   active.reserve(hi - lo);
   for (std::size_t i = lo; i < hi; ++i)
@@ -488,74 +550,68 @@ bool BatchVerifier::check_range(std::size_t lo, std::size_t hi,
   span.arg("lo", lo);
   span.arg("hi", hi);
   span.arg("active", active.size());
-
   using curve::U256;
-  // Combined Eq.1 + Eq.3, one G1 multi-scalar sum. Per item i the residual
+  const std::size_t n = active.size();
+
+  // Stage 1. Combined Eq.1 + Eq.3, one G1 multi-scalar sum: per item i
+  // the residual
   //   rho1 * (u^sa T1^-c R1^-1) + rho3 * (T1^sx u^-sd R3^-1)
-  // collapses onto four points; the total must be the identity.
-  std::vector<G1> g1_pts;
-  std::vector<U256> g1_sc;
-  g1_pts.reserve(active.size() * 4);
-  g1_sc.reserve(active.size() * 4);
+  // collapses onto four points. Combined Eq.4, one G2 sum over three
+  // points per item. Both totals must be the identity.
+  FoldTerms<G1> g1(items_.size());
+  FoldTerms<G2> g2(items_.size());
   for (const std::size_t i : active) {
     const Prep& p = prep_[i];
     const Signature& sig = *items_[i].sig;
     const Fr rho1 = Fr::from_u64(p.rho1);
     const Fr rho3 = Fr::from_u64(p.rho3);
-    g1_pts.push_back(p.bases.u);
-    g1_sc.push_back((rho1 * sig.s_alpha - rho3 * sig.s_delta).to_u256());
-    g1_pts.push_back(sig.t1);
-    g1_sc.push_back((rho3 * sig.s_x - rho1 * p.c).to_u256());
-    g1_pts.push_back(sig.r1);
-    g1_sc.push_back((-rho1).to_u256());
-    g1_pts.push_back(sig.r3);
-    g1_sc.push_back((-rho3).to_u256());
-  }
-  count(ops, &OpCounters::g1_exp, 4 * active.size());
-  if (!curve::g1_msm(std::span<const G1>(g1_pts),
-                     std::span<const U256>(g1_sc))
-           .is_infinity())
-    return false;
-
-  // Combined Eq.4, one G2 multi-scalar sum.
-  std::vector<G2> g2_pts;
-  std::vector<U256> g2_sc;
-  g2_pts.reserve(active.size() * 3);
-  g2_sc.reserve(active.size() * 3);
-  for (const std::size_t i : active) {
-    const Prep& p = prep_[i];
-    const Signature& sig = *items_[i].sig;
     const Fr rho4 = Fr::from_u64(p.rho4);
-    g2_pts.push_back(p.bases.v_hat);
-    g2_sc.push_back((rho4 * sig.s_alpha).to_u256());
-    g2_pts.push_back(sig.t_hat);
-    g2_sc.push_back((-(rho4 * p.c)).to_u256());
-    g2_pts.push_back(sig.r4);
-    g2_sc.push_back((-rho4).to_u256());
+    g1.add_merged(p.u_first, p.bases.u,
+                  rho1 * sig.s_alpha - rho3 * sig.s_delta);
+    g1.add(sig.t1, rho3 * sig.s_x - rho1 * p.c);
+    g1.add(sig.r1, -rho1);
+    g1.add(sig.r3, -rho3);
+    g2.add_merged(p.v_hat_first, p.bases.v_hat, rho4 * sig.s_alpha);
+    g2.add(sig.t_hat, -(rho4 * p.c));
+    g2.add(sig.r4, -rho4);
   }
-  count(ops, &OpCounters::g2_exp, 3 * active.size());
+  const std::vector<U256> g1_sc = g1.u256_scalars();
+  const std::vector<U256> g2_sc = g2.u256_scalars();
+  const std::size_t g2_parts =
+      part_count(g2.points.size(), kG2SplitFrom, kG2MaxPart);
+  G1 g1_sum;
+  std::vector<G2> g2_sums(g2_parts);
   // GLS precondition: v_hat is hash-derived, t_hat and r4 are parse-checked.
-  if (!curve::g2_msm(std::span<const G2>(g2_pts),
-                     std::span<const U256>(g2_sc))
-           .is_infinity())
-    return false;
+  run(1 + g2_parts, [&](std::size_t j) {
+    if (j == 0) {
+      g1_sum = curve::g1_msm(g1.points, g1_sc);
+      return;
+    }
+    g2_sums[j - 1] = curve::g2_msm(part(g2.points, j - 1, g2_parts),
+                                   part(g2_sc, j - 1, g2_parts));
+  });
+  count(ops, &OpCounters::g1_exp, 4 * n);
+  count(ops, &OpCounters::g2_exp, 3 * n);
+  G2 g2_sum = G2::infinity();
+  for (const G2& s : g2_sums) g2_sum = g2_sum + s;
+  if (!g1_sum.is_infinity() || !g2_sum.is_infinity()) return false;
 
-  // Combined Eq.2: by bilinearity,
+  // Stage 2. Combined Eq.2: by bilinearity,
   //   prod_i [ e(a_i, g2) e(b_i, w) ]^rho2_i
   //     == e(sum_i rho2_i a_i, g2) * e(sum_i rho2_i b_i, w),
-  // so the whole batch costs two Miller loops over the PREPARED bases and
-  // ONE final exponentiation, however many signatures it holds. The right
-  // side folds the carried R2 powers under one shared cyclotomic squaring
-  // chain.
+  // so the left side costs two Miller loops over the PREPARED bases and
+  // ONE final exponentiation, however many signatures the fold holds. The
+  // right side folds the carried R2 powers under shared cyclotomic
+  // squaring chains, one per part; the parts multiply together.
   std::vector<G1> a_pts, b_pts;
   std::vector<U256> rho2_sc;
   std::vector<GT> r2s;
   std::vector<std::uint64_t> rho2s;
-  a_pts.reserve(active.size());
-  b_pts.reserve(active.size());
-  rho2_sc.reserve(active.size());
-  r2s.reserve(active.size());
-  rho2s.reserve(active.size());
+  a_pts.reserve(n);
+  b_pts.reserve(n);
+  rho2_sc.reserve(n);
+  r2s.reserve(n);
+  rho2s.reserve(n);
   for (const std::size_t i : active) {
     const Prep& p = prep_[i];
     a_pts.push_back(p.a);
@@ -564,23 +620,30 @@ bool BatchVerifier::check_range(std::size_t lo, std::size_t hi,
     r2s.push_back(items_[i].sig->r2);
     rho2s.push_back(p.rho2);
   }
-  const G1 a_fold = curve::g1_msm(std::span<const G1>(a_pts),
-                                  std::span<const U256>(rho2_sc));
-  const G1 b_fold = curve::g1_msm(std::span<const G1>(b_pts),
-                                  std::span<const U256>(rho2_sc));
-  count(ops, &OpCounters::g1_exp, 2 * active.size());
-  curve::MillerAccumulator acc;
-  acc.add(a_fold, curve::g2_generator_prepared());
-  acc.add(b_fold, pgpk_.w);
+  const std::size_t gt_parts = part_count(n, kGtSplitFrom, kGtMaxPart);
+  GT lhs;
+  std::vector<GT> rhs_parts(gt_parts);
+  run(1 + gt_parts, [&](std::size_t j) {
+    if (j == 0) {
+      curve::MillerAccumulator acc;
+      acc.add(curve::g1_msm(a_pts, rho2_sc), curve::g2_generator_prepared());
+      acc.add(curve::g1_msm(b_pts, rho2_sc), pgpk_.w);
+      lhs = acc.finalize();
+      return;
+    }
+    rhs_parts[j - 1] = curve::gt_multi_pow_unitary(
+        part(r2s, j - 1, gt_parts), part(rho2s, j - 1, gt_parts));
+  });
+  count(ops, &OpCounters::g1_exp, 2 * n);
   count(ops, &OpCounters::pairings, 2);
-  const GT lhs = acc.finalize();
-  const GT rhs = curve::gt_multi_pow_unitary(
-      std::span<const GT>(r2s), std::span<const std::uint64_t>(rho2s));
-  count(ops, &OpCounters::gt_exp, active.size());
+  count(ops, &OpCounters::gt_exp, n);
+  GT rhs = rhs_parts[0];
+  for (std::size_t j = 1; j < gt_parts; ++j) rhs *= rhs_parts[j];
   return lhs == rhs;
 }
 
-void BatchVerifier::bisect(std::size_t lo, std::size_t hi, OpCounters* ops) {
+void BatchVerifier::bisect(std::size_t lo, std::size_t hi, OpCounters* ops,
+                           const JobRunner& run) {
   std::size_t n_active = 0;
   std::size_t last_active = 0;
   for (std::size_t i = lo; i < hi; ++i) {
@@ -596,22 +659,39 @@ void BatchVerifier::bisect(std::size_t lo, std::size_t hi, OpCounters* ops) {
     results_[last_active] = check_one(last_active, ops) ? 1 : 0;
     return;
   }
-  if (check_range(lo, hi, ops)) {
+  if (check_range(lo, hi, ops, run)) {
     for (std::size_t i = lo; i < hi; ++i)
       if (prep_[i].format_ok) results_[i] = 1;
     return;
   }
   const std::size_t mid = lo + (hi - lo) / 2;
-  bisect(lo, mid, ops);
-  bisect(mid, hi, ops);
+  bisect(lo, mid, ops, run);
+  bisect(mid, hi, ops, run);
 }
 
-const std::vector<char>& BatchVerifier::finalize(OpCounters* ops) {
+const std::vector<char>& BatchVerifier::finalize(OpCounters* ops,
+                                                 const JobRunner& run) {
   if (finalized_) return results_;
   obs::Span span("batch.finalize", "groupsig");
   span.arg("batch_size", items_.size());
   for (std::size_t i = 0; i < items_.size(); ++i) prepare(i, ops);
-  bisect(0, items_.size(), ops);
+  // Every signature of one epoch is over the same u and v_hat; the points
+  // themselves decide which items share a merged fold term.
+  std::vector<std::size_t> us, v_hats;
+  for (std::size_t i = 0; i < items_.size(); ++i) {
+    Prep& p = prep_[i];
+    if (!p.format_ok) continue;
+    p.u_first = first_equal(
+        us, i, [&](std::size_t j) { return prep_[j].bases.u == p.bases.u; });
+    p.v_hat_first = first_equal(v_hats, i, [&](std::size_t j) {
+      return prep_[j].bases.v_hat == p.bases.v_hat;
+    });
+  }
+  const JobRunner run_inline =
+      [](std::size_t count, const std::function<void(std::size_t)>& body) {
+        for (std::size_t j = 0; j < count; ++j) body(j);
+      };
+  bisect(0, items_.size(), ops, run ? run : run_inline);
   finalized_ = true;
   return results_;
 }

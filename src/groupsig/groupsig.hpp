@@ -20,6 +20,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <span>
@@ -377,11 +378,22 @@ class BatchVerifier {
   /// (the router's VerifyPool fans this out); touches no shared state.
   void prepare(std::size_t i, OpCounters* ops = nullptr);
 
-  /// Phase 2 — combined checks plus bisection fallback, on the calling
-  /// thread. Items not yet prepared are prepared inline, so a pure
-  /// sequential caller may skip phase 1. Idempotent after the first call.
-  /// Returns one accept flag per item, positionally.
-  const std::vector<char>& finalize(OpCounters* ops = nullptr);
+  /// Runs body(j) for every j in [0, count) and returns once all have
+  /// run. The jobs of one call are independent: a runner may run them
+  /// concurrently and in any order.
+  using JobRunner = std::function<void(
+      std::size_t count, const std::function<void(std::size_t)>& body)>;
+
+  /// Phase 2 — combined checks plus bisection fallback. The bisection
+  /// order is sequential, on the calling thread; each fold (check_range)
+  /// is a fixed list of independent jobs in two stages, which `run` may
+  /// spread over a pool (empty: inline, in index order). The list's shape
+  /// depends only on the fold's items, so calls, counts and verdicts are
+  /// the same however the jobs run. Items not yet prepared are prepared
+  /// inline, so a pure sequential caller may skip phase 1. Idempotent
+  /// after the first call. Returns one accept flag per item, positionally.
+  const std::vector<char>& finalize(OpCounters* ops = nullptr,
+                                    const JobRunner& run = {});
 
   const std::vector<char>& results() const { return results_; }
 
@@ -393,10 +405,12 @@ class BatchVerifier {
   struct Prep;
   /// The three combined randomized checks over the format-ok items of
   /// indices [lo, hi). True when every folded equation holds.
-  bool check_range(std::size_t lo, std::size_t hi, OpCounters* ops);
+  bool check_range(std::size_t lo, std::size_t hi, OpCounters* ops,
+                   const JobRunner& run);
   /// Exact sequential equation checks for one item (the bisection leaf).
   bool check_one(std::size_t i, OpCounters* ops);
-  void bisect(std::size_t lo, std::size_t hi, OpCounters* ops);
+  void bisect(std::size_t lo, std::size_t hi, OpCounters* ops,
+              const JobRunner& run);
 
   const PreparedGroupPublicKey& pgpk_;
   std::vector<BatchItem> items_;

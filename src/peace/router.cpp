@@ -127,17 +127,19 @@ BeaconMessage MeshRouter::make_beacon(Timestamp now) {
     revocation_->advance_epoch(params_.gpk, epoch);
   // g = a G and g^{r_R} = (a r_R) G, the same point as g r_R and so the
   // same bytes, both from the generator table. a is drawn before r_R, as
-  // always, so the DRBG stream is unchanged.
+  // always, so the DRBG stream is unchanged. One inversion normalizes both
+  // shares, so every later encoding of them (the signed payload, the
+  // beacon's wire bytes, g_rr_bytes) is free.
   BeaconState state;
   const Fr a = random_fr(rng_);
   state.r_r = random_fr(rng_);
-  state.g = curve::g1_generator_mul(a);
   state.ts = now;
 
   BeaconMessage beacon;
   beacon.router_id = id_;
-  beacon.g = state.g;
+  beacon.g = curve::g1_generator_mul(a);
   beacon.g_rr = curve::g1_generator_mul(a * state.r_r);
+  curve::normalize_in_place<curve::G1Traits, 2>({&beacon.g, &beacon.g_rr});
   beacon.ts1 = now;
   beacon.signature = keypair_.sign(beacon.signed_payload(), rng_);
   beacon.certificate = certificate_;

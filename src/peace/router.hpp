@@ -165,7 +165,6 @@ class MeshRouter {
 
  private:
   struct BeaconState {
-    G1 g;
     Fr r_r;
     Bytes g_rr_bytes;
     Timestamp ts = 0;

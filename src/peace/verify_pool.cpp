@@ -139,13 +139,18 @@ SigBatch verify_group_signatures(
                                item_ops[0], items[0].bases, &single_bases))
       survivors.push_back(0);
   } else if (items.size() > 1) {
-    // Per-item preparation fans out; the combined checks plus bisection
-    // run here (one final exponentiation when every proof holds).
+    // Per-item preparation fans out. The bisection runs here, and each of
+    // its folds hands its fixed job list back to the pool (one final
+    // exponentiation when every proof holds).
     out.folded = true;
     verifier.emplace(pgpk, items, salt);
     run_jobs(pool, items.size(),
              [&](std::size_t i) { verifier->prepare(i, item_ops[i]); });
-    const std::vector<char>& ok = verifier->finalize(&batch_ops);
+    const std::vector<char>& ok = verifier->finalize(
+        &batch_ops, [pool](std::size_t count,
+                           const std::function<void(std::size_t)>& body) {
+          run_jobs(pool, count, body);
+        });
     for (std::size_t i = 0; i < items.size(); ++i)
       if (ok[i]) survivors.push_back(i);
   }

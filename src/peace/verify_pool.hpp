@@ -5,12 +5,14 @@
 // enrollment on a pool of its own (docs/ARCHITECTURE.md §3).
 //
 // verify_group_signatures decides how a batch is verified: the
-// embarrassingly-parallel groupsig::BatchVerifier::prepare(i) calls and
-// the survivors' revocation checks (one job per signature, never split
-// across workers) fan out here, while the order-sensitive combined checks
-// and bisection stay on the calling thread (BatchVerifier::finalize is
-// sequential by contract). It also emits the pool.* telemetry, so pool.*
-// counts verify batches only. Threading model of its caller: a sequential
+// embarrassingly-parallel groupsig::BatchVerifier::prepare(i) calls, each
+// fold's fixed list of independent jobs (the G1 sum, the G2 sum's parts,
+// Eq.2's left side and its R2-power parts; a list's shape depends only on
+// the fold's items, never on the thread count) and the survivors'
+// revocation checks (one job per signature, never split across workers)
+// fan out here, while the bisection order stays sequential on the calling
+// thread. It also emits the pool.* telemetry, so pool.* counts verify
+// batches only. Threading model of its caller: a sequential
 // precheck pass feeds the check, and a sequential in-order apply pass
 // consumes its verdicts — all rng draws and state mutation happen in the
 // sequential passes, which is what keeps results independent of the worker
@@ -106,10 +108,12 @@ using RevokedCheck =
 
 /// Paper steps 3.2 + 3.3 for a batch of group signatures, verdicts
 /// bit-identical to checking each item on its own. One item runs
-/// verify_proof; more fold into a BatchVerifier whose prepare() fans out
-/// over `pool` (null: inline). The survivors' revocation checks fan out
-/// too, one job per survivor, each handed the bases its proof check
-/// derived (on the worker that prepared it) rather than hashing them again.
+/// verify_proof; more fold into a BatchVerifier whose prepare() calls and
+/// fold jobs fan out over `pool` (null: inline); its finalize() runs on
+/// the calling thread, never inside a job. The survivors' revocation
+/// checks fan out too, one job per survivor, each handed the bases its
+/// proof check derived (on the worker that prepared it) rather than
+/// hashing them again.
 /// `item_ops` (one per item) gets per-item proof costs, `batch_ops` the
 /// fold's batch-global costs.
 SigBatch verify_group_signatures(

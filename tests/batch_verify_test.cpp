@@ -7,10 +7,13 @@
 // time.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "groupsig/groupsig.hpp"
+#include "obs/trace.hpp"
 #include "peace/router.hpp"
 #include "peace/user.hpp"
 
@@ -238,6 +241,85 @@ TEST_F(BatchVerifyTest, PreparePhaseIsSplittable) {
   expect_batch_matches_sequential();
   for (std::size_t i = 0; i < batch.size(); ++i)
     EXPECT_EQ(static_cast<bool>(got[i]), i != 4) << i;
+}
+
+/// Every curve.* op counter, for before/after deltas.
+std::array<std::uint64_t, obs::kOpCount> curve_ops() {
+  std::array<std::uint64_t, obs::kOpCount> out{};
+  for (std::size_t k = 0; k < obs::kOpCount; ++k)
+    out[k] = obs::op_count(obs::kOps[k].op);
+  return out;
+}
+
+TEST_F(BatchVerifyTest, ReversedFoldJobsMatchInline) {
+  // A fold's job list is fixed by its items: running each stage's jobs in
+  // reverse order must give the verdicts, OpCounters and curve.* deltas
+  // of the inline run. Sixteen signatures over two interleaved epochs
+  // with one forgery: the top fold splits its G2 sum and its R2 powers,
+  // then fails and bisects.
+  messages_.clear();
+  sigs_.clear();
+  for (std::size_t i = 0; i < 16; ++i) {
+    messages_.push_back(to_bytes("fold-msg-" + std::to_string(i)));
+    sigs_.push_back(sign(issuer_.gpk(), i % 3 ? bob_ : alice_,
+                         messages_.back(), rng_, 5 + i % 2));
+  }
+  sigs_[9].s_delta = sigs_[9].s_delta + Fr::one();
+  const std::vector<BatchItem> batch = items();
+
+  const auto run = [&](const BatchVerifier::JobRunner& runner) {
+    BatchVerifier verifier(pgpk_, batch, salt_);
+    OpCounters ops;
+    const auto before = curve_ops();
+    const std::vector<char> got = verifier.finalize(&ops, runner);
+    auto delta = curve_ops();
+    for (std::size_t k = 0; k < delta.size(); ++k) delta[k] -= before[k];
+    return std::tuple{got, ops, delta};
+  };
+  std::vector<std::size_t> job_counts;
+  const auto reversed = run(
+      [&](std::size_t count, const std::function<void(std::size_t)>& body) {
+        job_counts.push_back(count);
+        for (std::size_t j = count; j-- > 0;) body(j);
+      });
+  const auto inline_run = run({});
+  EXPECT_EQ(reversed, inline_run);
+  // Top fold: G1 sum + 3 G2 parts (2 merged v_hat + 32 terms), then it
+  // fails on the forgery, so no Eq.2 jobs run for it.
+  ASSERT_FALSE(job_counts.empty());
+  EXPECT_EQ(job_counts.front(), 4u);
+  const std::vector<char>& got = std::get<0>(inline_run);
+  for (std::size_t i = 0; i < got.size(); ++i)
+    EXPECT_EQ(static_cast<bool>(got[i]), i != 9) << i;
+  expect_batch_matches_sequential();
+}
+
+TEST_F(BatchVerifyTest, TwoEpochsPassInOneFold) {
+  // Items of one epoch share u and v_hat, whose fold terms merge; items of
+  // the other epoch share different ones. A merge across unequal points
+  // would fail the fold, and the bisection's leaves would still return
+  // the right verdicts — so the count is the check: one fold, 2 pairings,
+  // no leaf's 2 G2 exponentiations on top of the fold's 3 per item.
+  messages_.clear();
+  sigs_.clear();
+  const curve::SignatureBases epoch3 = epoch_bases(issuer_.gpk(), 3);
+  std::vector<const curve::SignatureBases*> given;
+  for (std::size_t i = 0; i < 12; ++i) {
+    const Epoch epoch = i % 2 ? 4 : 3;
+    messages_.push_back(to_bytes("epoch-msg-" + std::to_string(i)));
+    sigs_.push_back(sign(issuer_.gpk(), i % 3 ? alice_ : bob_,
+                         messages_.back(), rng_, epoch));
+    // Epoch 3 passes its bases in, epoch 4 has prepare() derive them.
+    given.push_back(epoch == 3 ? &epoch3 : nullptr);
+  }
+  std::vector<BatchItem> batch = items();
+  for (std::size_t i = 0; i < batch.size(); ++i) batch[i].bases = given[i];
+  OpCounters ops;
+  const std::vector<char> got = batch_verify_proof(pgpk_, batch, salt_, &ops);
+  for (std::size_t i = 0; i < got.size(); ++i) EXPECT_EQ(got[i], 1) << i;
+  EXPECT_EQ(ops.pairings, 2u);
+  EXPECT_EQ(ops.g2_exp, 3 * batch.size());
+  EXPECT_EQ(ops.gt_exp, batch.size());
 }
 
 // --- protocol level -------------------------------------------------------

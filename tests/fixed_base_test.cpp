@@ -135,6 +135,28 @@ TEST_F(FixedBaseTest, BeaconSharesMatchTheGlvProducts) {
                            beacon.signed_payload(), beacon.signature));
 }
 
+TEST_F(FixedBaseTest, BeaconSharesAndKeysInvertOnce) {
+  // A key pair's public key and a beacon's two shares come out with Z = 1,
+  // so only their making inverts: one batch normalization of g and g_rr
+  // plus the signature's R, and no encoding of the beacon inverts again.
+  const EcdsaKeyPair kp = EcdsaKeyPair::generate(rng_);
+  std::uint64_t inv = counter("curve.field_inversions");
+  (void)g1_to_bytes(kp.public_key());
+  EXPECT_EQ(counter("curve.field_inversions") - inv, 0u);
+
+  proto::NetworkOperator no(crypto::Drbg::from_string("fixed-base-inv-no"));
+  auto provision = no.provision_router(1, 1'000'000'000);
+  proto::MeshRouter router(1, provision.keypair, provision.certificate,
+                           no.params(),
+                           crypto::Drbg::from_string("fixed-base-inv-router"));
+  inv = counter("curve.field_inversions");
+  const proto::BeaconMessage beacon = router.make_beacon(1000);
+  EXPECT_EQ(counter("curve.field_inversions") - inv, 2u);
+  inv = counter("curve.field_inversions");
+  (void)beacon.to_bytes();
+  EXPECT_EQ(counter("curve.field_inversions") - inv, 0u);
+}
+
 TEST_F(FixedBaseTest, ConcurrentEcdsaSharesTheTable) {
   // The metro's pool threads all read the one table built by init().
   std::vector<std::jthread> threads;

@@ -9,6 +9,7 @@
 #include <fstream>
 #include <iterator>
 #include <map>
+#include <tuple>
 
 #include "curve/bn254.hpp"
 #include "curve/pairing.hpp"
@@ -485,6 +486,66 @@ TEST_F(ObsTest, PooledAndSequentialCountersMatch) {
   const auto pooled = run(4);
   EXPECT_EQ(std::get<0>(seq), 3u);
   EXPECT_EQ(seq, pooled);
+}
+
+TEST_F(ObsTest, PooledAndSequentialFoldCountersMatch) {
+  // The same contract for folds big enough to split into several jobs per
+  // stage: a 16-M.2 batch with one forgery, whose failed fold bisects, and
+  // an all-honest epoch-mode batch of M.2s answering beacons of two
+  // epochs. Every curve.* delta and the router's op counters must match
+  // between the inline router and the 4-thread one.
+  constexpr proto::Timestamp kFarFuture = 1000ull * 86400 * 365;
+  constexpr std::size_t kBatch = 16;
+  proto::NetworkOperator no(crypto::Drbg::from_string("obs-fold-no"));
+  proto::TrustedThirdParty ttp;
+  proto::GroupManager gm = no.register_group("obs-fold-g", kBatch, ttp);
+  auto provision = no.provision_router(1, kFarFuture);
+  std::vector<proto::GroupManager::Enrollment> enrollments;
+  for (std::size_t i = 0; i < kBatch; ++i)
+    enrollments.push_back(gm.enroll("obs-fold" + std::to_string(i), ttp));
+
+  const auto run = [&](unsigned threads, bool two_epochs) {
+    proto::ProtocolConfig config;
+    config.verify_threads = threads;
+    if (two_epochs) config.revocation_epoch_ms = 60'000;
+    proto::MeshRouter router(1, provision.keypair, provision.certificate,
+                             no.params(),
+                             crypto::Drbg::from_string("obs-fold-router"),
+                             config);
+    router.install_revocation_lists(no.current_crl(), no.current_url());
+    // Without epochs both beacons are at epoch 0 and only the second is
+    // answered; with them, the first is epoch 1 and the second epoch 2.
+    const proto::BeaconMessage old_beacon = router.make_beacon(59'000);
+    const proto::BeaconMessage beacon = router.make_beacon(61'000);
+    std::vector<proto::AccessRequest> batch;
+    for (std::size_t i = 0; i < kBatch; ++i) {
+      const std::string uid = "obs-fold" + std::to_string(i);
+      proto::User sender(uid, no.params(), crypto::Drbg::from_string(uid),
+                         config);
+      sender.complete_enrollment(enrollments[i]);
+      const bool old = two_epochs && i % 2 == 1;
+      batch.push_back(
+          sender.process_beacon(old ? old_beacon : beacon, 61'000).value());
+    }
+    if (!two_epochs) batch[5].ts2 += 1;  // signature no longer covers it
+    Registry::global().reset();
+    const auto outcomes = router.handle_access_requests(batch, 61'010);
+    std::size_t accepted = 0;
+    for (const auto& o : outcomes) accepted += o.has_value() ? 1 : 0;
+    std::array<std::uint64_t, obs::kOpCount> ops{};
+    for (std::size_t k = 0; k < obs::kOpCount; ++k)
+      ops[k] = obs::op_count(obs::kOps[k].op);
+    return std::tuple{accepted, ops, router.verify_ops()};
+  };
+
+  for (const bool two_epochs : {false, true}) {
+    const auto seq = run(1, two_epochs);
+    const auto pooled = run(4, two_epochs);
+    EXPECT_EQ(seq, pooled) << two_epochs;
+    EXPECT_EQ(std::get<0>(seq), two_epochs ? kBatch : kBatch - 1);
+    // Two epochs, no revoked member: one fold's Eq.2 is every pairing.
+    if (two_epochs) EXPECT_EQ(std::get<2>(seq).pairings, 2u);
+  }
 }
 
 TEST_F(ObsTest, PooledAndSequentialCountersMatchOnALargeUrl) {
