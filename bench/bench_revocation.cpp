@@ -4,6 +4,7 @@
 // is independent of |URL|" trades per-epoch linkability for O(1) lookups.
 // This bench regenerates both curves and their crossover.
 #include "bench_common.hpp"
+#include "obs/trace.hpp"
 
 namespace peace::bench {
 namespace {
@@ -171,7 +172,7 @@ void BM_EpochIndexRebuild(benchmark::State& state) {
   crypto::Drbg rng = crypto::Drbg::from_string("e4r", state.range(0));
   const auto issuer = groupsig::Issuer::create(rng);
   const auto url = make_url(issuer, rng, static_cast<int>(state.range(0)));
-  const std::uint64_t pairings_before = curve::pairing_op_count();
+  const std::uint64_t pairings_before = obs::op_count(obs::Op::kPairing);
   std::uint64_t builds = 0;
   for (auto _ : state) {
     groupsig::EpochRevocationIndex index(w.no.params().gpk, 7, url);
@@ -180,7 +181,7 @@ void BM_EpochIndexRebuild(benchmark::State& state) {
   }
   state.counters["url_size"] = static_cast<double>(state.range(0));
   state.counters["pairings_per_update"] =
-      static_cast<double>(curve::pairing_op_count() - pairings_before) /
+      static_cast<double>(obs::op_count(obs::Op::kPairing) - pairings_before) /
       static_cast<double>(builds);
 }
 BENCHMARK(BM_EpochIndexRebuild)
@@ -200,7 +201,7 @@ void BM_EpochIndexIncrementalDelta(benchmark::State& state) {
   const groupsig::RevocationToken fresh{
       issuer.issue(curve::random_fr(rng), rng).a};
   const groupsig::EpochRevocationIndex base(w.no.params().gpk, 7, url);
-  const std::uint64_t pairings_before = curve::pairing_op_count();
+  const std::uint64_t pairings_before = obs::op_count(obs::Op::kPairing);
   std::uint64_t updates = 0;
   for (auto _ : state) {
     groupsig::EpochRevocationIndex next = base;  // snapshot clone, 0 pairings
@@ -210,52 +211,11 @@ void BM_EpochIndexIncrementalDelta(benchmark::State& state) {
   }
   state.counters["url_size"] = static_cast<double>(state.range(0));
   state.counters["pairings_per_update"] =
-      static_cast<double>(curve::pairing_op_count() - pairings_before) /
+      static_cast<double>(obs::op_count(obs::Op::kPairing) - pairings_before) /
       static_cast<double>(updates);
 }
 BENCHMARK(BM_EpochIndexIncrementalDelta)
     ->Arg(8)
-    ->Arg(32)
-    ->Unit(benchmark::kMillisecond);
-
-void BM_UrlScanPreparedBases(benchmark::State& state) {
-  // Cached-v_hat column for the linear scan: derive the message's bases
-  // (and prepare v_hat) once, then run every token against the prepared
-  // form. Compare with BM_LinearScanRevocation, whose per-token
-  // matches_token re-derives the bases and re-walks v_hat's Miller loop
-  // 2|URL| times. g2_prepared counts the one-shot tables built.
-  World& w = World::instance();
-  crypto::Drbg rng = crypto::Drbg::from_string("e4c", state.range(0));
-  const auto& key = w.user->credential(w.gm.id());
-  const auto sig = groupsig::sign(w.no.params().gpk, key, as_bytes("m"), rng);
-  const auto issuer = groupsig::Issuer::create(rng);
-  const auto url = make_url(issuer, rng, static_cast<int>(state.range(0)));
-  const std::uint64_t prepared_before = curve::g2_prepared_count();
-  std::uint64_t scans = 0;
-  groupsig::OpCounters ops;
-  for (auto _ : state) {
-    ops.reset();
-    const groupsig::PreparedBases prepared =
-        groupsig::prepare_bases(w.no.params().gpk, as_bytes("m"), sig, &ops);
-    bool hit = false;
-    for (const auto& token : url)
-      hit |= groupsig::matches_token(prepared, sig, token, &ops);
-    benchmark::DoNotOptimize(hit);
-    ++scans;
-  }
-  state.counters["url_size"] = static_cast<double>(state.range(0));
-  state.counters["pairings_per_check"] =
-      static_cast<double>(ops.pairings) / static_cast<double>(state.range(0));
-  state.counters["g2_prepared_per_scan"] =
-      static_cast<double>(curve::g2_prepared_count() - prepared_before) /
-      static_cast<double>(scans);
-}
-BENCHMARK(BM_UrlScanPreparedBases)
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(4)
-    ->Arg(8)
-    ->Arg(16)
     ->Arg(32)
     ->Unit(benchmark::kMillisecond);
 
@@ -264,8 +224,7 @@ void BM_UrlScanBatched(benchmark::State& state) {
   // scan, ONE Miller factor e(-v, T_hat) shared across the list, one token
   // Miller loop each, and a single Montgomery-batched easy-part inversion
   // for the whole scan. Per-verification cost vs |URL| up to 10^5 — compare
-  // per-token with BM_LinearScanRevocation (the seed base-rederiving path)
-  // and BM_UrlScanPreparedBases (the seed cached-v_hat path).
+  // per-token with BM_LinearScanRevocation (the seed base-rederiving path).
   World& w = World::instance();
   crypto::Drbg rng = crypto::Drbg::from_string("e4b", state.range(0));
   const auto& key = w.user->credential(w.gm.id());
@@ -306,7 +265,7 @@ void BM_PerRouterIndexes(benchmark::State& state) {
   const auto issuer = groupsig::Issuer::create(rng);
   const auto url = make_url(issuer, rng, 16);
   const auto routers = static_cast<std::size_t>(state.range(0));
-  const std::uint64_t pairings_before = curve::pairing_op_count();
+  const std::uint64_t pairings_before = obs::op_count(obs::Op::kPairing);
   std::uint64_t rolls = 0;
   for (auto _ : state) {
     for (std::size_t r = 0; r < routers; ++r) {
@@ -317,7 +276,7 @@ void BM_PerRouterIndexes(benchmark::State& state) {
   }
   state.counters["routers"] = static_cast<double>(routers);
   state.counters["pairings_per_roll"] =
-      static_cast<double>(curve::pairing_op_count() - pairings_before) /
+      static_cast<double>(obs::op_count(obs::Op::kPairing) - pairings_before) /
       static_cast<double>(rolls);
 }
 BENCHMARK(BM_PerRouterIndexes)
@@ -353,7 +312,7 @@ void BM_SharedSnapshotIndex(benchmark::State& state) {
         crypto::Drbg::from_string("bench-fleet", static_cast<int>(r)),
         proto::ProtocolConfig{}, shared));
   }
-  const std::uint64_t pairings_before = curve::pairing_op_count();
+  const std::uint64_t pairings_before = obs::op_count(obs::Op::kPairing);
   std::uint64_t rolls = 0;
   groupsig::Epoch epoch = 1;
   for (auto _ : state) {
@@ -365,7 +324,7 @@ void BM_SharedSnapshotIndex(benchmark::State& state) {
   }
   state.counters["routers"] = static_cast<double>(routers);
   state.counters["pairings_per_roll"] =
-      static_cast<double>(curve::pairing_op_count() - pairings_before) /
+      static_cast<double>(obs::op_count(obs::Op::kPairing) - pairings_before) /
       static_cast<double>(rolls);
 }
 BENCHMARK(BM_SharedSnapshotIndex)

@@ -8,6 +8,7 @@
 #include <string_view>
 #include <vector>
 
+#include "../tests/groupsig_reference.hpp"
 #include "bench_common.hpp"
 
 namespace peace::bench {

@@ -82,11 +82,18 @@ int main() {
   std::printf("  attacker wall-clock .............. %.1f ms\n", ms_since(t0));
 
   // --- Phase 4: legitimate user during the attack --------------------------
-  beacon = router.make_beacon(3000);
+  // The beacon and the M.2 cross the air as wire bytes, the puzzle and its
+  // solution nested in them.
+  beacon =
+      proto::BeaconMessage::from_bytes(router.make_beacon(3000).to_bytes());
   t0 = std::chrono::steady_clock::now();
   auto m2 = alice.process_beacon(beacon, 3000);
   const bool connected =
-      m2.has_value() && router.handle_access_request(*m2, 3001).has_value();
+      m2.has_value() &&
+      router
+          .handle_access_request(
+              proto::AccessRequest::from_bytes(m2->to_bytes()), 3001)
+          .has_value();
   std::printf("\nphase 4 — legitimate user under active attack:\n");
   std::printf("  solved puzzle + authenticated .... %s (%.1f ms, "
               "%llu hashes spent)\n",

@@ -79,7 +79,8 @@ struct ChaosSegment {
             }(),
             [] {
               mesh::ReliabilityConfig reliability;
-              reliability.rekey_after_frames = 8;  // exercised by the probes
+              // A resident's fourth frame (probe(4)) retires its uplink.
+              reliability.rekey_after_frames = 3;
               return reliability;
             }()) {
     routers.push_back(net.add_router({0, 0}, no, kYearMs));
@@ -172,7 +173,8 @@ bool chaos_phase(ChaosTotals& totals, const char* name,
   const std::size_t connected = seg.connected();
   const double rate = seg.probe(4);
   const auto& s = seg.net.stats();
-  const bool ok = connected == seg.users.size() && rate >= delivery_floor;
+  const bool ok = connected == seg.users.size() && rate >= delivery_floor &&
+                  s.rekeys > 0;
   std::printf(
       "%-11s %2zu/%zu sessions, delivery %.0f%% (floor %.0f%%) | retx %llu, "
       "timeouts %llu, rekeys %llu, corrupt-rejected %llu, dup %llu, "

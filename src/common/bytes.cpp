@@ -7,12 +7,6 @@ namespace peace {
 namespace {
 constexpr char kHexDigits[] = "0123456789abcdef";
 
-int hex_value(char c) {
-  if (c >= '0' && c <= '9') return c - '0';
-  if (c >= 'a' && c <= 'f') return c - 'a' + 10;
-  if (c >= 'A' && c <= 'F') return c - 'A' + 10;
-  return -1;
-}
 }  // namespace
 
 std::string to_hex(BytesView data) {
@@ -21,19 +15,6 @@ std::string to_hex(BytesView data) {
   for (std::uint8_t b : data) {
     out.push_back(kHexDigits[b >> 4]);
     out.push_back(kHexDigits[b & 0xf]);
-  }
-  return out;
-}
-
-Bytes from_hex(std::string_view hex) {
-  if (hex.size() % 2 != 0) throw Error("from_hex: odd length");
-  Bytes out;
-  out.reserve(hex.size() / 2);
-  for (std::size_t i = 0; i < hex.size(); i += 2) {
-    const int hi = hex_value(hex[i]);
-    const int lo = hex_value(hex[i + 1]);
-    if (hi < 0 || lo < 0) throw Error("from_hex: invalid digit");
-    out.push_back(static_cast<std::uint8_t>(hi << 4 | lo));
   }
   return out;
 }

@@ -24,9 +24,6 @@ class Error : public std::runtime_error {
 /// Lowercase hex encoding of a byte string.
 std::string to_hex(BytesView data);
 
-/// Parses lowercase/uppercase hex. Throws Error on odd length or bad digit.
-Bytes from_hex(std::string_view hex);
-
 /// Byte view over a string's contents (no copy).
 inline BytesView as_bytes(std::string_view s) {
   return {reinterpret_cast<const std::uint8_t*>(s.data()), s.size()};

@@ -2,11 +2,6 @@
 
 namespace peace {
 
-void Writer::u16(std::uint16_t v) {
-  buf_.push_back(static_cast<std::uint8_t>(v >> 8));
-  buf_.push_back(static_cast<std::uint8_t>(v));
-}
-
 void Writer::u32(std::uint32_t v) {
   for (int shift = 24; shift >= 0; shift -= 8)
     buf_.push_back(static_cast<std::uint8_t>(v >> shift));
@@ -34,13 +29,6 @@ void Reader::need(std::size_t n) const {
 std::uint8_t Reader::u8() {
   need(1);
   return data_[pos_++];
-}
-
-std::uint16_t Reader::u16() {
-  need(2);
-  std::uint16_t v = static_cast<std::uint16_t>(data_[pos_] << 8 | data_[pos_ + 1]);
-  pos_ += 2;
-  return v;
 }
 
 std::uint32_t Reader::u32() {

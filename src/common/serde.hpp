@@ -50,7 +50,6 @@ class Writer {
   explicit Writer(bool wide_counts = false) : wide_counts_(wide_counts) {}
 
   void u8(std::uint8_t v) { buf_.push_back(v); }
-  void u16(std::uint16_t v);
   void u32(std::uint32_t v);
   void u64(std::uint64_t v);
   /// Raw bytes, no length prefix (fixed-size fields).
@@ -95,7 +94,6 @@ class Reader {
       : data_(data), wide_counts_(wide_counts) {}
 
   std::uint8_t u8();
-  std::uint16_t u16();
   std::uint32_t u32();
   std::uint64_t u64();
   /// Fixed-size field.
@@ -206,20 +204,20 @@ T decode(BytesView data) {
 
 // --- leaves ------------------------------------------------------------------
 
+// No format has a 16-bit field.
 template <class T>
-concept Unsigned = std::unsigned_integral<T> && !std::same_as<T, bool>;
+concept Unsigned =
+    std::unsigned_integral<T> && !std::same_as<T, bool> && sizeof(T) != 2;
 
 template <Unsigned T>
 void put(Writer& w, T v) {
   if constexpr (sizeof(T) == 1) w.u8(v);
-  else if constexpr (sizeof(T) == 2) w.u16(v);
   else if constexpr (sizeof(T) == 4) w.u32(v);
   else w.u64(v);
 }
 template <Unsigned T>
 void get(Reader& r, T& v) {
   if constexpr (sizeof(T) == 1) v = r.u8();
-  else if constexpr (sizeof(T) == 2) v = r.u16();
   else if constexpr (sizeof(T) == 4) v = r.u32();
   else v = r.u64();
 }
@@ -262,7 +260,7 @@ inline void get(Reader& r, Tag t) {
   if (r.str() != t.text) throw Error("serde: bad image tag");
 }
 
-inline void put(Writer&, SignedEnd) {}
+// A Writer stops at kSignedEnd itself (Writer::field); a Reader reads on.
 inline void get(Reader&, SignedEnd) {}
 
 template <class A, class B>

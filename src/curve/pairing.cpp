@@ -471,7 +471,7 @@ GT multi_pairing(std::span<const std::pair<G1, const G2Prepared*>> prepared,
 }
 
 GT MillerAccumulator::finalize() const {
-  return multi_pairing(prepared_, unprepared_);
+  return multi_pairing(prepared_, {});
 }
 
 bool gt_in_cyclotomic_subgroup(const Fp12& x) {
@@ -564,17 +564,5 @@ GT pairing_reference(const G1& p, const G2& q) {
 }
 
 const GT& gt_generator() { return Bn254::get().gt_gen; }
-
-std::uint64_t pairing_op_count() {
-  return obs::op_count(obs::Op::kPairing);
-}
-
-std::uint64_t g2_prepared_count() {
-  return obs::op_count(obs::Op::kG2Prepared);
-}
-
-std::uint64_t fp12_inverse_count() {
-  return obs::op_count(obs::Op::kFp12Inverse);
-}
 
 }  // namespace peace::curve

@@ -94,9 +94,6 @@ GT multi_pairing(std::span<const std::pair<G1, const G2Prepared*>> prepared,
 class MillerAccumulator {
  public:
   void add(const G1& p, const G2Prepared& q) { prepared_.push_back({p, &q}); }
-  void add(const G1& p, const G2& q) { unprepared_.push_back({p, q}); }
-  std::size_t size() const { return prepared_.size() + unprepared_.size(); }
-  bool empty() const { return prepared_.empty() && unprepared_.empty(); }
 
   /// prod e(p, q) over every added term: fused Miller loops, single final
   /// exponentiation. Returns GT one for an empty accumulator.
@@ -104,7 +101,6 @@ class MillerAccumulator {
 
  private:
   std::vector<std::pair<G1, const G2Prepared*>> prepared_;
-  std::vector<std::pair<G1, G2>> unprepared_;
 };
 
 /// Membership test for the cyclotomic subgroup G_{Phi_12}(Fp) of Fp12*, the
@@ -170,21 +166,5 @@ Fp12 frobenius12(const Fp12& x);
 /// Untwist a G2 point into E(Fp12) affine coordinates (for tests and the
 /// reference pairing).
 void untwist(const G2& q, Fp12& x_out, Fp12& y_out);
-
-/// Total pairings computed since process start (instrumentation for the
-/// operation-count experiments E2/E3).
-std::uint64_t pairing_op_count();
-
-/// Total G2Prepared line tables built since process start. Tests use the
-/// delta across a call to assert that hot paths reuse cached prepared bases
-/// instead of constructing one-shot tables per message or per token.
-std::uint64_t g2_prepared_count();
-
-/// Total Fp12 inversions paid by final-exponentiation easy parts since
-/// process start (one per final_exponentiation call, one per
-/// final_exp_easy_batch call regardless of batch size). Tests use the delta
-/// across an n-token URL scan to assert the batched easy part shares a
-/// single inversion.
-std::uint64_t fp12_inverse_count();
 
 }  // namespace peace::curve

@@ -720,18 +720,6 @@ PreparedBases prepare_bases(const GroupPublicKey& gpk, BytesView message,
   return PreparedBases(derive_bases(gpk, message, sig, ops));
 }
 
-bool matches_token(const PreparedBases& prepared, const Signature& sig,
-                   const RevocationToken& token, OpCounters* ops) {
-  count(ops, &OpCounters::pairings, 2);
-  // Same fused product as the re-deriving overload; v_hat consumes its
-  // stored lines, T_hat (used once) gets a line table for this call only.
-  const std::pair<curve::G1, const curve::G2Prepared*> prep[] = {
-      {sig.t2 - token.a, &prepared.v_hat}};
-  const std::pair<curve::G1, curve::G2> unprep[] = {
-      {-prepared.bases.v, sig.t_hat}};
-  return curve::multi_pairing(prep, unprep).is_one();
-}
-
 TokenScan::TokenScan(const PreparedBases& prepared, const Signature& sig,
                      OpCounters* ops)
     : sig_(sig),
@@ -765,15 +753,6 @@ std::size_t scan_tokens(const PreparedBases& prepared, const Signature& sig,
   TokenScan scan(prepared, sig, ops);
   for (const RevocationToken& token : url) scan.add(token);
   return scan.first_match();
-}
-
-bool verify(const GroupPublicKey& gpk, BytesView message, const Signature& sig,
-            std::span<const RevocationToken> url, OpCounters* ops) {
-  if (!verify_proof(gpk, message, sig, ops)) return false;
-  for (const RevocationToken& token : url) {
-    if (matches_token(gpk, message, sig, token, ops)) return false;
-  }
-  return true;
 }
 
 bool verify(const PreparedGroupPublicKey& pgpk, BytesView message,
@@ -820,10 +799,6 @@ bool EpochRevocationIndex::remove_token(const RevocationToken& token) {
   return true;
 }
 
-bool EpochRevocationIndex::contains(const RevocationToken& token) const {
-  return tokens_.contains(to_hex(token.to_bytes()));
-}
-
 void EpochRevocationIndex::roll_epoch(const GroupPublicKey& gpk, Epoch epoch) {
   if (covers(gpk, epoch)) return;
   bases_ = std::make_shared<const PreparedBases>(epoch_bases(gpk, epoch));
@@ -856,20 +831,6 @@ bool EpochRevocationIndex::is_revoked(const Signature& sig,
       {-bases_->bases.v, sig.t_hat}};
   const GT k = curve::multi_pairing(prep, unprep);
   return tags_.contains(to_hex(k.to_bytes()));
-}
-
-bool verify_fast(const GroupPublicKey& gpk, BytesView message,
-                 const Signature& sig, const EpochRevocationIndex& index,
-                 OpCounters* ops) {
-  if (sig.epoch != index.epoch()) return false;
-  if (!verify_proof(gpk, message, sig, ops)) return false;
-  return !index.is_revoked(sig, ops);
-}
-
-GT epoch_linkability_tag(const GroupPublicKey& gpk, const Signature& sig) {
-  const SignatureBases bases = derive_bases(gpk, {}, sig, nullptr);
-  return curve::pairing(sig.t2, bases.v_hat) *
-         curve::pairing(bases.v, sig.t_hat).unitary_inverse();
 }
 
 }  // namespace peace::groupsig

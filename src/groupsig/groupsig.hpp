@@ -96,9 +96,6 @@ struct PreparedGroupPublicKey {
 
   PreparedGroupPublicKey() = default;
   explicit PreparedGroupPublicKey(const GroupPublicKey& key);
-  bool operator==(const PreparedGroupPublicKey& o) const {
-    return gpk == o.gpk;
-  }
 };
 
 /// gsk[i, j]: what a network user holds after setup.
@@ -268,13 +265,6 @@ struct PreparedBases {
 PreparedBases prepare_bases(const GroupPublicKey& gpk, BytesView message,
                             const Signature& sig, OpCounters* ops = nullptr);
 
-/// Eq.3 against pre-derived bases: identical accept/reject behaviour to the
-/// re-deriving overload above, but no hashing and no per-call G2 Miller
-/// walk for v_hat — the signature's one-shot T_hat runs inline via the
-/// mixed multi_pairing, so no G2Prepared is ever built per token.
-bool matches_token(const PreparedBases& prepared, const Signature& sig,
-                   const RevocationToken& token, OpCounters* ops = nullptr);
-
 /// Batched Eq.3 scan of one signature against many revocation tokens.
 ///
 /// Two costs of the per-token matches_token loop are constant across a scan
@@ -309,7 +299,6 @@ class TokenScan {
   /// Accumulates the Miller product for one token (no final exponentiation
   /// yet). Counts 2 OpCounters pairings, matching matches_token.
   void add(const RevocationToken& token);
-  std::size_t size() const { return products_.size(); }
 
   /// Index of the first added token matching the signer, or npos. Pays the
   /// single batched easy part plus one hard part per token up to and
@@ -371,8 +360,6 @@ class BatchVerifier {
   BatchVerifier(const BatchVerifier&) = delete;
   BatchVerifier& operator=(const BatchVerifier&) = delete;
 
-  std::size_t size() const { return items_.size(); }
-
   /// Phase 1 — per-item preparation: base derivation, challenge hash, and
   /// the G1 combinations feeding the folds. Thread-safe for distinct `i`
   /// (the router's VerifyPool fans this out); touches no shared state.
@@ -394,8 +381,6 @@ class BatchVerifier {
   /// after the first call. Returns one accept flag per item, positionally.
   const std::vector<char>& finalize(OpCounters* ops = nullptr,
                                     const JobRunner& run = {});
-
-  const std::vector<char>& results() const { return results_; }
 
   /// The bases item `i` was checked over: the given ones, or those its
   /// prepare() derived. Valid for every item finalize() accepted.
@@ -426,14 +411,9 @@ std::vector<char> batch_verify_proof(const PreparedGroupPublicKey& pgpk,
                                      BytesView salt,
                                      OpCounters* ops = nullptr);
 
-/// Full verification (paper steps 3.2 + 3.3): proof plus a linear scan of
-/// the revocation list.
-bool verify(const GroupPublicKey& gpk, BytesView message, const Signature& sig,
-            std::span<const RevocationToken> url, OpCounters* ops = nullptr);
-
-/// Full verification against a prepared key. Bit-identical results to the
-/// unprepared overload; the scan reuses the bases the proof check derived,
-/// so one call hashes them once.
+/// Full verification (paper steps 3.2 + 3.3) against a prepared key: the
+/// proof, then the batched revocation scan over the bases the proof check
+/// derived, so one call hashes them once.
 bool verify(const PreparedGroupPublicKey& pgpk, BytesView message,
             const Signature& sig, std::span<const RevocationToken> url,
             OpCounters* ops = nullptr);
@@ -471,7 +451,6 @@ class EpochRevocationIndex {
   bool add_token(const RevocationToken& token);
   /// Removes one token (no pairings). Returns false when absent.
   bool remove_token(const RevocationToken& token);
-  bool contains(const RevocationToken& token) const;
 
   /// Moves the index to a new epoch (or group key): re-derives the epoch
   /// bases once and re-tags the stored tokens (one pairing per token —
@@ -500,16 +479,6 @@ class EpochRevocationIndex {
   std::unordered_map<std::string, Entry> tokens_;
   std::unordered_set<std::string> tags_;  // hex of e(A_i, v_hat_epoch)
 };
-
-/// Epoch-mode verification with the constant-time index.
-bool verify_fast(const GroupPublicKey& gpk, BytesView message,
-                 const Signature& sig, const EpochRevocationIndex& index,
-                 OpCounters* ops = nullptr);
-
-/// The per-signature linkability tag e(A, v_hat) a verifier can derive in
-/// epoch mode — exposed so tests can demonstrate the privacy trade-off the
-/// paper mentions ("a little bit sacrifice on user privacy").
-GT epoch_linkability_tag(const GroupPublicKey& gpk, const Signature& sig);
 
 }  // namespace peace::groupsig
 

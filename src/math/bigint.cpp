@@ -207,16 +207,6 @@ BigInt BigInt::mod_inverse(const BigInt& a, const BigInt& m) {
   return inv;
 }
 
-BigInt BigInt::from_dec(std::string_view dec) {
-  if (dec.empty()) throw Error("BigInt: empty decimal");
-  BigInt out;
-  for (char c : dec) {
-    if (c < '0' || c > '9') throw Error("BigInt: bad decimal digit");
-    out = out * BigInt(10) + BigInt(static_cast<u64>(c - '0'));
-  }
-  return out;
-}
-
 BigInt BigInt::from_bytes(BytesView be) {
   BigInt out;
   for (std::uint8_t b : be) out = (out << 8) + BigInt(b);
@@ -227,21 +217,6 @@ BigInt BigInt::from_u256(const U256& v) {
   BigInt out;
   out.limbs_.assign(v.limb.begin(), v.limb.end());
   out.trim();
-  return out;
-}
-
-std::string BigInt::to_dec() const {
-  if (is_zero()) return "0";
-  BigInt cur = *this;
-  const BigInt ten(10);
-  std::string out;
-  while (!cur.is_zero()) {
-    BigInt q, r;
-    divmod(cur, ten, q, r);
-    out.push_back(static_cast<char>('0' + r.to_u64()));
-    cur = q;
-  }
-  std::reverse(out.begin(), out.end());
   return out;
 }
 

@@ -5,8 +5,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
-#include <string_view>
 #include <vector>
 
 #include "common/bytes.hpp"
@@ -19,11 +17,9 @@ class BigInt {
   BigInt() = default;
   explicit BigInt(std::uint64_t v);
 
-  static BigInt from_dec(std::string_view dec);
   static BigInt from_bytes(BytesView be);
   static BigInt from_u256(const U256& v);
 
-  std::string to_dec() const;
   /// Big-endian, minimal length (empty for zero) unless `min_len` pads.
   Bytes to_bytes(std::size_t min_len = 0) const;
   /// Throws if the value does not fit in 256 bits.

@@ -112,7 +112,6 @@ class PrimeField {
   /// Standard (non-Montgomery) representation.
   U256 to_u256() const { return mont_mul(mont_, U256::one()); }
   Bytes to_bytes() const { return to_u256().to_bytes(); }
-  std::string to_dec() const { return to_u256().to_dec(); }
 
   bool is_zero() const { return mont_.is_zero(); }
   bool operator==(const PrimeField&) const = default;

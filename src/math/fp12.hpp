@@ -14,7 +14,6 @@ struct Fp12 {
   Fp12() = default;
   Fp12(const Fp6& a, const Fp6& b) : c0(a), c1(b) {}
 
-  static Fp12 zero() { return {}; }
   static Fp12 one() { return {Fp6::one(), Fp6::zero()}; }
 
   bool is_zero() const { return c0.is_zero() && c1.is_zero(); }

@@ -41,8 +41,6 @@ struct Fp2 {
   }
   Fp2 operator*(const Fp& s) const { return {c0 * s, c1 * s}; }
 
-  Fp2& operator+=(const Fp2& o) { return *this = *this + o; }
-  Fp2& operator-=(const Fp2& o) { return *this = *this - o; }
   Fp2& operator*=(const Fp2& o) { return *this = *this * o; }
 
   Fp2 square() const {
@@ -77,9 +75,6 @@ struct Fp2 {
   /// Square root via the complex method (requires p = 3 mod 4 in the base
   /// field). Returns false when no root exists.
   bool sqrt(Fp2& out) const;
-
-  /// Multiplication by i (the quadratic non-residue of Fp).
-  Fp2 mul_by_i() const { return {-c1, c0}; }
 
   /// Multiplication by the twist constant xi = 9 + i by shift-and-add
   /// instead of a full Fp2 multiply: (9c0 - c1) + (c0 + 9c1) i. Ten modular

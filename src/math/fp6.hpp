@@ -36,12 +36,6 @@ struct Fp6 {
     const Fp2 t2 = (c0 + c2) * (o.c0 + o.c2) - v0 - v2 + v1;
     return {t0, t1, t2};
   }
-  Fp6 operator*(const Fp2& s) const { return {c0 * s, c1 * s, c2 * s}; }
-
-  Fp6& operator+=(const Fp6& o) { return *this = *this + o; }
-  Fp6& operator-=(const Fp6& o) { return *this = *this - o; }
-  Fp6& operator*=(const Fp6& o) { return *this = *this * o; }
-
   Fp6 square() const { return *this * *this; }
 
   /// Multiplication by v: (c0, c1, c2) -> (xi c2, c0, c1).
@@ -56,7 +50,5 @@ struct Fp6 {
     return {t0 * inv, t1 * inv, t2 * inv};
   }
 };
-
-inline Fp6 operator*(const Fp2& s, const Fp6& a) { return a * s; }
 
 }  // namespace peace::math

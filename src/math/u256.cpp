@@ -1,21 +1,9 @@
 #include "math/u256.hpp"
 
-#include <algorithm>
-
 namespace peace::math {
 
 using u64 = std::uint64_t;
 using u128 = unsigned __int128;
-
-U256 shl1(const U256& a) {
-  U256 out;
-  u64 carry = 0;
-  for (int i = 0; i < 4; ++i) {
-    out.limb[i] = a.limb[i] << 1 | carry;
-    carry = a.limb[i] >> 63;
-  }
-  return out;
-}
 
 U256 shr1(const U256& a) {
   U256 out;
@@ -37,19 +25,6 @@ U256 mul10_add(const U256& a, u64 d) {
   }
   if (carry != 0) throw Error("U256: decimal overflow");
   return out;
-}
-
-U256 divmod_small(const U256& a, u64 d, u64& rem) {
-  if (d == 0) throw Error("U256: divide by zero");
-  U256 q;
-  u128 r = 0;
-  for (int i = 3; i >= 0; --i) {
-    const u128 cur = r << 64 | a.limb[i];
-    q.limb[i] = static_cast<u64>(cur / d);
-    r = cur % d;
-  }
-  rem = static_cast<u64>(r);
-  return q;
 }
 
 U256 mod_inverse_odd(const U256& a, const U256& m) {
@@ -105,28 +80,6 @@ U256 U256::from_dec(std::string_view dec) {
   return out;
 }
 
-U256 U256::from_hex(std::string_view hex) {
-  if (hex.empty() || hex.size() > 64) throw Error("U256: bad hex length");
-  U256 out;
-  for (char c : hex) {
-    int v;
-    if (c >= '0' && c <= '9') v = c - '0';
-    else if (c >= 'a' && c <= 'f') v = c - 'a' + 10;
-    else if (c >= 'A' && c <= 'F') v = c - 'A' + 10;
-    else throw Error("U256: bad hex digit");
-    // out = out * 16 + v
-    U256 shifted;
-    u64 carry = static_cast<u64>(v);
-    for (int i = 0; i < 4; ++i) {
-      shifted.limb[i] = out.limb[i] << 4 | carry;
-      carry = out.limb[i] >> 60;
-    }
-    if (carry != 0) throw Error("U256: hex overflow");
-    out = shifted;
-  }
-  return out;
-}
-
 U256 U256::from_bytes(BytesView be) {
   if (be.size() > 32) throw Error("U256: more than 32 bytes");
   U256 out;
@@ -140,23 +93,6 @@ U256 U256::from_bytes(BytesView be) {
     }
   }
   return out;
-}
-
-std::string U256::to_dec() const {
-  if (is_zero()) return "0";
-  U256 cur = *this;
-  std::string out;
-  while (!cur.is_zero()) {
-    u64 rem;
-    cur = divmod_small(cur, 10, rem);
-    out.push_back(static_cast<char>('0' + rem));
-  }
-  std::reverse(out.begin(), out.end());
-  return out;
-}
-
-std::string U256::to_hex() const {
-  return peace::to_hex(to_bytes());
 }
 
 Bytes U256::to_bytes() const {

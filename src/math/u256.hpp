@@ -9,7 +9,6 @@
 
 #include <array>
 #include <cstdint>
-#include <string>
 #include <string_view>
 
 #if defined(__x86_64__)
@@ -35,14 +34,10 @@ struct U256 {
 
   /// Parses a base-10 string. Throws Error on bad digits or overflow.
   static U256 from_dec(std::string_view dec);
-  /// Parses a hex string (no 0x prefix). Throws Error on bad digits/overflow.
-  static U256 from_hex(std::string_view hex);
   /// Big-endian 32-byte decoding; shorter inputs are left-padded with zeros.
   /// Throws Error if more than 32 bytes.
   static U256 from_bytes(BytesView be);
 
-  std::string to_dec() const;
-  std::string to_hex() const;
   /// Big-endian, exactly 32 bytes.
   Bytes to_bytes() const;
 
@@ -157,8 +152,6 @@ inline std::array<std::uint64_t, 8> mul_wide(const U256& a, const U256& b) {
   return out;
 }
 
-/// a << 1 (bits shifted out are lost).
-U256 shl1(const U256& a);
 /// a >> 1.
 U256 shr1(const U256& a);
 
@@ -182,9 +175,6 @@ inline U256 sub_mod(const U256& a, const U256& b, const U256& m) {
 
 /// (a * 10 + d), throwing Error on overflow — used by the decimal parser.
 U256 mul10_add(const U256& a, std::uint64_t d);
-
-/// Division by a small scalar: returns quotient, sets `rem`.
-U256 divmod_small(const U256& a, std::uint64_t d, std::uint64_t& rem);
 
 /// Modular inverse of `a` modulo an odd modulus `m` (binary extended GCD;
 /// not constant-time). Requires 0 < a < m and gcd(a, m) == 1; throws Error

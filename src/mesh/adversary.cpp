@@ -2,8 +2,6 @@
 
 #include <cstring>
 
-#include "curve/ecdsa.hpp"
-
 namespace peace::mesh {
 
 using curve::g1_to_bytes;
@@ -53,25 +51,6 @@ bool Eavesdropper::saw_bytes(BytesView needle) const {
   return false;
 }
 
-// --- Replayer -------------------------------------------------------------------
-
-void Replayer::attach(MeshNetwork& net) {
-  net.add_tap([this](const WireObservation& obs) {
-    if (std::strcmp(obs.kind, "m2") == 0) captured_.push_back(obs.payload);
-  });
-}
-
-std::size_t Replayer::replay_all(proto::MeshRouter& router,
-                                 proto::Timestamp now) {
-  const std::uint64_t accepted_before = router.stats().accepted;
-  for (const Bytes& wire : captured_) {
-    if (const auto outcome =
-            router.handle_access_request(AccessRequest::from_bytes(wire), now))
-      confirms_.push_back(outcome->confirm.to_bytes());
-  }
-  return router.stats().accepted - accepted_before;
-}
-
 // --- BogusInjector ----------------------------------------------------------------
 
 AccessRequest BogusInjector::forge_request(const BeaconMessage& beacon,
@@ -97,18 +76,6 @@ AccessRequest BogusInjector::forge_request(const BeaconMessage& beacon,
   m2.signature.s_x = random_fr(rng_);
   m2.signature.s_delta = random_fr(rng_);
   return m2;
-}
-
-std::size_t BogusInjector::inject(proto::MeshRouter& router,
-                                  const BeaconMessage& beacon,
-                                  proto::Timestamp now, std::size_t count) {
-  std::size_t accepted = 0;
-  for (std::size_t i = 0; i < count; ++i) {
-    if (router.handle_access_request(forge_request(beacon, now), now)
-            .has_value())
-      ++accepted;
-  }
-  return accepted;
 }
 
 // --- DosFlooder --------------------------------------------------------------------
@@ -138,22 +105,6 @@ DosFlooder::FloodReport DosFlooder::flood(proto::MeshRouter& router,
   report.router_sig_verifications =
       router.stats().signature_verifications - before;
   return report;
-}
-
-// --- rogue router ------------------------------------------------------------------
-
-proto::MeshRouter make_rogue_router(proto::RouterId id,
-                                    const proto::SystemParams& params,
-                                    crypto::Drbg rng) {
-  auto keypair = curve::EcdsaKeyPair::generate(rng);
-  proto::RouterCertificate cert;
-  cert.router_id = id;
-  cert.public_key = keypair.public_key();
-  cert.expires_at = ~proto::Timestamp{0};
-  // Self-signed: the adversary does not hold NSK.
-  cert.signature = keypair.sign(cert.signed_payload(), rng);
-  return proto::MeshRouter(id, std::move(keypair), std::move(cert), params,
-                           std::move(rng));
 }
 
 }  // namespace peace::mesh

@@ -1,9 +1,10 @@
-// Adversary models from the threat model (paper Sec. III.B): a global
-// eavesdropper attempting session linkage, message replayers, bogus-data
-// injectors (outsiders without credentials), rogue/phishing routers,
-// revoked users, and DoS flooders targeting the router's expensive
-// signature verification. Each adversary produces measurable evidence used
-// by the attack tests (A1-A3) and the DoS bench (E8).
+// Adversary models from the threat model (paper Sec. III.B) that the
+// examples run: a global eavesdropper attempting session linkage, bogus-data
+// injectors (outsiders without credentials) and DoS flooders targeting the
+// router's expensive signature verification. Each adversary produces
+// measurable evidence used by the attack tests (A1-A3) and the DoS
+// experiment (E8). The replayer and the rogue router, which only the attack
+// tests use, live in tests/attack_fixtures.hpp.
 #pragma once
 
 #include <map>
@@ -49,26 +50,6 @@ class Eavesdropper {
   std::vector<Bytes> recovered_;
 };
 
-/// Records genuine access requests off the air and replays them later.
-class Replayer {
- public:
-  void attach(MeshNetwork& net);
-  std::size_t captured() const { return captured_.size(); }
-
-  /// Replays every captured M.2 at the router; returns how many sessions
-  /// the replays gained (the router's `accepted` delta — must be zero:
-  /// replay cache + timestamp window). A byte-identical replay inside the
-  /// window is answered with the original's cached M.3, kept in confirms().
-  std::size_t replay_all(proto::MeshRouter& router, proto::Timestamp now);
-
-  /// Wire bytes of every M.3 a router handed back to a replay.
-  const std::vector<Bytes>& confirms() const { return confirms_; }
-
- private:
-  std::vector<Bytes> captured_;
-  std::vector<Bytes> confirms_;
-};
-
 /// Outsider without any credential: injects well-formed but unsigned /
 /// garbage-signed access requests (bogus data injection, Sec. V.A).
 class BogusInjector {
@@ -79,12 +60,6 @@ class BogusInjector {
   /// valid but cryptographically garbage group signature.
   proto::AccessRequest forge_request(const proto::BeaconMessage& beacon,
                                      proto::Timestamp now);
-
-  /// Fires `count` forgeries at the router; returns how many it accepted
-  /// (must be zero).
-  std::size_t inject(proto::MeshRouter& router,
-                     const proto::BeaconMessage& beacon, proto::Timestamp now,
-                     std::size_t count);
 
  private:
   crypto::Drbg rng_;
@@ -115,11 +90,5 @@ class DosFlooder {
  private:
   crypto::Drbg rng_;
 };
-
-/// A rogue (phishing) router under adversary control: fresh keys with a
-/// self-signed certificate. Sec. V.A: users must refuse its beacons.
-proto::MeshRouter make_rogue_router(proto::RouterId id,
-                                    const proto::SystemParams& params,
-                                    crypto::Drbg rng);
 
 }  // namespace peace::mesh

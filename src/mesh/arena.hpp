@@ -34,9 +34,7 @@ class PooledFrame {
   PooledFrame& operator=(const PooledFrame&) = delete;
   ~PooledFrame() { release(); }
 
-  bool valid() const { return arena_ != nullptr; }
   Bytes& bytes() { return buf_; }
-  const Bytes& bytes() const { return buf_; }
   /// Early return to the pool (idempotent).
   void release();
 
@@ -86,7 +84,6 @@ class FrameArena {
   /// acquire() + copy of `payload` into the frame.
   std::optional<PooledFrame> acquire_copy(BytesView payload);
 
-  std::size_t cap() const { return cap_; }
   /// Live PooledFrames right now.
   std::size_t outstanding() const { return outstanding_; }
   const FrameArenaStats& stats() const { return stats_; }

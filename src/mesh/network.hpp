@@ -242,7 +242,6 @@ class MeshNetwork {
   void add_tap(std::function<void(const WireObservation&)> tap);
 
   const NetworkStats& stats() const { return stats_; }
-  Simulator& sim() { return sim_; }
 
   /// Mirrors every deterministic stats struct of the stack (NetworkStats,
   /// summed RouterStats / UserStats / verify OpCounters, the shared

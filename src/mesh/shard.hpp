@@ -100,7 +100,6 @@ class Shard {
   Shard& operator=(const Shard&) = delete;
 
   ShardId id() const { return id_; }
-  const std::string& name() const { return name_; }
   const ShardConfig& config() const { return config_; }
 
   Simulator& sim() { return sim_; }

@@ -24,7 +24,6 @@ class Simulator {
   /// Names this simulator in diagnostics — a metro shard sets its shard
   /// label here so a budget exhaustion names the shard that tripped it.
   void set_name(std::string name) { name_ = std::move(name); }
-  const std::string& name() const { return name_; }
 
   /// Lifetime event budget enforced by run_until AND run_all; 0 (the
   /// default) leaves run_until unbounded and run_all on its `max_events`

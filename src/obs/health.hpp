@@ -110,8 +110,6 @@ class HealthMonitor {
   std::uint64_t alerts_dropped() const { return counts_.alerts_dropped; }
   /// The capped alert log, in firing order.
   const std::vector<HealthAlert>& alerts() const { return alerts_; }
-  const WindowStats& windows() const { return windows_; }
-  const std::vector<HealthRule>& rules() const { return rules_; }
 
   HealthSnapshot snapshot(std::uint32_t shard) const;
 

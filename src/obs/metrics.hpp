@@ -10,12 +10,11 @@
 //    atomic op. Handles are stable for the registry's lifetime: the backing
 //    std::map never moves nodes and reset() zeroes values in place.
 //
-//  * Counters are the substrate of the crypto op-count API
-//    (curve::pairing_op_count, curve::g2_prepared_count) and of the
-//    correctness assertions tests build on them, so they are compiled
-//    unconditionally — PEACE_OBS=OFF removes span tracing and timing (see
-//    trace.hpp), not the relaxed-atomic counter adds that predate this
-//    layer as bare globals.
+//  * Counters are the substrate of the crypto op-count API (obs::op_count
+//    in trace.hpp) and of the correctness assertions tests build on them,
+//    so they are compiled unconditionally — PEACE_OBS=OFF removes span
+//    tracing and timing (see trace.hpp), not the relaxed-atomic counter
+//    adds that predate this layer as bare globals.
 //
 //  * Deterministic counters stay deterministic: an atomic add per performed
 //    operation gives the same total whatever thread interleaving performed
@@ -51,7 +50,6 @@ class Counter {
 class Gauge {
  public:
   void set(std::int64_t v) { v_.store(v, std::memory_order_relaxed); }
-  void add(std::int64_t d) { v_.fetch_add(d, std::memory_order_relaxed); }
   std::int64_t value() const { return v_.load(std::memory_order_relaxed); }
   void reset() { v_.store(0, std::memory_order_relaxed); }
 

@@ -14,7 +14,7 @@ bool JsonlStreamSink::open(const std::string& path,
   options_ = options;
   buffer_.clear();
   buffer_.reserve(options_.flush_bytes + 512);
-  file_bytes_ = bytes_written_ = events_written_ = rotations_ = 0;
+  file_bytes_ = events_written_ = rotations_ = 0;
   ok_ = true;
   return true;
 }
@@ -40,7 +40,6 @@ bool JsonlStreamSink::flush() {
         std::fwrite(buffer_.data(), 1, buffer_.size(), file_);
     ok_ = ok_ && n == buffer_.size();
     file_bytes_ += n;
-    bytes_written_ += n;
     buffer_.clear();
   }
   ok_ = ok_ && std::fflush(file_) == 0;

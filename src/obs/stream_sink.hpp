@@ -56,7 +56,6 @@ class JsonlStreamSink {
   bool close();
 
   std::uint64_t events_written() const { return events_written_; }
-  std::uint64_t bytes_written() const { return bytes_written_; }
   /// Completed rotations so far ("<path>.1" ... "<path>.<n>").
   std::uint64_t rotations() const { return rotations_; }
 
@@ -68,7 +67,6 @@ class JsonlStreamSink {
   StreamSinkOptions options_;
   std::string buffer_;
   std::uint64_t file_bytes_ = 0;  // flushed into the CURRENT file
-  std::uint64_t bytes_written_ = 0;
   std::uint64_t events_written_ = 0;
   std::uint64_t rotations_ = 0;
   bool ok_ = true;

@@ -49,9 +49,9 @@ std::uint64_t now_us();
 // --- crypto-op hooks (called from curve:: / groupsig::) -------------------
 //
 // note() bumps the op's process-global registry counter (always — this is
-// what curve::pairing_op_count() and curve::g2_prepared_count() read) and,
-// when tracing is enabled, a thread-local tally that open spans diff to
-// attribute crypto work to themselves.
+// what op_count() reads and tests assert on) and, when tracing is enabled,
+// a thread-local tally that open spans diff to attribute crypto work to
+// themselves.
 
 enum class Op : std::uint8_t {
   kPairing,
@@ -61,6 +61,9 @@ enum class Op : std::uint8_t {
   kMsmCall,
   kMsmTerm,
   kGtPow,
+  /// One Fp12 inversion of a final-exponentiation easy part: one per
+  /// final_exponentiation call, one per final_exp_easy_batch whatever its
+  /// size.
   kFp12Inverse,
   /// One coordinate-field (Fp/Fp2) inversion on the curve path: a to_affine
   /// of a Z != 1 point, a batch_normalize pass (however many points it
@@ -99,8 +102,8 @@ inline constexpr std::array<OpRow, kOpCount> kOps{{
 }};
 
 void note(Op op, std::uint64_t n = 1);
-/// Fast read of an op's always-on counter (what the curve:: op-count API
-/// delegates to).
+/// Fast read of an op's always-on counter; tests diff it across a call to
+/// pin how many of each op the call performs.
 std::uint64_t op_count(Op op);
 
 /// Per-thread crypto-op tally, indexed by Op. Spans snapshot it at open and

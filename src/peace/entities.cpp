@@ -66,13 +66,6 @@ Bytes TrustedThirdParty::deliver(const KeyIndex& idx, const std::string& uid) {
   return it->second;
 }
 
-std::optional<std::string> TrustedThirdParty::uid_for_index(
-    const KeyIndex& idx) const {
-  const auto it = delivered_to_.find({idx.group, idx.member});
-  if (it == delivered_to_.end()) return std::nullopt;
-  return it->second;
-}
-
 void TrustedThirdParty::replay_deposit(const KeyIndex& idx, Bytes blinded) {
   store_[{idx.group, idx.member}] = std::move(blinded);
 }
@@ -424,18 +417,6 @@ NetworkOperator NetworkOperator::from_state(BytesView data) {
   no.url_entries_ = no.url_.entries;
   no.crl_entries_ = no.crl_.entries;
   return no;
-}
-
-std::optional<KeyIndex> NetworkOperator::index_of_token(const G1& a) const {
-  for (const GrtEntry& e : grt_) {
-    if (e.token.a == a) return e.index;
-  }
-  for (const Era& era : past_eras_) {
-    for (const GrtEntry& e : era.grt) {
-      if (e.token.a == a) return e.index;
-    }
-  }
-  return std::nullopt;
 }
 
 // --- LawAuthority --------------------------------------------------------------

@@ -72,10 +72,9 @@ class TrustedThirdParty {
 
   // --- knowledge introspection (used by the privacy tests) ---
   std::size_t stored_credentials() const { return store_.size(); }
-  /// TTP knows which uid received which blinded blob...
-  std::optional<std::string> uid_for_index(const KeyIndex& idx) const;
-  /// ...but structurally holds no A, x, grp, or gamma: its whole state is
-  /// this blinded map.
+  /// The TTP knows which uid received which blinded blob (its state image
+  /// holds the uids) but structurally holds no A, x, grp, or gamma: its
+  /// whole key state is this blinded map.
   const std::map<std::pair<GroupId, std::uint32_t>, Bytes>& blinded_store()
       const {
     return store_;
@@ -273,9 +272,6 @@ class NetworkOperator {
   /// Paper IV.D audit protocol: scan grt for the token encoded in the
   /// logged (M.2). Returns the responsible *group*, never a uid.
   std::optional<AuditResult> audit(const AccessRequest& m2) const;
-
-  /// NO-side half of the law-authority trace: token -> [i, j].
-  std::optional<KeyIndex> index_of_token(const G1& a) const;
 
   std::size_t grt_size() const { return grt_.size(); }
 

@@ -87,12 +87,6 @@ struct KeyIndex {
   bool operator==(const KeyIndex&) const = default;
 };
 
-struct KeyIndexHash {
-  std::size_t operator()(const KeyIndex& k) const {
-    return (static_cast<std::size_t>(k.group) << 32) | k.member;
-  }
-};
-
 /// Cert_k = {MR_k, RPK_k, ExpT, Sig_NSK} (paper IV.A).
 struct RouterCertificate {
   RouterId router_id = 0;

@@ -297,11 +297,4 @@ const GroupManager& ControlPlane::gm(proto::GroupId gid) const {
   return it->second;
 }
 
-std::vector<const GroupManager*> ControlPlane::group_managers() const {
-  std::vector<const GroupManager*> out;
-  out.reserve(gms_.size());
-  for (const auto& [gid, gm] : gms_) out.push_back(&gm);
-  return out;
-}
-
 }  // namespace peace::persist

@@ -19,7 +19,7 @@
 //
 // Every receipt and GRT entry stays resident, so audits and law-authority
 // traces run against the entities directly: `no().audit(m2)` and
-// `LawAuthority::trace(no(), group_managers(), m2)`. The log is the
+// `LawAuthority::trace(no(), {&gm(gid)}, m2)`. The log is the
 // evidence archive on disk; rotated segments are never deleted.
 #pragma once
 
@@ -80,14 +80,12 @@ class ControlPlane {
   const proto::TrustedThirdParty& ttp() const { return ttp_; }
   proto::GroupManager& gm(proto::GroupId gid);
   const proto::GroupManager& gm(proto::GroupId gid) const;
-  std::vector<const proto::GroupManager*> group_managers() const;
 
   // --- introspection ------------------------------------------------------
   /// Canonical full-state image (equals the snapshot payload); equal bytes
   /// iff equal operator state — the differential crash tests rely on this.
   Bytes state_bytes() const;
   const RecoveryReport& recovery_report() const { return report_; }
-  const DurableStore& store() const { return store_; }
   std::uint64_t last_seq() const { return store_.last_seq(); }
 
  private:

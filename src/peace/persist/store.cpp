@@ -271,7 +271,6 @@ DurableStore::Recovered DurableStore::open(const std::string& dir,
   if (report.archive_damage) count(Counter::kArchiveDamage);
 
   DurableStore store(dir, opts, std::move(active));
-  store.last_snapshot_seq_ = snapshot_seq;
   return Recovered{std::move(store), std::move(snapshot_payload),
                    std::move(tail), std::move(report)};
 }
@@ -302,7 +301,6 @@ void DurableStore::write_snapshot(BytesView payload) {
   // own file name.
   if (seq != active_.base_seq())
     active_ = WalSegment::create(segment_path(dir_, seq), seq, chain);
-  last_snapshot_seq_ = seq;
   span.arg("seq", seq);
   span.arg("bytes", payload.size());
   count(Counter::kSnapshotsWritten);

@@ -112,9 +112,6 @@ class DurableStore {
   void write_snapshot(BytesView payload);
 
   std::uint64_t last_seq() const { return active_.last_seq(); }
-  std::uint64_t last_snapshot_seq() const { return last_snapshot_seq_; }
-  const Bytes& chain() const { return active_.chain(); }
-  const std::string& dir() const { return dir_; }
 
  private:
   DurableStore(std::string dir, StoreOptions opts, WalSegment active)
@@ -127,7 +124,6 @@ class DurableStore {
   std::string dir_;
   StoreOptions opts_;
   WalSegment active_;
-  std::uint64_t last_snapshot_seq_ = 0;
 };
 
 struct StoreRecovery {

@@ -114,7 +114,6 @@ class WalSegment {
   std::uint64_t base_seq() const { return base_seq_; }
   std::uint64_t last_seq() const { return last_seq_; }
   const Bytes& chain() const { return chain_; }
-  const std::string& path() const { return path_; }
 
  private:
   WalSegment() = default;

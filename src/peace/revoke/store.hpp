@@ -49,7 +49,6 @@ class RevocationStore {
   /// `authority` is the key every list and delta must verify under (NPK).
   RevocationStore(ListKind kind, curve::G1 authority);
 
-  ListKind kind() const { return kind_; }
   const curve::G1& authority() const { return authority_; }
   const SignedRevocationList& list() const { return list_; }
   std::uint64_t version() const { return list_.version; }

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "formatters.hpp"
+
 namespace peace::crypto {
 namespace {
 

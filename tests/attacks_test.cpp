@@ -1,7 +1,7 @@
 // The attack analyses of Sec. V.A, executed rather than argued: bogus data
 // injection (A1), phishing routers (A2), replays, revoked entities, and
 // eavesdropper linkage (A3), plus the client-puzzle DoS defence (E8).
-#include "mesh/adversary.hpp"
+#include "attack_fixtures.hpp"
 
 #include <gtest/gtest.h>
 
@@ -40,7 +40,7 @@ TEST_F(AttacksTest, A1_OutsiderBogusInjectionAllRejected) {
   const NodeId r = net_.add_router({0, 0}, no_, kFarFuture);
   const auto beacon = net_.router(r).make_beacon(1000);
   BogusInjector outsider(crypto::Drbg::from_string("outsider"));
-  EXPECT_EQ(outsider.inject(net_.router(r), beacon, 1001, 25), 0u);
+  EXPECT_EQ(inject(outsider, net_.router(r), beacon, 1001, 25), 0u);
   EXPECT_EQ(net_.router(r).stats().rejected_bad_signature, 25u);
 }
 

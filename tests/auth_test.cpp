@@ -8,6 +8,7 @@
 #include <atomic>
 #include <functional>
 
+#include "obs/trace.hpp"
 #include "peace/router.hpp"
 #include "peace/user.hpp"
 
@@ -574,9 +575,9 @@ TEST_F(AuthTest, PeerHelloScanPreparesBasesOncePerHello) {
 
   for (User* sender : {alice_.get(), carol.get()}) {
     const PeerHello hello = sender->make_peer_hello(beacon.g, 1100);
-    const std::uint64_t before = curve::g2_prepared_count();
+    const std::uint64_t before = obs::op_count(obs::Op::kG2Prepared);
     EXPECT_TRUE(bob_->process_peer_hello(hello, 1110).has_value());
-    EXPECT_EQ(curve::g2_prepared_count() - before, 1u);
+    EXPECT_EQ(obs::op_count(obs::Op::kG2Prepared) - before, 1u);
   }
 }
 

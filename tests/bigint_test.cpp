@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "crypto/drbg.hpp"
+#include "formatters.hpp"
 
 namespace peace::math {
 namespace {
@@ -12,27 +13,27 @@ TEST(BigInt, DecimalRoundTrip) {
       "0", "1", "18446744073709551616",
       "340282366920938463463374607431768211455",
       "179769313486231590772930519078902473361797697894230657273430081157732675805500963132708477322407536021120113879871393357658789768814416622492847430639474124377767893424865485276302219601246094119453082952085005768838150682342462881473913110540827237163350510684586298239947245938479716304835356329624224137216"};
-  for (const char* c : cases) EXPECT_EQ(BigInt::from_dec(c).to_dec(), c);
+  for (const char* c : cases) EXPECT_EQ(to_dec(bigint_from_dec(c)), c);
 }
 
 TEST(BigInt, AddSub) {
-  const BigInt a = BigInt::from_dec("123456789012345678901234567890");
-  const BigInt b = BigInt::from_dec("987654321098765432109876543210");
-  EXPECT_EQ((a + b).to_dec(), "1111111110111111111011111111100");
-  EXPECT_EQ((b - a).to_dec(), "864197532086419753208641975320");
+  const BigInt a = bigint_from_dec("123456789012345678901234567890");
+  const BigInt b = bigint_from_dec("987654321098765432109876543210");
+  EXPECT_EQ(to_dec(a + b), "1111111110111111111011111111100");
+  EXPECT_EQ(to_dec(b - a), "864197532086419753208641975320");
   EXPECT_THROW(a - b, Error);
 }
 
 TEST(BigInt, Mul) {
-  const BigInt a = BigInt::from_dec("123456789");
-  const BigInt b = BigInt::from_dec("987654321");
-  EXPECT_EQ((a * b).to_dec(), "121932631112635269");
+  const BigInt a = bigint_from_dec("123456789");
+  const BigInt b = bigint_from_dec("987654321");
+  EXPECT_EQ(to_dec(a * b), "121932631112635269");
   EXPECT_TRUE((a * BigInt()).is_zero());
 }
 
 TEST(BigInt, DivMod) {
-  const BigInt a = BigInt::from_dec("10000000000000000000000000000000000000001");
-  const BigInt b = BigInt::from_dec("9999999999999");
+  const BigInt a = bigint_from_dec("10000000000000000000000000000000000000001");
+  const BigInt b = bigint_from_dec("9999999999999");
   BigInt q, r;
   BigInt::divmod(a, b, q, r);
   EXPECT_EQ((q * b + r), a);
@@ -48,9 +49,10 @@ TEST(BigInt, DivSmallCases) {
 }
 
 TEST(BigInt, Shifts) {
-  const BigInt a = BigInt::from_dec("123456789012345678901234567890");
+  const BigInt a = bigint_from_dec("123456789012345678901234567890");
   EXPECT_EQ(((a << 67) >> 67), a);
-  EXPECT_EQ((BigInt(1) << 128).to_dec(), "340282366920938463463374607431768211456");
+  EXPECT_EQ(to_dec(BigInt(1) << 128),
+            "340282366920938463463374607431768211456");
   EXPECT_TRUE((BigInt(1) >> 1).is_zero());
 }
 
@@ -85,15 +87,15 @@ TEST(BigInt, ModInverse) {
 }
 
 TEST(BigInt, ModInverseLarge) {
-  const BigInt m = BigInt::from_dec(
+  const BigInt m = bigint_from_dec(
       "21888242871839275222246405745257275088548364400416034343698204186575808495617");
-  const BigInt a = BigInt::from_dec("1234567890123456789012345678901234567890");
+  const BigInt a = bigint_from_dec("1234567890123456789012345678901234567890");
   const BigInt inv = BigInt::mod_inverse(a, m);
   EXPECT_EQ(((a * inv) % m).to_u64(), 1u);
 }
 
 TEST(BigInt, BytesRoundTrip) {
-  const BigInt a = BigInt::from_dec("1208925819614629174706175");  // 2^80-1
+  const BigInt a = bigint_from_dec("1208925819614629174706175");  // 2^80-1
   const Bytes b = a.to_bytes();
   EXPECT_EQ(b.size(), 10u);
   EXPECT_EQ(BigInt::from_bytes(b), a);
@@ -124,13 +126,13 @@ TEST(BigInt, MillerRabinKnownPrimes) {
   const char* primes[] = {"2", "3", "5", "104729", "1000003",
                           "170141183460469231731687303715884105727"};  // 2^127-1
   for (const char* p : primes) {
-    const BigInt n = BigInt::from_dec(p);
+    const BigInt n = bigint_from_dec(p);
     EXPECT_TRUE(BigInt::is_probable_prime(n, 20, rand_below(n))) << p;
   }
   const char* composites[] = {"4", "1000005", "561", "41041",  // Carmichaels
                               "170141183460469231731687303715884105725"};
   for (const char* c : composites) {
-    const BigInt n = BigInt::from_dec(c);
+    const BigInt n = bigint_from_dec(c);
     EXPECT_FALSE(BigInt::is_probable_prime(n, 20, rand_below(n))) << c;
   }
 }

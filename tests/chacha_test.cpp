@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "crypto/poly1305.hpp"
+#include "formatters.hpp"
 
 namespace peace::crypto {
 namespace {

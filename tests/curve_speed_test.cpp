@@ -15,6 +15,7 @@
 #include "curve/hash_to_curve.hpp"
 #include "curve/pairing.hpp"
 #include "edge_scalars.hpp"
+#include "formatters.hpp"
 #include "groupsig/groupsig.hpp"
 #include "obs/metrics.hpp"
 
@@ -171,15 +172,15 @@ TEST_F(CurveSpeedTest, DecompositionsMatchExactRoundOff) {
     const auto want2 =
         exact_babai_split<2>(k, bn.glv_basis, bn.glv_adj, bn.glv_det);
     for (int i = 0; i < 2; ++i) {
-      ASSERT_EQ(BigInt::from_u256(s2.k[i]), want2[i].mag) << k.to_hex();
-      ASSERT_EQ(s2.neg[i], want2[i].neg) << k.to_hex();
+      ASSERT_EQ(BigInt::from_u256(s2.k[i]), want2[i].mag) << to_hex(k);
+      ASSERT_EQ(s2.neg[i], want2[i].neg) << to_hex(k);
     }
     const GlsSplit s4 = gls_decompose(k);
     const auto want4 =
         exact_babai_split<4>(k, bn.gls_basis, bn.gls_adj, bn.gls_det);
     for (int i = 0; i < 4; ++i) {
-      ASSERT_EQ(BigInt::from_u256(s4.k[i]), want4[i].mag) << k.to_hex();
-      ASSERT_EQ(s4.neg[i], want4[i].neg) << k.to_hex();
+      ASSERT_EQ(BigInt::from_u256(s4.k[i]), want4[i].mag) << to_hex(k);
+      ASSERT_EQ(s4.neg[i], want4[i].neg) << to_hex(k);
     }
   }
 }

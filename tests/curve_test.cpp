@@ -4,6 +4,7 @@
 #include "crypto/drbg.hpp"
 #include "curve/bn254.hpp"
 #include "curve/ecdsa.hpp"
+#include "formatters.hpp"
 
 namespace peace::curve {
 namespace {
@@ -84,8 +85,8 @@ TEST_F(CurveTest, WindowedMatchesDoubleAndAdd) {
   scalars.push_back(rm1);  // r - 1
   for (int i = 0; i < 10; ++i) scalars.push_back(random_fr(rng_).to_u256());
   for (const U256& k : scalars) {
-    EXPECT_EQ(p.mul_windowed(k), p.mul_double_and_add(k)) << k.to_dec();
-    EXPECT_EQ(q.mul_windowed(k), q.mul_double_and_add(k)) << k.to_dec();
+    EXPECT_EQ(p.mul_windowed(k), p.mul_double_and_add(k)) << to_dec(k);
+    EXPECT_EQ(q.mul_windowed(k), q.mul_double_and_add(k)) << to_dec(k);
   }
 }
 

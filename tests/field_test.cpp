@@ -8,6 +8,7 @@
 #include "crypto/drbg.hpp"
 #include "curve/bn254.hpp"
 #include "curve/ecdsa.hpp"
+#include "formatters.hpp"
 #include "math/bigint.hpp"
 
 namespace peace::math {
@@ -202,14 +203,14 @@ void expect_kernel_matches_bigint(const std::vector<U256>& reps) {
   for (const U256& x : reps) {
     const F a = F::from_mont(x);
     const BigInt ax = BigInt::from_u256(x);
-    EXPECT_EQ((-a).mont(), ((p - ax) % p).to_u256()) << x.to_hex();
+    EXPECT_EQ((-a).mont(), ((p - ax) % p).to_u256()) << to_hex(x);
     for (const U256& y : reps) {
       const F b = F::from_mont(y);
       const BigInt by = BigInt::from_u256(y);
       EXPECT_EQ((a + b).mont(), ((ax + by) % p).to_u256());
       EXPECT_EQ((a - b).mont(), ((ax + p - by) % p).to_u256());
       EXPECT_EQ((a * b).mont(), (ax * by * r_inv % p).to_u256())
-          << x.to_hex() << " * " << y.to_hex();
+          << to_hex(x) << " * " << to_hex(y);
     }
   }
 }

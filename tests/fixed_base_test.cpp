@@ -11,6 +11,7 @@
 #include "curve/bn254.hpp"
 #include "curve/ecdsa.hpp"
 #include "edge_scalars.hpp"
+#include "formatters.hpp"
 #include "obs/metrics.hpp"
 #include "peace/router.hpp"
 
@@ -34,8 +35,8 @@ class FixedBaseTest : public ::testing::Test {
     const G1& g = Bn254::get().g1_gen;
     const G1 fast = g1_generator_mul(k);
     const G1 plain = g.mul_double_and_add(k.to_u256());
-    EXPECT_EQ(fast, plain) << k.to_u256().to_hex();
-    EXPECT_EQ(fast, g1_mul_glv(g, k.to_u256())) << k.to_u256().to_hex();
+    EXPECT_EQ(fast, plain) << to_hex(k.to_u256());
+    EXPECT_EQ(fast, g1_mul_glv(g, k.to_u256())) << to_hex(k.to_u256());
     EXPECT_EQ(g1_to_bytes(fast), g1_to_bytes(plain));
   }
 

@@ -320,6 +320,39 @@ TEST_P(FuzzTest, BitFlipsAcrossAllWireKindsRejectWithoutStateChange) {
   EXPECT_TRUE(w.router->handle_access_request(*m2b, now + 11).has_value());
 }
 
+// The puzzle fields ride unsigned at the end of the beacon and the M.2, as
+// optionals: a flipped byte in the flag or the fields must either throw or
+// decode to a message whose encoding is exactly the flipped bytes.
+TEST_P(FuzzTest, BitFlippedPuzzleFieldsDecodeCanonicallyOrThrow) {
+  FuzzWorld& w = FuzzWorld::get();
+  crypto::Drbg rng = crypto::Drbg::from_string("fuzz-puzzle", GetParam());
+  const Timestamp now = 80'000 + static_cast<Timestamp>(GetParam()) * 100;
+  w.router->set_under_attack(true, 4);
+  const auto beacon = w.router->make_beacon(now);
+  w.router->set_under_attack(false);
+  ASSERT_TRUE(beacon.puzzle.has_value());
+  const auto m2 = w.user->process_beacon(beacon, now);
+  ASSERT_TRUE(m2.has_value() && m2->puzzle_solution.has_value());
+
+  const auto flip_tail = [&rng](const Bytes& wire, std::size_t tail,
+                                auto parse) {
+    for (int i = 0; i < 40; ++i) {
+      Bytes mutated = wire;
+      mutated[wire.size() - 1 - rng.uniform(tail)] ^=
+          static_cast<std::uint8_t>(1 + rng.uniform(255));
+      try {
+        EXPECT_EQ(parse(mutated).to_bytes(), mutated);
+      } catch (const Error&) {
+      }
+    }
+    EXPECT_EQ(parse(wire).to_bytes(), wire);
+  };
+  flip_tail(beacon.to_bytes(), 1 + 4 + beacon.puzzle->to_bytes().size(),
+            [](BytesView d) { return BeaconMessage::from_bytes(d); });
+  flip_tail(m2->to_bytes(), 1 + 4 + m2->puzzle_solution->to_bytes().size(),
+            [](BytesView d) { return AccessRequest::from_bytes(d); });
+}
+
 TEST_P(FuzzTest, TruncatedMessagesRejected) {
   FuzzWorld& w = FuzzWorld::get();
   const Timestamp now = 50'000 + static_cast<Timestamp>(GetParam()) * 100;

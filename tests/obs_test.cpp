@@ -1,8 +1,8 @@
 // The observability layer (docs/OBSERVABILITY.md): metrics registry
 // semantics, histogram quantiles, span crypto-op attribution, export
-// formats, the op-count API migration (curve::pairing_op_count /
-// g2_prepared_count now read registry counters), and the neutrality +
-// pooled-vs-sequential determinism contracts telemetry must keep.
+// formats, the op-count API (obs::op_count reads the registry counters),
+// and the neutrality + pooled-vs-sequential determinism contracts
+// telemetry must keep.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -104,23 +104,22 @@ TEST_F(ObsTest, MetricsJsonShape) {
 }
 
 TEST_F(ObsTest, OpCountApiReadsRegistry) {
-  // Satellite 1: the bare globals are gone — the curve:: op-count API and
-  // the registry counters are the same numbers, and Registry::reset gives
-  // per-scope deltas.
+  // obs::op_count and the registry counters are the same numbers, and
+  // Registry::reset gives per-scope deltas.
   const auto& bn = curve::Bn254::get();
   Registry::global().reset();
-  EXPECT_EQ(curve::pairing_op_count(), 0u);
-  EXPECT_EQ(curve::g2_prepared_count(), 0u);
+  EXPECT_EQ(obs::op_count(obs::Op::kPairing), 0u);
+  EXPECT_EQ(obs::op_count(obs::Op::kG2Prepared), 0u);
   (void)curve::pairing(bn.g1_gen, bn.g2_gen);
-  EXPECT_EQ(curve::pairing_op_count(), 1u);
+  EXPECT_EQ(obs::op_count(obs::Op::kPairing), 1u);
   EXPECT_EQ(Registry::global().counter("curve.pairings").value(), 1u);
   const curve::G2Prepared prep(bn.g2_gen);
-  EXPECT_EQ(curve::g2_prepared_count(), 1u);
+  EXPECT_EQ(obs::op_count(obs::Op::kG2Prepared), 1u);
   EXPECT_EQ(Registry::global().counter("curve.g2_prepared_builds").value(),
             1u);
   // Infinity still skips the build, exactly as the old global counted.
   const curve::G2Prepared inf_prep(curve::G2::infinity());
-  EXPECT_EQ(curve::g2_prepared_count(), 1u);
+  EXPECT_EQ(obs::op_count(obs::Op::kG2Prepared), 1u);
   EXPECT_GE(Registry::global().counter("curve.miller_loops").value(), 1u);
   EXPECT_GE(Registry::global().counter("curve.final_exps").value(), 1u);
 }
@@ -544,7 +543,9 @@ TEST_F(ObsTest, PooledAndSequentialFoldCountersMatch) {
     EXPECT_EQ(seq, pooled) << two_epochs;
     EXPECT_EQ(std::get<0>(seq), two_epochs ? kBatch : kBatch - 1);
     // Two epochs, no revoked member: one fold's Eq.2 is every pairing.
-    if (two_epochs) EXPECT_EQ(std::get<2>(seq).pairings, 2u);
+    if (two_epochs) {
+      EXPECT_EQ(std::get<2>(seq).pairings, 2u);
+    }
   }
 }
 

@@ -6,6 +6,7 @@
 #include "curve/ecdsa.hpp"
 #include "curve/pairing.hpp"
 #include "obs/metrics.hpp"
+#include "obs/trace.hpp"
 
 namespace peace::curve {
 namespace {
@@ -90,7 +91,7 @@ TEST_F(PairingTest, GtGeneratorAddsNoPairingAfterInit) {
   // process adds nothing to the op counters a run reads after a reset.
   obs::Registry::global().reset();
   (void)gt_generator();
-  EXPECT_EQ(pairing_op_count(), 0u);
+  EXPECT_EQ(obs::op_count(obs::Op::kPairing), 0u);
   EXPECT_EQ(obs::op_count(obs::Op::kMillerLoop), 0u);
   EXPECT_EQ(obs::op_count(obs::Op::kFinalExp), 0u);
   EXPECT_EQ(obs::op_count(obs::Op::kFieldInversion), 0u);
@@ -356,9 +357,9 @@ TEST_F(PairingTest, HardPartChainMatchesGenericPath) {
 }
 
 TEST_F(PairingTest, PairingOpCounterAdvances) {
-  const std::uint64_t before = pairing_op_count();
+  const std::uint64_t before = obs::op_count(obs::Op::kPairing);
   pairing(Bn254::get().g1_gen, Bn254::get().g2_gen);
-  EXPECT_EQ(pairing_op_count(), before + 1);
+  EXPECT_EQ(obs::op_count(obs::Op::kPairing), before + 1);
 }
 
 class PairingProperty : public ::testing::TestWithParam<int> {

@@ -5,6 +5,7 @@
 
 #include <set>
 
+#include "groupsig_reference.hpp"
 #include "peace/router.hpp"
 #include "peace/user.hpp"
 

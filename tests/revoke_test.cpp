@@ -7,6 +7,7 @@
 #include <thread>
 
 #include "mesh/network.hpp"
+#include "obs/trace.hpp"
 #include "peace/revoke/shared.hpp"
 #include "peace/revoke/store.hpp"
 #include "peace/router.hpp"
@@ -358,9 +359,9 @@ TEST_F(RevokeSystemTest, UrlScanPreparesBasesOncePerMessage) {
   ASSERT_TRUE(m2.has_value());
   // The 3-token URL scan derives the bases (and prepares v_hat) exactly
   // once for the message; matches_token never builds its own G2Prepared.
-  const std::uint64_t before = curve::g2_prepared_count();
+  const std::uint64_t before = obs::op_count(obs::Op::kG2Prepared);
   ASSERT_TRUE(router->handle_access_request(*m2, 1001).has_value());
-  EXPECT_EQ(curve::g2_prepared_count() - before, 1u);
+  EXPECT_EQ(obs::op_count(obs::Op::kG2Prepared) - before, 1u);
 }
 
 TEST_F(RevokeSystemTest, EpochIndexIsIncrementalAcrossDeltas) {
@@ -379,20 +380,41 @@ TEST_F(RevokeSystemTest, EpochIndexIsIncrementalAcrossDeltas) {
   // not a |URL|+1 rebuild.
   no_.revoke_user_key(enrollments_["d"].index, 200);
   const auto ann = no_.make_delta_announcement(0, 3);
-  const std::uint64_t pairings_before = curve::pairing_op_count();
+  const std::uint64_t pairings_before = obs::op_count(obs::Op::kPairing);
   EXPECT_TRUE(router->handle_rl_announce(ann).empty());
-  const std::uint64_t incremental = curve::pairing_op_count() - pairings_before;
+  const std::uint64_t incremental =
+      obs::op_count(obs::Op::kPairing) - pairings_before;
   EXPECT_EQ(incremental, 1u);
   EXPECT_EQ(shared.snapshot()->index->size(), 4u);
 
   // Baseline: building the same index from scratch costs one pairing per
   // token — the delta path is measurably cheaper.
-  const std::uint64_t rebuild_before = curve::pairing_op_count();
+  const std::uint64_t rebuild_before = obs::op_count(obs::Op::kPairing);
   const groupsig::EpochRevocationIndex rebuilt(
       no_.params().gpk, 5, shared.snapshot()->url_tokens);
-  const std::uint64_t rebuild = curve::pairing_op_count() - rebuild_before;
+  const std::uint64_t rebuild =
+      obs::op_count(obs::Op::kPairing) - rebuild_before;
   EXPECT_EQ(rebuild, 4u);
   EXPECT_LT(incremental, rebuild);
+}
+
+// A URL delta that removes entries (a master-key rotation clears the URL)
+// drops their tags from the epoch index: a removed entry no longer revokes.
+TEST_F(RevokeSystemTest, EpochIndexDropsTokensAUrlDeltaRemoves) {
+  auto router = make_router(1);
+  for (const char* uid : {"a", "b"}) make_user(uid);
+  for (const char* uid : {"a", "b"})
+    no_.revoke_user_key(enrollments_[uid].index, 100);
+  router->install_revocation_lists(no_.current_crl(), no_.current_url());
+  auto& shared = *router->revocation();
+  shared.set_epoch(no_.gpk(), 5);
+  ASSERT_EQ(shared.snapshot()->index->size(), 2u);
+
+  no_.rotate_master_key(200);
+  EXPECT_TRUE(router->handle_rl_announce(no_.make_delta_announcement(0, 2))
+                  .empty());
+  EXPECT_TRUE(shared.snapshot()->url_tokens.empty());
+  EXPECT_EQ(shared.snapshot()->index->size(), 0u);
 }
 
 TEST_F(RevokeSystemTest, EpochModeIsRevokedBuildsNoPrepared) {
@@ -415,12 +437,12 @@ TEST_F(RevokeSystemTest, EpochModeIsRevokedBuildsNoPrepared) {
 
   // The per-epoch v_hat was prepared when the index was built; O(1)
   // lookups afterwards construct no line tables at all.
-  const std::uint64_t before = curve::g2_prepared_count();
+  const std::uint64_t before = obs::op_count(obs::Op::kG2Prepared);
   for (int i = 0; i < 5; ++i) {
     EXPECT_FALSE(index.is_revoked(ok));
     EXPECT_TRUE(index.is_revoked(bad));
   }
-  EXPECT_EQ(curve::g2_prepared_count() - before, 0u);
+  EXPECT_EQ(obs::op_count(obs::Op::kG2Prepared) - before, 0u);
 }
 
 TEST_F(RevokeSystemTest, EpochRollEdgeCases) {
@@ -433,9 +455,9 @@ TEST_F(RevokeSystemTest, EpochRollEdgeCases) {
   router->revocation()->set_epoch(no_.gpk(), 3);
   ASSERT_NE(shared.snapshot()->index, nullptr);
   EXPECT_EQ(shared.snapshot()->index->size(), 0u);
-  const std::uint64_t before = curve::pairing_op_count();
+  const std::uint64_t before = obs::op_count(obs::Op::kPairing);
   router->revocation()->set_epoch(no_.gpk(), 4);
-  EXPECT_EQ(curve::pairing_op_count() - before, 0u);
+  EXPECT_EQ(obs::op_count(obs::Op::kPairing) - before, 0u);
 
   // Revoke-then-roll: the member revoked in epoch 4 stays revoked after
   // the roll to epoch 5 — tags are re-derived, not dropped.
@@ -496,9 +518,9 @@ TEST_F(RevokeSystemTest, EpochRollRaceFallsBackToSharedPreparedScan) {
 
   // The roll lands before the batch.
   router->revocation()->set_epoch(no_.gpk(), 5);
-  const std::uint64_t before = curve::g2_prepared_count();
+  const std::uint64_t before = obs::op_count(obs::Op::kG2Prepared);
   const auto outcomes = router->handle_access_requests(batch, 1001);
-  EXPECT_EQ(curve::g2_prepared_count() - before, 0u);
+  EXPECT_EQ(obs::op_count(obs::Op::kG2Prepared) - before, 0u);
   ASSERT_EQ(outcomes.size(), 2u);
   EXPECT_TRUE(outcomes[0].has_value());
   EXPECT_FALSE(outcomes[1].has_value());
@@ -512,9 +534,9 @@ TEST_F(RevokeSystemTest, EpochRollRaceFallsBackToSharedPreparedScan) {
   live->signature = groupsig::sign(
       no_.params().gpk, alice->credential(enrollments_["alice"].index.group),
       live->signed_payload(), rng, 5);
-  const std::uint64_t steady = curve::g2_prepared_count();
+  const std::uint64_t steady = obs::op_count(obs::Op::kG2Prepared);
   EXPECT_TRUE(router->handle_access_request(*live, 1001).has_value());
-  EXPECT_EQ(curve::g2_prepared_count() - steady, 0u);
+  EXPECT_EQ(obs::op_count(obs::Op::kG2Prepared) - steady, 0u);
 }
 
 TEST_F(RevokeSystemTest, EpochModeSegmentRollsWithM2InFlight) {
@@ -574,9 +596,10 @@ TEST_F(RevokeSystemTest, EpochModeSegmentRollsWithM2InFlight) {
   EXPECT_EQ(shared->snapshot()->epoch, 2u);
   EXPECT_EQ(shared->stats().epoch_rolls, 2u);
 
-  const std::uint64_t prepared = curve::g2_prepared_count();
+  const std::uint64_t prepared = obs::op_count(obs::Op::kG2Prepared);
   expect_verdicts(r1->handle_access_requests(in_flight, 61'000));
-  EXPECT_EQ(curve::g2_prepared_count() - prepared, 0u);  // the beacon's
+  // The beacon's prepared bases serve the fallback scans.
+  EXPECT_EQ(obs::op_count(obs::Op::kG2Prepared) - prepared, 0u);
   EXPECT_EQ(r1->stats().epoch_fallback_scans, 2u);
   EXPECT_EQ(r1->stats().rejected_revoked, 1u);
 
@@ -680,9 +703,9 @@ TEST_F(RevokeSystemTest, EpochModeRouterPinsTheBeaconEpoch) {
   forged->signature =
       groupsig::sign(no_.params().gpk, alice.credential(gm_.id()),
                      forged->signed_payload(), forger, 7);
-  const std::uint64_t prepared = curve::g2_prepared_count();
+  const std::uint64_t prepared = obs::op_count(obs::Op::kG2Prepared);
   EXPECT_FALSE(router.handle_access_request(*forged, 61'000).has_value());
-  EXPECT_EQ(curve::g2_prepared_count() - prepared, 0u);
+  EXPECT_EQ(obs::op_count(obs::Op::kG2Prepared) - prepared, 0u);
   EXPECT_EQ(router.stats().rejected_bad_signature, 1u);
   EXPECT_EQ(router.stats().signature_verifications, 0u);
 

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "groupsig/groupsig.hpp"
+#include "obs/trace.hpp"
 
 namespace peace::groupsig {
 namespace {
@@ -71,7 +72,7 @@ TEST_F(ScanTest, BatchedScanMatchesPerTokenReference) {
 
     std::size_t reference = npos;
     for (std::size_t i = 0; i < url.size(); ++i) {
-      if (matches_token(prepared, *c.sig, url[i])) {
+      if (matches_token(issuer_.gpk(), as_bytes("m"), *c.sig, url[i])) {
         reference = i;
         break;
       }
@@ -87,31 +88,31 @@ TEST_F(ScanTest, ScanPaysOneEasyPartInversion) {
   const std::vector<RevocationToken> url = fodder(16);
 
   // The per-token reference pays one easy-part inversion per token...
-  std::uint64_t before = curve::fp12_inverse_count();
+  std::uint64_t before = obs::op_count(obs::Op::kFp12Inverse);
   for (const RevocationToken& token : url)
-    EXPECT_FALSE(matches_token(prepared, sig, token));
-  EXPECT_EQ(curve::fp12_inverse_count() - before, url.size());
+    EXPECT_FALSE(matches_token(issuer_.gpk(), as_bytes("m"), sig, token));
+  EXPECT_EQ(obs::op_count(obs::Op::kFp12Inverse) - before, url.size());
 
   // ...the batched scan pays exactly one for the whole clean scan...
-  before = curve::fp12_inverse_count();
+  before = obs::op_count(obs::Op::kFp12Inverse);
   EXPECT_EQ(scan_tokens(prepared, sig, url), TokenScan::npos);
-  EXPECT_EQ(curve::fp12_inverse_count() - before, 1u);
+  EXPECT_EQ(obs::op_count(obs::Op::kFp12Inverse) - before, 1u);
 
   // ...and still exactly one when a token matches (the easy part is batched
   // before the per-token hard parts run).
   std::vector<RevocationToken> hit = url;
   hit[5] = {alice_.a};
-  before = curve::fp12_inverse_count();
+  before = obs::op_count(obs::Op::kFp12Inverse);
   EXPECT_EQ(scan_tokens(prepared, sig, hit), 5u);
-  EXPECT_EQ(curve::fp12_inverse_count() - before, 1u);
+  EXPECT_EQ(obs::op_count(obs::Op::kFp12Inverse) - before, 1u);
 }
 
 TEST_F(ScanTest, EmptyScanIsFree) {
   const Signature sig = sign_m(alice_);
   const PreparedBases prepared = prepared_for(sig);
-  const std::uint64_t before = curve::fp12_inverse_count();
+  const std::uint64_t before = obs::op_count(obs::Op::kFp12Inverse);
   EXPECT_EQ(scan_tokens(prepared, sig, {}), TokenScan::npos);
-  EXPECT_EQ(curve::fp12_inverse_count() - before, 0u);
+  EXPECT_EQ(obs::op_count(obs::Op::kFp12Inverse) - before, 0u);
 }
 
 }  // namespace

@@ -9,7 +9,7 @@
 #include <algorithm>
 #include <string_view>
 
-#include "mesh/adversary.hpp"
+#include "attack_fixtures.hpp"
 
 namespace peace::mesh {
 namespace {
@@ -72,7 +72,7 @@ TEST_F(ScenarioTest, FullOperationalCycle) {
   // --- Act 3: an attacker probes ------------------------------------------
   BogusInjector outsider(crypto::Drbg::from_string("sc-outsider"));
   const auto beacon = net.router(r1).make_beacon(5000);
-  EXPECT_EQ(outsider.inject(net.router(r1), beacon, 5001, 10), 0u);
+  EXPECT_EQ(inject(outsider, net.router(r1), beacon, 5001, 10), 0u);
   EXPECT_EQ(replayer.replay_all(net.router(r1), 5100), 0u);
   // Replays answered as retransmissions get only M.3s already on the air.
   EXPECT_FALSE(replayer.confirms().empty());

@@ -4,6 +4,8 @@
 
 #include <vector>
 
+#include "formatters.hpp"
+
 namespace peace::math {
 namespace {
 
@@ -20,13 +22,8 @@ TEST(U256, DecimalRoundTrip) {
       "0", "1", "10", "255", "18446744073709551615", "18446744073709551616",
       "21888242871839275222246405745257275088696311157297823662689037894645226208583"};
   for (const char* c : cases) {
-    EXPECT_EQ(U256::from_dec(c).to_dec(), c) << c;
+    EXPECT_EQ(to_dec(U256::from_dec(c)), c) << c;
   }
-}
-
-TEST(U256, HexRoundTrip) {
-  const U256 v = U256::from_dec("123456789012345678901234567890");
-  EXPECT_EQ(U256::from_hex(v.to_hex()), v);
 }
 
 TEST(U256, DecimalRejectsGarbage) {
@@ -99,11 +96,13 @@ TEST(U256, MulWideCross) {
 
 TEST(U256, Shifts) {
   const U256 v = U256::from_dec("123456789123456789");
-  EXPECT_EQ(shr1(shl1(v)), v);
-  EXPECT_EQ(shl1(U256(1)), U256(2));
-  U256 top;
-  top.limb[3] = 0x8000000000000000ull;
-  EXPECT_TRUE(shl1(top).is_zero());
+  U256 twice;
+  add_carry(twice, v, v);
+  EXPECT_EQ(shr1(twice), v);
+  EXPECT_EQ(shr1(U256(2)), U256(1));
+  U256 carry;
+  carry.limb[1] = 1;
+  EXPECT_EQ(shr1(carry), U256(0x8000000000000000ull));
 }
 
 TEST(U256, Cmp) {
@@ -126,14 +125,6 @@ TEST(U256, SubModWraps) {
   const U256 m(97);
   EXPECT_EQ(sub_mod(U256(3), U256(5), m), U256(95));
   EXPECT_EQ(sub_mod(U256(5), U256(3), m), U256(2));
-}
-
-TEST(U256, DivmodSmall) {
-  std::uint64_t rem = 0;
-  const U256 q = divmod_small(U256::from_dec("1000000000000000000000"), 7, rem);
-  EXPECT_EQ(q.to_dec(), "142857142857142857142");
-  EXPECT_EQ(rem, 6u);
-  EXPECT_THROW(divmod_small(U256(1), 0, rem), Error);
 }
 
 TEST(U256, BitAccess) {
